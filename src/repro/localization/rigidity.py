@@ -19,7 +19,8 @@ be evaluated meaningfully.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple
+from functools import lru_cache
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 import networkx as nx
 import numpy as np
@@ -38,6 +39,12 @@ def _normalise_edges(edges: Iterable[Edge]) -> List[Edge]:
             seen.add(e)
             out.append(e)
     return out
+
+
+def _check_nodes(num_nodes: int, edges: List[Edge]) -> None:
+    for u, v in edges:
+        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
+            raise ValueError(f"edge ({u}, {v}) references unknown node")
 
 
 def edges_from_weights(weights: np.ndarray) -> List[Edge]:
@@ -107,11 +114,11 @@ class _PebbleGame:
 
 def independent_edge_count(num_nodes: int, edges: Iterable[Edge]) -> int:
     """Rank of the edge set in the 2D generic rigidity matroid."""
+    edge_list = _normalise_edges(edges)
+    _check_nodes(num_nodes, edge_list)
     game = _PebbleGame(num_nodes)
     count = 0
-    for u, v in _normalise_edges(edges):
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ValueError(f"edge ({u}, {v}) references unknown node")
+    for u, v in edge_list:
         if game.try_insert(u, v):
             count += 1
     return count
@@ -156,9 +163,20 @@ def is_uniquely_realizable(num_nodes: int, edges: Iterable[Edge]) -> bool:
     """Global rigidity in 2D (Jackson-Jordan characterisation).
 
     ``n <= 3``: complete graphs only. ``n >= 4``: redundantly rigid and
-    3-connected.
+    3-connected. The predicate depends only on the edge *set*, so results
+    are memoized per ``(num_nodes, frozenset(edges))``; Algorithm 1 asks
+    about the same subsets again across its drop levels. Edges are
+    validated on every call, so invalid input always raises.
     """
     edge_list = _normalise_edges(edges)
+    _check_nodes(num_nodes, edge_list)
+    return _globally_rigid(num_nodes, frozenset(edge_list))
+
+
+@lru_cache(maxsize=1024)
+def _globally_rigid(num_nodes: int, edge_set: FrozenSet[Edge]) -> bool:
+    """Jackson-Jordan test on a validated, normalised edge set."""
+    edge_list = sorted(edge_set)
     if num_nodes <= 1:
         return True
     if num_nodes == 2:

@@ -66,14 +66,29 @@ def _validate_inputs(distances: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError("distances must be non-negative")
 
 
+def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
+    """(N, N) Euclidean distances between the rows of ``positions``."""
+    return np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+
+
+def _masked_stress(
+    dist: np.ndarray, distances: np.ndarray, mask: np.ndarray, masked_weights: np.ndarray
+) -> float:
+    """Raw stress from a precomputed embedding distance matrix.
+
+    ``mask`` selects the upper-triangle links and ``masked_weights`` is
+    ``weights`` zeroed outside it; the sum runs over the full matrix.
+    """
+    resid = np.where(mask, distances - dist, 0.0)
+    return float(np.sum(masked_weights * resid**2))
+
+
 def stress_value(positions: np.ndarray, distances: np.ndarray, weights: np.ndarray) -> float:
     """Weighted raw stress of an embedding."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    d = np.linalg.norm(diff, axis=-1)
     mask = np.triu(weights, k=1) > 0
-    resid = np.where(mask, distances - d, 0.0)
-    w = np.where(mask, weights, 0.0)
-    return float(np.sum(w * resid**2))
+    return _masked_stress(
+        _pairwise_distances(positions), distances, mask, np.where(mask, weights, 0.0)
+    )
 
 
 def normalized_stress(stress: float, weights: np.ndarray) -> float:
@@ -173,32 +188,39 @@ def smacof(
         if x.shape != (n, dim):
             raise ValueError(f"init must be ({n}, {dim})")
 
-    # Guttman transform machinery. V depends only on the weights.
+    # Guttman transform machinery. V, the link mask and the masked
+    # weights depend only on the weights, so they are built once per
+    # solve. Each step computes one distance matrix, which serves both
+    # the stress of the new configuration and the next B(X).
+    diag = slice(None, None, n + 1)  # the diagonal, in flat (C-order) indexing
     v = -np.array(w, dtype=float, copy=True)
-    np.fill_diagonal(v, 0.0)
-    np.fill_diagonal(v, -v.sum(axis=1))
+    v.flat[diag] = 0.0
+    v.flat[diag] = -v.sum(axis=1)
     v_pinv = np.linalg.pinv(v)
+    neg_w = -w
+    mask = np.triu(w, k=1) > 0
+    masked_w = np.where(mask, w, 0.0)
 
     d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
 
-    prev_stress = stress_value(x, d_clean, w)
+    dist = _pairwise_distances(x)
+    prev_stress = _masked_stress(dist, d_clean, mask, masked_w)
     converged = False
     iteration = 0
-    for iteration in range(1, max_iter + 1):
-        diff = x[:, None, :] - x[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
             ratio = np.where(dist > 1e-12, d_clean / dist, 0.0)
-        b = -w * ratio
-        np.fill_diagonal(b, 0.0)
-        np.fill_diagonal(b, -b.sum(axis=1))
-        x = v_pinv @ (b @ x)
-        stress = stress_value(x, d_clean, w)
-        if prev_stress > 0 and (prev_stress - stress) / max(prev_stress, 1e-15) < tol:
+            b = neg_w * ratio
+            b.flat[diag] = 0.0
+            b.flat[diag] = -b.sum(axis=1)
+            x = v_pinv @ (b @ x)
+            dist = _pairwise_distances(x)
+            stress = _masked_stress(dist, d_clean, mask, masked_w)
+            if prev_stress > 0 and (prev_stress - stress) / max(prev_stress, 1e-15) < tol:
+                prev_stress = stress
+                converged = True
+                break
             prev_stress = stress
-            converged = True
-            break
-        prev_stress = stress
 
     return SmacofResult(
         positions=x,

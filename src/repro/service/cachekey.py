@@ -186,6 +186,8 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
         trial_chunks = int(body.get("trial_chunks", 1))
     except (TypeError, ValueError):
         raise ValueError("'base_seed'/'scale'/'trial_chunks' must be numeric")
+    if base_seed < 0:
+        raise ValueError("'base_seed' must be non-negative")
     if not (scale > 0.0):
         raise ValueError("'scale' must be positive")
     if trial_chunks < 1:

@@ -7,7 +7,8 @@ failed validation.  Three invariants:
 * **Atomic writes.**  Bodies land via write-to-tempfile + ``os.replace``
   in the same directory, so a reader never observes a torn entry and a
   writer crash leaves only a ``*.tmp-*`` file that readers ignore and
-  later writes clean up.
+  later writes clean up once it is older than ``STALE_TMP_GRACE_S``
+  (a younger one may belong to a concurrent writer in the same shard).
 * **Corrupt entries are misses, never errors.**  ``get`` validates the
   stored bytes as JSON; a corrupt file is moved into ``quarantine/``
   and reported as a miss, so the serving tier recomputes instead of
@@ -33,6 +34,11 @@ from repro.signals.batchcorr import env_int
 
 #: Cap on the store's total entry bytes; 0 means unbounded.
 ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
+
+#: Age (seconds) after which a ``*.tmp-*`` file counts as left behind by
+#: a crashed writer.  Younger temp files may still be mid-write in
+#: another thread or process, so the sweep spares them.
+STALE_TMP_GRACE_S = 60.0
 
 
 class CacheStoreError(RuntimeError):
@@ -140,6 +146,8 @@ class CacheStore:
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(body)
+                fh.flush()
+                written = os.fstat(fh.fileno()).st_mtime
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -148,17 +156,25 @@ class CacheStore:
                 pass
             raise
         self.puts += 1
-        self._sweep_stale_tmps(path.parent)
+        self._sweep_stale_tmps(path.parent, written)
         if self.max_bytes > 0:
             self.evict()
         return path
 
-    def _sweep_stale_tmps(self, directory: Path) -> None:
-        """Remove leftover temp files from writers that died mid-write."""
+    def _sweep_stale_tmps(self, directory: Path, now: float) -> None:
+        """Remove leftover temp files from writers that died mid-write.
+
+        ``now`` is the mtime of the entry just written (the rename keeps
+        the temp file's mtime), so ages are measured on the filesystem's
+        clock.  Only temp files older than ``STALE_TMP_GRACE_S`` go: a
+        younger one may be another writer's live temp file, whose
+        ``os.replace`` would otherwise fail.
+        """
         for tmp in directory.glob("*.tmp-*"):
             try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - concurrent writer owns it
+                if now - tmp.stat().st_mtime > STALE_TMP_GRACE_S:
+                    tmp.unlink()
+            except OSError:  # pragma: no cover - renamed or swept concurrently
                 pass
 
     # -- accounting / eviction ---------------------------------------

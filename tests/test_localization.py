@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.constants import MAX_OUTLIER_LINKS
 from repro.errors import LocalizationError
 from repro.geometry.topology import pairwise_distance_matrix
 from repro.geometry.transforms import angle_of
@@ -114,6 +115,30 @@ class TestOutlierDetection:
         np.fill_diagonal(corrupted, 0.0)
         result = detect_outliers(corrupted, max_outliers=2)
         assert len(result.dropped_links) <= 2
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(5, 6),
+        n_bad=st.integers(0, 6),
+        bias=st.floats(2.0, 12.0),
+        greedy=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_drops_more_than_max_links(self, n, n_bad, bias, greedy, seed):
+        # However many links are corrupted, Algorithm 1 stops at
+        # MAX_OUTLIER_LINKS dropped links. The greedy draws accept any
+        # improvement and never reach the stress threshold, so the
+        # search always runs into the cap.
+        rng = np.random.default_rng(seed)
+        d = pairwise_distance_matrix(rng.uniform(-15.0, 15.0, (n, 2)))
+        pairs = list(zip(*np.triu_indices(n, 1)))
+        for k in rng.choice(len(pairs), size=n_bad, replace=False):
+            i, j = pairs[k]
+            d[i, j] = d[j, i] = d[i, j] + bias
+        knobs = {"stress_threshold": 0.0, "improvement_ratio": 0.0} if greedy else {}
+        result = detect_outliers(d, rng=np.random.default_rng(seed), **knobs)
+        assert len(result.dropped_links) <= MAX_OUTLIER_LINKS
+        assert len(set(result.dropped_links)) == len(result.dropped_links)
 
     def test_disabled_with_infinite_threshold(self):
         pts, d = self._clean_case()

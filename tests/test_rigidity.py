@@ -88,6 +88,20 @@ class TestRedundantRigidity:
         assert not is_redundantly_rigid(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def _jackson_jordan(n, edges):
+    """The uncached composition the memoized predicate must reproduce."""
+    if n <= 3:
+        return len(set(map(frozenset, edges))) == n * (n - 1) // 2
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(edges)
+    return (
+        nx.is_connected(graph)
+        and nx.node_connectivity(graph) >= 3
+        and is_redundantly_rigid(n, edges)
+    )
+
+
 class TestUniqueRealizability:
     def test_small_complete_graphs(self):
         assert is_uniquely_realizable(2, [(0, 1)])
@@ -120,16 +134,43 @@ class TestUniqueRealizability:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 7))
         edges = [e for e in complete_graph_edges(n) if rng.random() < 0.8]
-        got = is_uniquely_realizable(n, edges)
-        graph = nx.Graph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(edges)
-        expected = (
-            nx.is_connected(graph)
-            and nx.node_connectivity(graph) >= 3
-            and is_redundantly_rigid(n, edges)
-        )
-        assert got == expected
+        assert is_uniquely_realizable(n, edges) == _jackson_jordan(n, edges)
+
+
+class TestMemoizedRealizability:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        keep=st.sampled_from([0.5, 0.7, 0.85, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_edge_order_never_changes_the_answer(self, n, keep, seed):
+        # Like Algorithm 1, ask about a graph and about every one-link
+        # drop from it: same-size edge sets with different answers.
+        rng = np.random.default_rng(seed)
+        edges = [e for e in complete_graph_edges(n) if rng.random() < keep]
+        subsets = [edges] + [edges[:k] + edges[k + 1 :] for k in range(len(edges))]
+        for subset in subsets:
+            expected = _jackson_jordan(n, subset)
+            shuffled = [subset[i] for i in rng.permutation(len(subset))]
+            flipped = [(v, u) for u, v in shuffled]
+            for order in (subset, shuffled, subset[::-1], flipped):
+                assert is_uniquely_realizable(n, order) == expected
+
+    def test_self_loop_raises_on_every_call(self):
+        edges = complete_graph_edges(5)
+        assert is_uniquely_realizable(5, edges)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="self-loop"):
+                is_uniquely_realizable(5, edges + [(2, 2)])
+        assert is_uniquely_realizable(5, edges)
+
+    def test_unknown_node_raises_on_every_call(self):
+        edges = complete_graph_edges(4)
+        assert is_uniquely_realizable(4, edges)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown node"):
+                is_uniquely_realizable(4, edges + [(0, 4)])
 
 
 class TestEdgesFromWeights:

@@ -144,6 +144,8 @@ def test_normalize_request_rejects_bad_input():
         normalize_request({"experiment": "fig22", "trial_chunks": 0})
     with pytest.raises(ValueError, match="scale"):
         normalize_request({"experiment": "fig22", "scale": -1})
+    with pytest.raises(ValueError, match="base_seed"):
+        normalize_request({"experiment": "fig22", "base_seed": -1})
     with pytest.raises(ValueError):
         normalize_request({"experiment": "fig22", "scale": "fast"})
 

@@ -61,6 +61,11 @@ def test_bad_request_bodies(served):
     )
     assert response.status == 400
     assert "bogus" in response.json()["error"]
+    response = client.request(
+        "POST", "/campaign", {"experiment": "fig22", "base_seed": -1}
+    )
+    assert response.status == 400
+    assert "base_seed" in response.json()["error"]
 
 
 def test_result_endpoint(served):

@@ -10,6 +10,7 @@ against a slow fake compute).
 
 import json
 import os
+import sys
 import threading
 import time
 
@@ -19,7 +20,7 @@ from repro.service.cachekey import UnitRequest
 from repro.service.client import ServiceClient
 from repro.service.compute import cached_unit
 from repro.service.server import start_background
-from repro.service.store import CacheStore, CacheStoreError
+from repro.service.store import STALE_TMP_GRACE_S, CacheStore, CacheStoreError
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -57,6 +58,9 @@ def test_crashed_mid_write_tmp_is_ignored_and_swept(store):
     shard.mkdir(parents=True)
     stale = shard / f"{KEY_A}.tmp-deadbeef"
     stale.write_bytes(b'{"torn":')
+    # The crash happened long ago: older than the sweep's grace period.
+    old = stale.stat().st_mtime - 2 * STALE_TMP_GRACE_S
+    os.utime(stale, (old, old))
     # A reader never sees the torn temp file...
     assert store.get(KEY_A) is None
     assert store.total_bytes() == 0
@@ -67,6 +71,58 @@ def test_crashed_mid_write_tmp_is_ignored_and_swept(store):
     assert store.get(KEY_A) == body
     assert not stale.exists()
     assert not list(store.root.glob("**/*.tmp-*"))
+
+
+def test_sweep_spares_young_tmp_of_a_live_writer(store):
+    shard = store.root / KEY_A[:2]
+    shard.mkdir(parents=True)
+    live = shard / f"{KEY_A}.tmp-inflight"
+    live.write_bytes(b'{"half":')
+    store.put(KEY_A, b'{"v": 3}')
+    assert live.exists()
+
+
+def test_concurrent_puts_in_one_shard_never_lose_a_rename(store):
+    # Every key lands in shard "ab": each put's sweep runs while the
+    # other writers' temp files may be mid-write in the same directory.
+    # More writer threads than cores, and frequent thread switches.
+    keys = [f"ab{i:062x}" for i in range(60)]
+    shard = store.root / "ab"
+    shard.mkdir(parents=True)
+    planted = shard / f"{keys[0]}.tmp-crashed"
+    planted.write_bytes(b'{"torn":')
+    old = planted.stat().st_mtime - 2 * STALE_TMP_GRACE_S
+    os.utime(planted, (old, old))
+    errors = []
+    n_threads = 4
+    barrier = threading.Barrier(n_threads)
+
+    def writer(part):
+        barrier.wait()
+        for key in part:
+            try:
+                store.put(key, json.dumps({"key": key}).encode())
+            except Exception as exc:  # collected for the assert below
+                errors.append(exc)
+
+    threads = [
+        threading.Thread(target=writer, args=(keys[i::n_threads],)) for i in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for key in keys:
+        assert json.loads(store.get(key)) == {"key": key}
+    assert not planted.exists()
+    assert not list(shard.glob("*.tmp-*"))
 
 
 def test_corrupt_entry_quarantined_as_miss(store):

@@ -8,11 +8,98 @@ from repro.errors import LocalizationError
 from repro.geometry.procrustes import procrustes_error
 from repro.geometry.topology import full_weight_matrix, pairwise_distance_matrix
 from repro.localization.smacof import (
+    _graph_complete_distances,
+    _validate_inputs,
     classical_mds,
     normalized_stress,
     smacof,
     stress_value,
 )
+
+
+def _frozen_stress_value(positions, distances, weights):
+    # The stress formula before the Guttman loop was restructured.
+    diff = positions[:, None, :] - positions[None, :, :]
+    d = np.linalg.norm(diff, axis=-1)
+    mask = np.triu(weights, k=1) > 0
+    resid = np.where(mask, distances - d, 0.0)
+    w = np.where(mask, weights, 0.0)
+    return float(np.sum(w * resid**2))
+
+
+def _frozen_smacof(distances, weights, dim=2, init=None, max_iter=300, tol=1e-7, rng=None):
+    """A frozen copy of the original SMACOF loop, the bit-parity oracle.
+
+    It recomputes the distance matrix twice per step, rebuilds the masks
+    inside every stress evaluation and fills the diagonal of B with
+    ``np.fill_diagonal``; :func:`smacof` must reproduce it bit for bit.
+    """
+    d = np.asarray(distances, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    _validate_inputs(d, w)
+    rng = rng or np.random.default_rng(0)
+    if init is None:
+        x = classical_mds(_graph_complete_distances(d, w), dim=dim)
+        x = x + rng.normal(0.0, 1e-6, size=x.shape)
+    else:
+        x = np.array(init, dtype=float, copy=True)
+    v = -np.array(w, dtype=float, copy=True)
+    np.fill_diagonal(v, 0.0)
+    np.fill_diagonal(v, -v.sum(axis=1))
+    v_pinv = np.linalg.pinv(v)
+    d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
+    prev_stress = _frozen_stress_value(x, d_clean, w)
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        diff = x[:, None, :] - x[None, :, :]
+        dist = np.linalg.norm(diff, axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(dist > 1e-12, d_clean / dist, 0.0)
+        b = -w * ratio
+        np.fill_diagonal(b, 0.0)
+        np.fill_diagonal(b, -b.sum(axis=1))
+        x = v_pinv @ (b @ x)
+        stress = _frozen_stress_value(x, d_clean, w)
+        if prev_stress > 0 and (prev_stress - stress) / max(prev_stress, 1e-15) < tol:
+            prev_stress = stress
+            converged = True
+            break
+        prev_stress = stress
+    return x, prev_stress, iteration, converged
+
+
+@st.composite
+def _measured_networks(draw, n_min=4, n_max=10):
+    """Noisy distances on a random layout with connected missing links."""
+    n = draw(st.integers(n_min, n_max))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.uniform(-20.0, 20.0, (n, 2))
+    d = pairwise_distance_matrix(pts)
+    noise = np.triu(rng.normal(0.0, draw(st.sampled_from([0.0, 0.3, 2.0])), (n, n)), 1)
+    d = np.abs(d + noise + noise.T)
+    np.fill_diagonal(d, 0.0)
+    w = full_weight_matrix(n)
+    drop_prob = draw(st.sampled_from([0.0, 0.2, 0.4]))
+    for i, j in zip(*np.triu_indices(n, 1)):
+        if rng.random() >= drop_prob:
+            continue
+        w[i, j] = w[j, i] = 0.0
+        if not _connected(w):
+            w[i, j] = w[j, i] = 1.0
+    d[w == 0] = np.nan
+    np.fill_diagonal(d, 0.0)
+    return d, w, rng
+
+
+def _connected(w):
+    seen, stack = {0}, [0]
+    while stack:
+        for j in np.flatnonzero(w[stack.pop()] > 0):
+            if int(j) not in seen:
+                seen.add(int(j))
+                stack.append(int(j))
+    return len(seen) == w.shape[0]
 
 
 def _square():
@@ -129,3 +216,57 @@ class TestSmacof:
         result = smacof(d, max_iter=300)
         assert result.converged
         assert result.n_iter <= 300
+
+
+class TestGuttmanLoopParity:
+    """The restructured loop is bit-identical to the original one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        net=_measured_networks(),
+        explicit_init=st.booleans(),
+        rng_seed=st.integers(0, 2**32 - 1),
+        max_iter=st.sampled_from([1, 7, 300]),
+    )
+    def test_bit_identical_to_frozen_loop(self, net, explicit_init, rng_seed, max_iter):
+        d, w, draw_rng = net
+        init = draw_rng.uniform(-20.0, 20.0, (d.shape[0], 2)) if explicit_init else None
+        x_ref, stress_ref, n_iter_ref, conv_ref = _frozen_smacof(
+            d, w, init=init, max_iter=max_iter, rng=np.random.default_rng(rng_seed)
+        )
+        got = smacof(d, w, init=init, max_iter=max_iter, rng=np.random.default_rng(rng_seed))
+        assert np.array_equal(got.positions, x_ref)
+        assert got.stress == stress_ref
+        assert got.n_iter == n_iter_ref
+        assert got.converged == conv_ref
+
+    @settings(max_examples=30, deadline=None)
+    @given(net=_measured_networks())
+    def test_stress_value_matches_frozen_formula(self, net):
+        d, w, draw_rng = net
+        x = draw_rng.uniform(-20.0, 20.0, (d.shape[0], 2))
+        d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
+        assert stress_value(x, d_clean, w) == _frozen_stress_value(x, d_clean, w)
+
+
+class TestMajorization:
+    @settings(max_examples=25, deadline=None)
+    @given(net=_measured_networks())
+    def test_stress_never_increases_with_more_iterations(self, net):
+        # The Guttman transform minimises a majorizer of the stress, so
+        # each step can only lower it: with a fixed init, the stress
+        # after k steps is non-increasing in k. Once the iterates stop
+        # moving, rounding may still wobble it: each residual carries
+        # an absolute error of about eps * max distance, which bounds
+        # the error of the stress sum (slack: 100x that bound).
+        d, w, draw_rng = net
+        init = draw_rng.uniform(-20.0, 20.0, (d.shape[0], 2))
+        d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
+        ulp = np.finfo(float).eps * d_clean.max()
+        n_links = np.count_nonzero(np.triu(w, 1))
+        prev = stress_value(init, d_clean, w)
+        for k in range(1, 41):
+            stress = smacof(d, w, init=init, max_iter=k, tol=0.0).stress
+            slack = 100.0 * (2.0 * ulp * np.sqrt(n_links * prev) + n_links * ulp**2)
+            assert stress <= prev + slack
+            prev = stress
