@@ -130,31 +130,6 @@ def render_taps_positions(
     return fir
 
 
-def render_taps_batch(
-    positions: Sequence[np.ndarray],
-    amplitudes: Sequence[np.ndarray],
-    lengths: Sequence[int],
-    width: int | None = None,
-) -> np.ndarray:
-    """Scatter many tap lists into one ``(rows, width)`` FIR slab.
-
-    Each row is bit-identical to :func:`render_taps` called with that
-    row's ``length`` (positions are tap delays already multiplied by
-    the sample rate).  ``width`` defaults to ``max(lengths)``; rows
-    whose ``length`` is shorter are zero beyond it, matching the scalar
-    FIR's size semantics for the subsequent convolution.
-    """
-    rows = len(positions)
-    if not (rows == len(amplitudes) == len(lengths)):
-        raise ValueError("positions/amplitudes/lengths must align")
-    w = int(max(lengths)) if width is None else int(width)
-    slab = np.zeros((rows, w))
-    for r in range(rows):
-        n = min(int(lengths[r]), w)
-        slab[r, :n] = render_taps_positions(positions[r], amplitudes[r], int(lengths[r]))[:n]
-    return slab
-
-
 class CachedWaveform:
     """A transmit waveform with per-transform-length spectrum cache.
 

@@ -25,7 +25,7 @@ from repro.constants import (
     OUTLIER_STRESS_THRESHOLD_M,
 )
 from repro.localization.rigidity import edges_from_weights, is_uniquely_realizable
-from repro.localization.smacof import SmacofResult, smacof
+from repro.localization.smacof import smacof, smacof_batch
 
 Edge = Tuple[int, int]
 
@@ -53,10 +53,6 @@ class OutlierResult:
     dropped_links: Tuple[Edge, ...] = ()
     outliers_suspected: bool = False
     weights: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-
-def _run(distances, weights, dim, rng) -> SmacofResult:
-    return smacof(distances, weights, dim=dim, rng=rng)
 
 
 def detect_outliers(
@@ -94,7 +90,7 @@ def detect_outliers(
         w0 = np.array(weights, dtype=float, copy=True)
     rng = rng or np.random.default_rng(0)
 
-    base = _run(d, w0, dim, rng)
+    base = smacof(d, w0, dim=dim, rng=rng)
     if base.normalized_stress < stress_threshold:
         return OutlierResult(
             positions=base.positions,
@@ -112,11 +108,11 @@ def detect_outliers(
     dropped_total: List[Edge] = []
 
     for n_drop in range(1, max_outliers + 1):
-        best_raw = current_raw
-        best_stress = current_stress
-        best_positions = current_positions
-        best_weights = current_weights
-        best_drop: Tuple[Edge, ...] = ()
+        # One batched solve per level: the candidate subsets (in
+        # ``combinations`` order) share one stacked Guttman loop, and
+        # their default inits draw jitter from ``rng`` in that order.
+        subsets: List[Tuple[Edge, ...]] = []
+        trial_weights: List[np.ndarray] = []
         for subset in combinations(links, n_drop):
             if any(e in dropped_total for e in subset):
                 continue
@@ -127,7 +123,15 @@ def detect_outliers(
             remaining = edges_from_weights(trial_w)
             if not is_uniquely_realizable(n, remaining):
                 continue
-            trial = _run(d, trial_w, dim, rng)
+            subsets.append(subset)
+            trial_weights.append(trial_w)
+        trials = smacof_batch(d, np.stack(trial_weights), dim=dim, rng=rng) if subsets else []
+        best_raw = current_raw
+        best_stress = current_stress
+        best_positions = current_positions
+        best_weights = current_weights
+        best_drop: Tuple[Edge, ...] = ()
+        for subset, trial_w, trial in zip(subsets, trial_weights, trials):
             # The paper's acceptance test: dropping the subset must cut
             # the (raw) stress-function output by at least 90%.
             significant = current_raw - trial.stress > improvement_ratio * current_raw

@@ -18,6 +18,7 @@ statistic Algorithm 1 thresholds at 1.5 m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
@@ -51,13 +52,14 @@ class SmacofResult:
 
 
 def _validate_inputs(distances: np.ndarray, weights: np.ndarray) -> None:
-    if distances.ndim != 2 or distances.shape[0] != distances.shape[1]:
+    """Check one (N, N) problem, or a stack of them on the leading axes."""
+    if distances.ndim < 2 or distances.shape[-1] != distances.shape[-2]:
         raise ValueError("distances must be a square matrix")
     if weights.shape != distances.shape:
         raise ValueError("weights must match distances in shape")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    if not np.allclose(weights, weights.T):
+    if not np.allclose(weights, np.swapaxes(weights, -1, -2)):
         raise ValueError("weights must be symmetric")
     active = weights > 0
     if np.any(~np.isfinite(distances[active])):
@@ -67,27 +69,37 @@ def _validate_inputs(distances: np.ndarray, weights: np.ndarray) -> None:
 
 
 def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
-    """(N, N) Euclidean distances between the rows of ``positions``."""
-    return np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=-1)
+    """(..., N, N) Euclidean distances between the rows of ``positions``.
+
+    The same square, reduce and root as ``np.linalg.norm(diff,
+    axis=-1)``, without its per-call dispatch.
+    """
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
 
 
 def _masked_stress(
     dist: np.ndarray, distances: np.ndarray, mask: np.ndarray, masked_weights: np.ndarray
-) -> float:
-    """Raw stress from a precomputed embedding distance matrix.
+) -> np.ndarray:
+    """Raw stress from precomputed embedding distance matrices.
 
     ``mask`` selects the upper-triangle links and ``masked_weights`` is
-    ``weights`` zeroed outside it; the sum runs over the full matrix.
+    ``weights`` zeroed outside it. Each problem's sum runs over its
+    full (N, N) matrix as one flat pairwise sum, so a stacked call
+    gives every problem the bits of its own ``np.sum``.
     """
     resid = np.where(mask, distances - dist, 0.0)
-    return float(np.sum(masked_weights * resid**2))
+    terms = masked_weights * resid**2
+    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
 
 
 def stress_value(positions: np.ndarray, distances: np.ndarray, weights: np.ndarray) -> float:
     """Weighted raw stress of an embedding."""
     mask = np.triu(weights, k=1) > 0
-    return _masked_stress(
-        _pairwise_distances(positions), distances, mask, np.where(mask, weights, 0.0)
+    return float(
+        _masked_stress(
+            _pairwise_distances(positions), distances, mask, np.where(mask, weights, 0.0)
+        )
     )
 
 
@@ -100,46 +112,182 @@ def normalized_stress(stress: float, weights: np.ndarray) -> float:
 
 
 def _graph_complete_distances(distances: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Fill missing entries with shortest-path distances for MDS init."""
-    import networkx as nx
+    """Fill missing entries with shortest-path distances for MDS init.
 
-    n = distances.shape[0]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if weights[i, j] > 0:
-                graph.add_edge(i, j, weight=float(distances[i, j]))
-    if not nx.is_connected(graph):
+    The graph has one edge of length ``distances[i, j]`` per upper-
+    triangle link. Dijkstra runs from every source at once: each of
+    the N steps finalizes, per row, the nearest unvisited node ``u``
+    and relaxes ``dist[r, u] + adj[u]``. Every value is the float sum
+    of edge lengths taken from the source outward along a path, the
+    smallest such sum, so the result equals a per-source heap Dijkstra
+    bit for bit, ties and zero-length links included. Works on one
+    (N, N) problem or a stack of them.
+    """
+    n = weights.shape[-1]
+    upper = np.triu(weights, k=1) > 0
+    tri = np.where(upper, distances, np.inf)
+    adj = np.minimum(tri, np.swapaxes(tri, -1, -2))
+    dist = np.broadcast_to(np.where(np.eye(n, dtype=bool), 0.0, np.inf), adj.shape)
+    unvisited = np.ones(adj.shape, dtype=bool)
+    for _ in range(n):
+        u = np.argmin(np.where(unvisited, dist, np.inf), axis=-1)[..., None]
+        np.put_along_axis(unvisited, u, False, axis=-1)
+        reach = np.take_along_axis(dist, u, axis=-1)
+        dist = np.minimum(dist, reach + np.take_along_axis(adj, u, axis=-2))
+    if np.isinf(dist).any():
         raise LocalizationError("measurement graph is disconnected")
-    completed = np.array(distances, dtype=float, copy=True)
-    lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
-    for i in range(n):
-        for j in range(n):
-            if i != j and weights[i, j] == 0:
-                completed[i, j] = lengths[i][j]
-    np.fill_diagonal(completed, 0.0)
-    return completed
+    return np.where((weights == 0) | np.eye(n, dtype=bool), dist, distances)
 
 
 def classical_mds(distances: np.ndarray, dim: int = 2) -> np.ndarray:
     """Torgerson classical MDS embedding of a complete distance matrix.
 
     Used as the SMACOF initialiser. Eigenvalues below zero (from
-    measurement noise / non-euclidean input) are clamped.
+    measurement noise / non-euclidean input) are clamped. A (K, N, N)
+    stack gives the (K, N, dim) embeddings of its matrices.
     """
     d = np.asarray(distances, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+    if d.ndim < 2 or d.shape[-1] != d.shape[-2]:
         raise ValueError("distances must be square")
-    n = d.shape[0]
+    n = d.shape[-1]
     if dim >= n:
         raise ValueError("dim must be smaller than the number of points")
     j = np.eye(n) - np.ones((n, n)) / n
     b = -0.5 * j @ (d**2) @ j
     eigvals, eigvecs = np.linalg.eigh(b)
-    order = np.argsort(eigvals)[::-1][:dim]
-    vals = np.clip(eigvals[order], 0.0, None)
-    return eigvecs[:, order] * np.sqrt(vals)
+    order = np.argsort(eigvals, axis=-1)[..., ::-1][..., :dim]
+    vals = np.clip(np.take_along_axis(eigvals, order, axis=-1), 0.0, None)
+    return np.take_along_axis(eigvecs, order[..., None, :], axis=-1) * np.sqrt(vals)[..., None, :]
+
+
+def _guttman(
+    x: np.ndarray,
+    v_pinv: np.ndarray,
+    neg_w: np.ndarray,
+    mask: np.ndarray,
+    masked_w: np.ndarray,
+    d_clean: np.ndarray,
+    max_iter: int,
+    tol: float,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Guttman iterations on K stacked problems of one size.
+
+    ``x`` is (K, N, dim); the other arrays are (K, N, N). Each step
+    computes one distance matrix per problem, which serves both the
+    stress of the new configuration and the next B(X). Every problem
+    applies its own ``tol`` test; a converged problem's positions,
+    stress and iteration count are written out and it leaves the live
+    set, so the rest keep iterating on smaller stacks. Returns the
+    positions, stresses, iteration counts and convergence flags.
+    """
+    k, n, _ = x.shape
+    diag = slice(None, None, n + 1)  # the diagonal, in flat (C-order) indexing
+    positions = np.empty_like(x)
+    stress_out = np.empty(k)
+    n_iter = np.full(k, max_iter)
+    converged = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    dist = _pairwise_distances(x)
+    prev = _masked_stress(dist, d_clean, mask, masked_w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
+            ratio = np.where(dist > 1e-12, d_clean / dist, 0.0)
+            b = neg_w * ratio
+            b_flat = b.reshape(live.size, n * n)
+            b_flat[:, diag] = 0.0
+            b_flat[:, diag] = -b.sum(axis=-1)
+            x = v_pinv @ (b @ x)
+            dist = _pairwise_distances(x)
+            stress = _masked_stress(dist, d_clean, mask, masked_w)
+            done = (prev > 0) & ((prev - stress) / np.maximum(prev, 1e-15) < tol)
+            prev = stress
+            if not done.any():
+                continue
+            out = live[done]
+            positions[out] = x[done]
+            stress_out[out] = prev[done]
+            n_iter[out] = iteration
+            converged[out] = True
+            keep = ~done
+            live = live[keep]
+            if live.size == 0:
+                break
+            x, dist, prev = x[keep], dist[keep], prev[keep]
+            v_pinv, neg_w, d_clean = v_pinv[keep], neg_w[keep], d_clean[keep]
+            mask, masked_w = mask[keep], masked_w[keep]
+    if live.size:
+        positions[live] = x
+        stress_out[live] = prev
+    return positions, stress_out, n_iter, converged
+
+
+def smacof_batch(
+    distances: np.ndarray,
+    weights: np.ndarray,
+    dim: int = 2,
+    init: np.ndarray | None = None,
+    max_iter: int = 300,
+    tol: float = 1e-7,
+    rng: np.random.Generator | None = None,
+) -> List[SmacofResult]:
+    """:func:`smacof` on K problems of one size, solved as one stack.
+
+    ``weights`` is a (K, N, N) stack; ``distances`` is one (N, N)
+    matrix shared by all problems or a (K, N, N) stack; ``init`` is
+    ``None`` or a (K, N, dim) stack. Result ``k`` equals
+    ``smacof(distances[k], weights[k], dim, init[k], max_iter, tol,
+    rng)`` bit for bit, and the default inits draw their jitter from
+    ``rng`` in problem order, so ``rng`` ends where K sequential
+    calls leave it.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 3:
+        raise ValueError("weights must be a (K, N, N) stack")
+    d = np.asarray(distances, dtype=float)
+    if d.shape == w.shape[1:]:
+        d = np.broadcast_to(d, w.shape)
+    _validate_inputs(d, w)
+    k, n, _ = w.shape
+    if n < 3:
+        raise LocalizationError("need at least 3 nodes to embed in 2D")
+    rng = rng or np.random.default_rng(0)
+
+    if init is None:
+        x = classical_mds(_graph_complete_distances(d, w), dim=dim)
+        x = x + rng.normal(0.0, 1e-6, size=x.shape)
+    else:
+        x = np.array(init, dtype=float, copy=True)
+        if x.shape != (k, n, dim):
+            raise ValueError(f"init must be ({k}, {n}, {dim})")
+
+    # V, the link mask and the masked weights depend only on the
+    # weights, so they are built once per solve.
+    diag = slice(None, None, n + 1)
+    v = -np.array(w, dtype=float, copy=True)
+    v_flat = v.reshape(k, n * n)
+    v_flat[:, diag] = 0.0
+    v_flat[:, diag] = -v.sum(axis=-1)
+    mask = np.triu(w, k=1) > 0
+    positions, stress, n_iter, converged = _guttman(
+        x,
+        np.linalg.pinv(v),
+        -w,
+        mask,
+        np.where(mask, w, 0.0),
+        np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0),
+        max_iter,
+        tol,
+    )
+    return [
+        SmacofResult(
+            positions=positions[i],
+            stress=float(stress[i]),
+            normalized_stress=normalized_stress(float(stress[i]), w[i]),
+            n_iter=int(n_iter[i]),
+            converged=bool(converged[i]),
+        )
+        for i in range(k)
+    ]
 
 
 def smacof(
@@ -173,59 +321,9 @@ def smacof(
     """
     d = np.asarray(distances, dtype=float)
     w = full_weight_matrix(d.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    _validate_inputs(d, w)
-    n = d.shape[0]
-    if n < 3:
-        raise LocalizationError("need at least 3 nodes to embed in 2D")
-    rng = rng or np.random.default_rng(0)
-
-    if init is None:
-        completed = _graph_complete_distances(d, w)
-        x = classical_mds(completed, dim=dim)
-        x = x + rng.normal(0.0, 1e-6, size=x.shape)
-    else:
-        x = np.array(init, dtype=float, copy=True)
-        if x.shape != (n, dim):
-            raise ValueError(f"init must be ({n}, {dim})")
-
-    # Guttman transform machinery. V, the link mask and the masked
-    # weights depend only on the weights, so they are built once per
-    # solve. Each step computes one distance matrix, which serves both
-    # the stress of the new configuration and the next B(X).
-    diag = slice(None, None, n + 1)  # the diagonal, in flat (C-order) indexing
-    v = -np.array(w, dtype=float, copy=True)
-    v.flat[diag] = 0.0
-    v.flat[diag] = -v.sum(axis=1)
-    v_pinv = np.linalg.pinv(v)
-    neg_w = -w
-    mask = np.triu(w, k=1) > 0
-    masked_w = np.where(mask, w, 0.0)
-
-    d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
-
-    dist = _pairwise_distances(x)
-    prev_stress = _masked_stress(dist, d_clean, mask, masked_w)
-    converged = False
-    iteration = 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for iteration in range(1, max_iter + 1):
-            ratio = np.where(dist > 1e-12, d_clean / dist, 0.0)
-            b = neg_w * ratio
-            b.flat[diag] = 0.0
-            b.flat[diag] = -b.sum(axis=1)
-            x = v_pinv @ (b @ x)
-            dist = _pairwise_distances(x)
-            stress = _masked_stress(dist, d_clean, mask, masked_w)
-            if prev_stress > 0 and (prev_stress - stress) / max(prev_stress, 1e-15) < tol:
-                prev_stress = stress
-                converged = True
-                break
-            prev_stress = stress
-
-    return SmacofResult(
-        positions=x,
-        stress=prev_stress,
-        normalized_stress=normalized_stress(prev_stress, w),
-        n_iter=iteration,
-        converged=converged,
-    )
+    if init is not None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (d.shape[0], dim):
+            raise ValueError(f"init must be ({d.shape[0]}, {dim})")
+        init = init[None]
+    return smacof_batch(d, w[None], dim, init, max_iter, tol, rng)[0]

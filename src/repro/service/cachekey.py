@@ -22,6 +22,10 @@ JSON encoding of that tuple:
   correctness bug, while a cold cache merely costs one recompute.
   ``CACHE_EPOCH`` exists for deployments that pin the package: bump it
   to force invalidation without a code diff.
+* **Numeric environment** — ``numpy.__version__`` and
+  ``scipy.__version__`` are hashed too: a library upgrade can change
+  result bits (BLAS/FFT kernels, RNG internals) without touching the
+  package sources.
 
 Execution knobs (``workers``, ``pipeline``) are deliberately *not*
 part of the key: results are bit-identical across them (DESIGN.md §8).
@@ -35,11 +39,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
+import numpy
+import scipy
+
 from repro.experiments import engine
 
 #: Manual cache invalidation lever: bump on semantic changes that the
-#: code-version salt cannot see (e.g. a pinned-dependency upgrade that
-#: changes numerics).
+#: code-version and library-version salts cannot see (e.g. a BLAS
+#: swapped under an unchanged numpy).
 CACHE_EPOCH = 1
 
 #: Schema tag hashed into every key, so a future key layout can never
@@ -210,6 +217,8 @@ def cache_key(request: UnitRequest) -> str:
         "schema": KEY_SCHEMA,
         "epoch": CACHE_EPOCH,
         "code_version": code_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
         "request": request.to_dict(),
     }
     return hashlib.sha256(canonical_json(payload).encode("ascii")).hexdigest()

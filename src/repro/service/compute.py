@@ -90,7 +90,3 @@ def cached_unit(
         store.put(key, body)
     return key, body, False
 
-
-def body_status(body: bytes) -> str:
-    """The unit's ``status`` field out of a stored/served body."""
-    return json.loads(body).get("result", {}).get("status", "error")

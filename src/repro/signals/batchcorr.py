@@ -120,15 +120,6 @@ def shared_fast_len(full_sizes: Sequence[int]) -> int:
     return _PARITY_CTX.next_fast_len(int(max(full_sizes)), True)
 
 
-def grouped_by_fast_len(full_sizes: Sequence[int]) -> Dict[int, List[int]]:
-    """Group row indices by the fast FFT length of their conv size."""
-    groups: Dict[int, List[int]] = {}
-    for idx, full in enumerate(full_sizes):
-        nf = _PARITY_CTX.next_fast_len(int(full), True)
-        groups.setdefault(nf, []).append(idx)
-    return groups
-
-
 class CachedTemplate:
     """A correlation template with per-transform-length spectrum caches.
 
@@ -447,21 +438,6 @@ def segment_autocorrelation_fast(
             total += signs[a] * signs[b] * float(dot(unit[a], unit[b]))
             count += 1
     return total / count
-
-
-def segment_autocorrelation_many(
-    windows: np.ndarray, pn_signs, symbol_stride: int, symbol_len: int
-) -> np.ndarray:
-    """Scores for a ``(batch, window_len)`` stack of candidate windows."""
-    windows = np.asarray(windows, dtype=float)  # repro: allow[DTYPE001] parity is f64
-    if windows.ndim != 2:
-        raise ValueError("expected a 2-D (batch, window) array")
-    return np.array(
-        [
-            segment_autocorrelation_fast(w, pn_signs, symbol_stride, symbol_len)
-            for w in windows
-        ]
-    )
 
 
 _GEMM_PROBE: Dict[Tuple[int, int], bool] = {}

@@ -1,10 +1,16 @@
 """Tests for projection, outlier detection, ambiguity, and the pipeline."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.constants import MAX_OUTLIER_LINKS
+from repro.constants import (
+    MAX_OUTLIER_LINKS,
+    OUTLIER_IMPROVEMENT_RATIO,
+    OUTLIER_STRESS_THRESHOLD_M,
+)
 from repro.errors import LocalizationError
 from repro.geometry.topology import pairwise_distance_matrix
 from repro.geometry.transforms import angle_of
@@ -15,9 +21,11 @@ from repro.localization.ambiguity import (
     resolve_flipping,
     resolve_rotation,
 )
-from repro.localization.outliers import detect_outliers
+from repro.localization.outliers import OutlierResult, detect_outliers
 from repro.localization.pipeline import localize
 from repro.localization.projection import project_distances
+from repro.localization.rigidity import edges_from_weights, is_uniquely_realizable
+from repro.localization.smacof import smacof
 
 
 def _positions3d():
@@ -61,6 +69,74 @@ class TestProjection:
             project_distances(np.zeros((2, 2)), np.zeros(3))
 
 
+def _frozen_detect_outliers(
+    d,
+    weights=None,
+    stress_threshold=OUTLIER_STRESS_THRESHOLD_M,
+    improvement_ratio=OUTLIER_IMPROVEMENT_RATIO,
+    max_outliers=MAX_OUTLIER_LINKS,
+    dim=2,
+    rng=None,
+):
+    """A frozen copy of the sequential Algorithm 1, one solve per subset.
+
+    The parity oracle for the level-batched :func:`detect_outliers`;
+    its per-subset :func:`smacof` calls are pinned bit for bit to the
+    frozen Guttman loop in ``tests/test_smacof.py``.
+    """
+    n = d.shape[0]
+    if weights is None:
+        w0 = np.ones((n, n))
+        np.fill_diagonal(w0, 0.0)
+    else:
+        w0 = np.array(weights, dtype=float, copy=True)
+    rng = rng or np.random.default_rng(0)
+    base = smacof(d, w0, dim=dim, rng=rng)
+    if base.normalized_stress < stress_threshold:
+        return OutlierResult(base.positions, base.normalized_stress, (), False, w0)
+    links = edges_from_weights(w0)
+    current_raw = base.stress
+    current_stress = base.normalized_stress
+    current_positions = base.positions
+    current_weights = w0
+    dropped_total = []
+    for n_drop in range(1, max_outliers + 1):
+        best_raw = current_raw
+        best_stress = current_stress
+        best_positions = current_positions
+        best_weights = current_weights
+        best_drop = ()
+        for subset in combinations(links, n_drop):
+            if any(e in dropped_total for e in subset):
+                continue
+            trial_w = np.array(current_weights, copy=True)
+            for i, j in subset:
+                trial_w[i, j] = 0.0
+                trial_w[j, i] = 0.0
+            if not is_uniquely_realizable(n, edges_from_weights(trial_w)):
+                continue
+            trial = smacof(d, trial_w, dim=dim, rng=rng)
+            significant = current_raw - trial.stress > improvement_ratio * current_raw
+            if significant and trial.stress < best_raw:
+                best_raw = trial.stress
+                best_stress = trial.normalized_stress
+                best_positions = trial.positions
+                best_weights = trial_w
+                best_drop = subset
+        if not best_drop:
+            break
+        dropped_total.extend(best_drop)
+        current_raw = best_raw
+        current_stress = best_stress
+        current_positions = best_positions
+        current_weights = best_weights
+        if current_stress < stress_threshold:
+            break
+    return OutlierResult(
+        current_positions, current_stress, tuple(dropped_total), True, current_weights
+    )
+
+
 class TestOutlierDetection:
     def _clean_case(self):
         pts = _positions3d()[:, :2]
@@ -96,11 +172,6 @@ class TestOutlierDetection:
         assert procrustes_error(result.positions, pts).max() < 0.5
 
     def test_never_breaks_realizability(self):
-        from repro.localization.rigidity import (
-            edges_from_weights,
-            is_uniquely_realizable,
-        )
-
         pts, d = self._clean_case()
         corrupted = d.copy()
         corrupted[1, 2] += 8.0
@@ -139,6 +210,48 @@ class TestOutlierDetection:
         result = detect_outliers(d, rng=np.random.default_rng(seed), **knobs)
         assert len(result.dropped_links) <= MAX_OUTLIER_LINKS
         assert len(set(result.dropped_links)) == len(result.dropped_links)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n=st.integers(5, 6),
+        n_bad=st.integers(0, 5),
+        bias=st.floats(2.0, 12.0),
+        noise=st.sampled_from([0.0, 0.3]),
+        missing=st.integers(0, 3),
+        greedy=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_level_batching_matches_sequential_search(
+        self, n, n_bad, bias, noise, missing, greedy, seed
+    ):
+        # Same result fields, and the shared rng ends where the
+        # one-solve-per-subset search leaves it.
+        rng = np.random.default_rng(seed)
+        d = pairwise_distance_matrix(rng.uniform(-15.0, 15.0, (n, 2)))
+        jitter = np.triu(rng.normal(0.0, noise, (n, n)), 1)
+        d = np.abs(d + jitter + jitter.T)
+        pairs = list(zip(*np.triu_indices(n, 1)))
+        for k in rng.choice(len(pairs), size=n_bad, replace=False):
+            i, j = pairs[k]
+            d[i, j] = d[j, i] = d[i, j] + bias
+        w = np.ones((n, n))
+        np.fill_diagonal(w, 0.0)
+        for k in rng.choice(len(pairs), size=missing, replace=False):
+            i, j = pairs[k]
+            w[i, j] = w[j, i] = 0.0
+        if not is_uniquely_realizable(n, edges_from_weights(w)):
+            w = None
+        knobs = {"stress_threshold": 0.0, "improvement_ratio": 0.0} if greedy else {}
+        got_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        got = detect_outliers(d, w, rng=got_rng, **knobs)
+        ref = _frozen_detect_outliers(d, w, rng=ref_rng, **knobs)
+        assert np.array_equal(got.positions, ref.positions)
+        assert got.normalized_stress == ref.normalized_stress
+        assert got.dropped_links == ref.dropped_links
+        assert got.outliers_suspected == ref.outliers_suspected
+        assert np.array_equal(got.weights, ref.weights)
+        assert got_rng.random() == ref_rng.random()
 
     def test_disabled_with_infinite_threshold(self):
         pts, d = self._clean_case()

@@ -184,6 +184,18 @@ def test_cache_key_salted_by_code_version(monkeypatch):
     assert cache_key(request) != before
 
 
+@pytest.mark.parametrize("module", ["numpy", "scipy"])
+def test_cache_key_salted_by_numeric_library_version(monkeypatch, module):
+    request = UnitRequest(experiment="fig22")
+    before = cache_key(request)
+    assert cache_key(request) == before
+    lib = getattr(cachekey, module)
+    monkeypatch.setattr(lib, "__version__", lib.__version__ + ".post999")
+    assert cache_key(request) != before
+    monkeypatch.undo()
+    assert cache_key(request) == before
+
+
 def test_code_version_is_stable_hex():
     assert code_version() == code_version()
     assert len(code_version()) == 64

@@ -13,6 +13,7 @@ from repro.localization.smacof import (
     classical_mds,
     normalized_stress,
     smacof,
+    smacof_batch,
     stress_value,
 )
 
@@ -27,19 +28,56 @@ def _frozen_stress_value(positions, distances, weights):
     return float(np.sum(w * resid**2))
 
 
+def _frozen_complete_distances(distances, weights):
+    # The networkx completion the SMACOF init used before the dense
+    # all-sources Dijkstra replaced it.
+    import networkx as nx
+
+    n = distances.shape[0]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if weights[i, j] > 0:
+                graph.add_edge(i, j, weight=float(distances[i, j]))
+    if not nx.is_connected(graph):
+        raise LocalizationError("measurement graph is disconnected")
+    completed = np.array(distances, dtype=float, copy=True)
+    lengths = dict(nx.all_pairs_dijkstra_path_length(graph))
+    for i in range(n):
+        for j in range(n):
+            if i != j and weights[i, j] == 0:
+                completed[i, j] = lengths[i][j]
+    np.fill_diagonal(completed, 0.0)
+    return completed
+
+
+def _frozen_classical_mds(d, dim=2):
+    # The single-matrix classical MDS before it accepted stacks.
+    n = d.shape[0]
+    j = np.eye(n) - np.ones((n, n)) / n
+    b = -0.5 * j @ (d**2) @ j
+    eigvals, eigvecs = np.linalg.eigh(b)
+    order = np.argsort(eigvals)[::-1][:dim]
+    vals = np.clip(eigvals[order], 0.0, None)
+    return eigvecs[:, order] * np.sqrt(vals)
+
+
 def _frozen_smacof(distances, weights, dim=2, init=None, max_iter=300, tol=1e-7, rng=None):
     """A frozen copy of the original SMACOF loop, the bit-parity oracle.
 
     It recomputes the distance matrix twice per step, rebuilds the masks
-    inside every stress evaluation and fills the diagonal of B with
-    ``np.fill_diagonal``; :func:`smacof` must reproduce it bit for bit.
+    inside every stress evaluation, fills the diagonal of B with
+    ``np.fill_diagonal`` and initialises from the networkx completion;
+    :func:`smacof` and every problem of :func:`smacof_batch` must
+    reproduce it bit for bit.
     """
     d = np.asarray(distances, dtype=float)
     w = np.asarray(weights, dtype=float)
     _validate_inputs(d, w)
     rng = rng or np.random.default_rng(0)
     if init is None:
-        x = classical_mds(_graph_complete_distances(d, w), dim=dim)
+        x = _frozen_classical_mds(_frozen_complete_distances(d, w), dim=dim)
         x = x + rng.normal(0.0, 1e-6, size=x.shape)
     else:
         x = np.array(init, dtype=float, copy=True)
@@ -73,7 +111,10 @@ def _frozen_smacof(distances, weights, dim=2, init=None, max_iter=300, tol=1e-7,
 def _measured_networks(draw, n_min=4, n_max=10):
     """Noisy distances on a random layout with connected missing links."""
     n = draw(st.integers(n_min, n_max))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _network(draw, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def _network(draw, n, rng):
     pts = rng.uniform(-20.0, 20.0, (n, 2))
     d = pairwise_distance_matrix(pts)
     noise = np.triu(rng.normal(0.0, draw(st.sampled_from([0.0, 0.3, 2.0])), (n, n)), 1)
@@ -90,6 +131,19 @@ def _measured_networks(draw, n_min=4, n_max=10):
     d[w == 0] = np.nan
     np.fill_diagonal(d, 0.0)
     return d, w, rng
+
+
+@st.composite
+def _network_stacks(draw, k_max=12):
+    """1-``k_max`` measured networks that share one node count."""
+    n = draw(st.integers(4, 10))
+    nets = [
+        _network(draw, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+        for _ in range(draw(st.integers(1, k_max)))
+    ]
+    d = np.stack([net[0] for net in nets])
+    w = np.stack([net[1] for net in nets])
+    return d, w, nets[-1][2]
 
 
 def _connected(w):
@@ -247,6 +301,173 @@ class TestGuttmanLoopParity:
         x = draw_rng.uniform(-20.0, 20.0, (d.shape[0], 2))
         d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
         assert stress_value(x, d_clean, w) == _frozen_stress_value(x, d_clean, w)
+
+
+def _assert_batch_matches_frozen(d, w, init, max_iter, rng_seed, tol=1e-7):
+    """Each problem of one batched solve equals its own frozen solve."""
+    batch_rng = np.random.default_rng(rng_seed)
+    ref_rng = np.random.default_rng(rng_seed)
+    got = smacof_batch(d, w, init=init, max_iter=max_iter, tol=tol, rng=batch_rng)
+    assert len(got) == w.shape[0]
+    for k, result in enumerate(got):
+        x_ref, stress_ref, n_iter_ref, conv_ref = _frozen_smacof(
+            d[k],
+            w[k],
+            init=None if init is None else init[k],
+            max_iter=max_iter,
+            tol=tol,
+            rng=ref_rng,
+        )
+        assert np.array_equal(result.positions, x_ref)
+        assert result.stress == stress_ref
+        assert result.normalized_stress == normalized_stress(stress_ref, w[k])
+        assert result.n_iter == n_iter_ref
+        assert result.converged == conv_ref
+    # The default inits drew their jitter in problem order.
+    assert batch_rng.random() == ref_rng.random()
+    return got
+
+
+class TestBatchParity:
+    """A stacked solve is K independent solves, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        stack=_network_stacks(),
+        explicit_init=st.booleans(),
+        rng_seed=st.integers(0, 2**32 - 1),
+        max_iter=st.sampled_from([1, 7, 300]),
+    )
+    def test_each_problem_bit_identical_to_frozen_loop(
+        self, stack, explicit_init, rng_seed, max_iter
+    ):
+        d, w, draw_rng = stack
+        init = draw_rng.uniform(-20.0, 20.0, (w.shape[0], w.shape[1], 2)) if explicit_init else None
+        _assert_batch_matches_frozen(d, w, init, max_iter, rng_seed)
+
+    def test_converged_and_capped_problems_share_a_stack(self):
+        # Problems freeze at different iterations, and seed 106 runs
+        # into the 300-iteration cap without converging.
+        nets = []
+        for seed in (0, 106, 1, 2, 3):
+            rng = np.random.default_rng(seed)
+            pts = rng.uniform(-20.0, 20.0, (6, 2))
+            noise = np.triu(rng.normal(0.0, 2.0, (6, 6)), 1)
+            d = np.abs(pairwise_distance_matrix(pts) + noise + noise.T)
+            np.fill_diagonal(d, 0.0)
+            nets.append((d, rng.uniform(-20.0, 20.0, (6, 2))))
+        d = np.stack([net[0] for net in nets])
+        init = np.stack([net[1] for net in nets])
+        w = np.stack([full_weight_matrix(6)] * len(nets))
+        got = _assert_batch_matches_frozen(d, w, init, 300, 0)
+        assert [r.converged for r in got] == [True, False, True, True, True]
+        assert got[1].n_iter == 300
+        assert len({r.n_iter for r in got}) == 4
+
+    def test_shared_distances_broadcast_over_the_stack(self):
+        d = pairwise_distance_matrix(_pentagon())
+        w = np.stack([full_weight_matrix(5)] * 3)
+        w[1, 0, 2] = w[1, 2, 0] = 0.0
+        w[2, 1, 3] = w[2, 3, 1] = 0.0
+        rng = np.random.default_rng(5)
+        got = smacof_batch(d, w, rng=rng)
+        ref_rng = np.random.default_rng(5)
+        for k in range(3):
+            ref = smacof(d, w[k], rng=ref_rng)
+            assert np.array_equal(got[k].positions, ref.positions)
+            assert got[k].stress == ref.stress
+
+    def test_invalid_stacks(self):
+        d = pairwise_distance_matrix(_square())
+        with pytest.raises(ValueError):
+            smacof_batch(d, full_weight_matrix(4))
+        with pytest.raises(ValueError):
+            smacof_batch(d, -np.ones((2, 4, 4)))
+        with pytest.raises(ValueError):
+            smacof_batch(d, np.stack([full_weight_matrix(4)] * 2), init=np.zeros((2, 4, 3)))
+        w = np.stack([full_weight_matrix(4)] * 2)
+        w[1, 0, 1] = w[1, 1, 0] = 0.0
+        w[1, 0, 2] = w[1, 2, 0] = 0.0
+        w[1, 0, 3] = w[1, 3, 0] = 0.0
+        with pytest.raises(LocalizationError):
+            smacof_batch(d, w)
+
+
+@st.composite
+def _link_graphs(draw):
+    """Graphs with missing links, tied path lengths and zero-length links."""
+    n = draw(st.integers(3, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.uniform(0.0, 30.0, (n, n))
+    if draw(st.booleans()):
+        d = np.round(d)  # integer lengths: many equal-length paths
+    d[rng.random((n, n)) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = 0.0
+    d = np.triu(d, 1)
+    d = d + d.T
+    w = (rng.random((n, n)) >= draw(st.sampled_from([0.0, 0.3, 0.6]))).astype(float)
+    w = np.triu(w, 1)
+    w = w + w.T
+    d[w == 0] = np.nan
+    np.fill_diagonal(d, 0.0)
+    return d, w
+
+
+class TestDenseDijkstra:
+    """The dense all-sources Dijkstra equals the networkx completion."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=_link_graphs())
+    def test_bit_identical_to_networkx(self, graph):
+        d, w = graph
+        try:
+            expected = _frozen_complete_distances(d, w)
+        except LocalizationError:
+            with pytest.raises(LocalizationError):
+                _graph_complete_distances(d, w)
+            return
+        assert np.array_equal(_graph_complete_distances(d, w), expected)
+
+    def test_ties_and_zero_length_links(self):
+        # Two equal-length routes 0-1-3 and 0-2-3, a zero-length link
+        # 3-4 and a path of two zero-length links 4-5-6.
+        d = np.full((7, 7), np.nan)
+        w = np.zeros((7, 7))
+        links = [
+            (0, 1, 1.5),
+            (1, 3, 2.5),
+            (0, 2, 2.5),
+            (2, 3, 1.5),
+            (3, 4, 0.0),
+            (4, 5, 0.0),
+            (5, 6, 0.0),
+        ]
+        for i, j, length in links:
+            d[i, j] = d[j, i] = length
+            w[i, j] = w[j, i] = 1.0
+        np.fill_diagonal(d, 0.0)
+        got = _graph_complete_distances(d, w)
+        assert np.array_equal(got, _frozen_complete_distances(d, w))
+        assert got[0, 3] == got[0, 6] == 4.0
+        assert got[4, 6] == 0.0
+
+    def test_stack_equals_each_matrix(self):
+        d = pairwise_distance_matrix(_pentagon())
+        w = np.stack([full_weight_matrix(5)] * 3)
+        w[1, 0, 2] = w[1, 2, 0] = 0.0
+        w[2, 1, 3] = w[2, 3, 1] = w[2, 0, 3] = w[2, 3, 0] = 0.0
+        got = _graph_complete_distances(d, w)
+        for k in range(3):
+            assert np.array_equal(got[k], _frozen_complete_distances(d, w[k]))
+
+    def test_disconnected_graph_raises(self):
+        d = pairwise_distance_matrix(_square())
+        w = np.zeros((4, 4))
+        w[0, 1] = w[1, 0] = 1.0
+        w[2, 3] = w[3, 2] = 1.0
+        with pytest.raises(LocalizationError):
+            _frozen_complete_distances(d, w)
+        with pytest.raises(LocalizationError):
+            _graph_complete_distances(d, w)
 
 
 class TestMajorization:
