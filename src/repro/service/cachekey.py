@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -179,8 +180,14 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
     params = body.get("params") or {}
     if not isinstance(params, Mapping):
         raise ValueError("'params' must be a JSON object")
+    try:
+        canonical_json(params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"'params' must be finite JSON values: {exc}")
     backend = body.get("backend")
     precision = body.get("precision")
+    if backend is not None and not isinstance(backend, str):
+        raise ValueError("'backend' must be a string")
     if precision is not None and not isinstance(precision, str):
         raise ValueError("'precision' must be a string")
     if backend is not None:
@@ -191,12 +198,12 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
         base_seed = int(body.get("base_seed", engine.DEFAULT_BASE_SEED))
         scale = float(body.get("scale", 1.0))
         trial_chunks = int(body.get("trial_chunks", 1))
-    except (TypeError, ValueError):
-        raise ValueError("'base_seed'/'scale'/'trial_chunks' must be numeric")
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError("'base_seed'/'scale'/'trial_chunks' must be finite numbers")
     if base_seed < 0:
         raise ValueError("'base_seed' must be non-negative")
-    if not (scale > 0.0):
-        raise ValueError("'scale' must be positive")
+    if not (0.0 < scale < math.inf):
+        raise ValueError("'scale' must be positive and finite")
     if trial_chunks < 1:
         raise ValueError("'trial_chunks' must be >= 1")
     return UnitRequest(

@@ -167,13 +167,18 @@ class CampaignServer:
         for line in lines[1:]:
             name, _, value = line.partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
                     raise _BadRequest(400, "bad Content-Length")
+                if len(value.lstrip("0")) > len(str(MAX_BODY_BYTES)):
+                    raise _BadRequest(413, "request body too large")
+                length = int(value)
         if length > MAX_BODY_BYTES:
             raise _BadRequest(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise _BadRequest(400, "truncated request body")
         return method, path, body
 
     async def _respond(
@@ -221,7 +226,7 @@ class CampaignServer:
     async def _serve_campaign(self, body: bytes) -> Tuple[int, bytes, Tuple]:
         try:
             request = normalize_request(json.loads(body.decode("utf-8")))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:
             return 400, _json_body({"error": str(exc)}), ()
         key = cache_key(request)
         headers = (("X-Cache-Key", key),)

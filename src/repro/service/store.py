@@ -15,8 +15,14 @@ failed validation.  Three invariants:
   returning a 500 (DESIGN.md §9 failure semantics).
 * **Bounded size.**  When ``max_bytes`` (default from
   ``REPRO_CACHE_MAX_BYTES``; 0/unset = unbounded) is exceeded after a
-  write, least-recently-used entries — by mtime, which ``get`` touches
-  on every hit — are evicted until the store fits.
+  write, least-recently-used entries — by ``(mtime, name)``, and ``get``
+  touches the mtime on every hit — are evicted until the store fits.
+  Occupancy comes from an in-process index of every shard that is
+  reconciled against the disk with one ``stat`` per shard directory:
+  only shards whose directory mtime changed, or that were "racy" (see
+  :data:`RACY_WINDOW_S`), are listed again.  Cached entry mtimes are
+  lower bounds, so each victim is re-``stat``-ed before it is deleted;
+  the order is exactly the LRU order of a full walk, across processes.
 
 Hit/miss/put/eviction/quarantine counters are per-process and exposed
 via :meth:`CacheStore.stats` (the server's ``GET /stats``).
@@ -24,9 +30,11 @@ via :meth:`CacheStore.stats` (the server's ``GET /stats``).
 
 from __future__ import annotations
 
+import heapq
 import json
 import os
 import tempfile
+import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -39,6 +47,16 @@ ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 #: a crashed writer.  Younger temp files may still be mid-write in
 #: another thread or process, so the sweep spares them.
 STALE_TMP_GRACE_S = 60.0
+
+#: Racy window (seconds) of the eviction index.  Another process can
+#: change a shard within the same mtime tick as the index's last look,
+#: leaving the directory mtime unchanged.  Every shard whose directory
+#: mtime lies within this window of the newest one seen in a reconcile
+#: is therefore listed again at the next reconcile too.  The newest
+#: mtime is never later than the filesystem's "now", so the window
+#: needs no wall clock; it must be at least the filesystem's mtime
+#: granularity.
+RACY_WINDOW_S = 1.0
 
 
 class CacheStoreError(RuntimeError):
@@ -65,6 +83,12 @@ class CacheStore:
         self.puts = 0
         self.evictions = 0
         self.quarantined = 0
+        # The eviction index (see _reconcile).  The server runs put on
+        # executor threads while get and /stats run on its event loop.
+        self._lock = threading.Lock()
+        self._shards: Dict[str, _Shard] = {}
+        self._heap: List[Tuple[float, str]] = []
+        self._total = 0
 
     # -- paths -------------------------------------------------------
 
@@ -179,55 +203,150 @@ class CacheStore:
 
     # -- accounting / eviction ---------------------------------------
 
-    def _entries(self) -> List[Tuple[Path, int, float]]:
-        """(path, size, mtime) for every committed entry (tmps excluded)."""
-        entries = []
-        for path in self.root.glob("??/*.json"):
-            try:
-                stat = path.stat()
-            except OSError:  # pragma: no cover - evicted concurrently
-                continue
-            entries.append((path, stat.st_size, stat.st_mtime))
-        return entries
+    def _reconcile(self) -> None:
+        """Bring the index up to date with the disk (lock held).
+
+        One ``scandir`` of the root and one ``stat`` per shard
+        directory; only shards whose directory mtime changed, or that
+        were racy last time, are listed and stat-ed entry by entry.
+        """
+        seen: Dict[str, int] = {}
+        try:
+            with os.scandir(self.root) as it:
+                for entry in it:
+                    if len(entry.name) == 2 and entry.is_dir():
+                        try:
+                            seen[entry.name] = entry.stat().st_mtime_ns
+                        except OSError:  # pragma: no cover - removed concurrently
+                            pass
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+        for name in self._shards.keys() - seen.keys():
+            self._total -= sum(size for size, _ in self._shards.pop(name).entries.values())
+        racy_after = max(seen.values(), default=0) - int(RACY_WINDOW_S * 1e9)
+        for name, mtime_ns in seen.items():
+            shard = self._shards.get(name)
+            if shard is None or shard.racy or shard.mtime_ns != mtime_ns:
+                shard = self._shards[name] = self._rescan(name, mtime_ns, shard)
+            shard.racy = mtime_ns > racy_after
+        # Superseded heap items are dropped lazily; compact when they
+        # outnumber the live ones.
+        if len(self._heap) > 2 * self._count() + 1024:
+            self._heap = [
+                (mtime, name)
+                for shard in self._shards.values()
+                for name, (_, mtime) in shard.entries.items()
+            ]
+            heapq.heapify(self._heap)
+
+    def _rescan(self, name: str, mtime_ns: int, old: Optional[_Shard]) -> _Shard:
+        """List one shard; queue new or changed entries on the LRU heap."""
+        shard = _Shard(mtime_ns)
+        try:
+            with os.scandir(os.path.join(self.root, name)) as it:
+                for entry in it:
+                    if entry.name.endswith(".json"):
+                        try:
+                            stat = entry.stat()
+                        except OSError:  # pragma: no cover - evicted concurrently
+                            continue
+                        shard.entries[entry.name] = (stat.st_size, stat.st_mtime)
+        except OSError:  # pragma: no cover - shard removed concurrently
+            pass
+        previous = old.entries if old is not None else {}
+        self._total += sum(size for size, _ in shard.entries.values())
+        self._total -= sum(size for size, _ in previous.values())
+        for entry_name, value in shard.entries.items():
+            if previous.get(entry_name) != value:
+                heapq.heappush(self._heap, (value[1], entry_name))
+        return shard
+
+    def _count(self) -> int:
+        return sum(len(shard.entries) for shard in self._shards.values())
+
+    def _occupancy(self) -> Tuple[int, int]:
+        """(entries, bytes) on disk now, from the reconciled index."""
+        with self._lock:
+            self._reconcile()
+            return self._count(), self._total
 
     def total_bytes(self) -> int:
-        return sum(size for _, size, _ in self._entries())
+        return self._occupancy()[1]
 
     def entry_count(self) -> int:
-        return len(self._entries())
+        return self._occupancy()[0]
 
     def evict(self) -> int:
         """Drop least-recently-used entries until under ``max_bytes``.
 
         Returns the number of entries evicted; unbounded stores
-        (``max_bytes == 0``) never evict.
+        (``max_bytes == 0``) never evict.  Victims come off a heap of
+        cached ``(mtime, name)`` pairs.  ``get`` and ``put`` only move
+        an mtime forward, and any process may have done so since the
+        index looked, so a cached mtime is a lower bound: each victim is
+        re-``stat``-ed and goes back on the heap if it was touched,
+        which keeps the order exactly the one a full walk would give.
+        An entry another writer already removed just leaves the byte
+        total; it is not counted and costs no live entry its place.
         """
         if self.max_bytes <= 0:
             return 0
-        entries = sorted(self._entries(), key=lambda e: (e[2], e[0].name))
-        total = sum(size for _, size, _ in entries)
         dropped = 0
-        while entries and total > self.max_bytes:
-            path, size, _ = entries.pop(0)
-            try:
-                path.unlink()
-            except OSError:  # pragma: no cover - already gone
-                continue
-            total -= size
-            dropped += 1
-        self.evictions += dropped
+        with self._lock:
+            self._reconcile()
+            heap = self._heap
+            while heap and self._total > self.max_bytes:
+                mtime, name = heapq.heappop(heap)
+                shard = self._shards.get(name[:2])
+                cached = shard.entries.get(name) if shard is not None else None
+                if cached is None or cached[1] != mtime:
+                    continue  # stale: superseded, or no longer indexed
+                path = os.path.join(self.root, name[:2], name)
+                try:
+                    stat = os.stat(path)
+                except FileNotFoundError:
+                    stat = None
+                if stat is not None:
+                    if stat.st_mtime > mtime:
+                        shard.entries[name] = (stat.st_size, stat.st_mtime)
+                        self._total += stat.st_size - cached[0]
+                        heapq.heappush(heap, (stat.st_mtime, name))
+                        continue
+                    try:
+                        os.unlink(path)
+                    except FileNotFoundError:
+                        pass
+                    except OSError:  # pragma: no cover - undeletable; keeps its bytes
+                        continue
+                    else:
+                        dropped += 1
+                del shard.entries[name]
+                self._total -= cached[0]
+            self.evictions += dropped
         return dropped
 
     def stats(self) -> Dict[str, int]:
         """Counters (this process) plus current on-disk occupancy."""
-        entries = self._entries()
+        entries, total = self._occupancy()
         return {
             "hits": self.hits,
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
             "quarantined": self.quarantined,
-            "entries": len(entries),
-            "total_bytes": sum(size for _, size, _ in entries),
+            "entries": entries,
+            "total_bytes": total,
             "max_bytes": self.max_bytes,
         }
+
+
+class _Shard:
+    """Index of one shard directory: its mtime, racy flag and entries."""
+
+    __slots__ = ("mtime_ns", "racy", "entries")
+
+    def __init__(self, mtime_ns: int) -> None:
+        self.mtime_ns = mtime_ns
+        self.racy = False
+        #: entry file name -> (size, mtime)
+        self.entries: Dict[str, Tuple[int, float]] = {}

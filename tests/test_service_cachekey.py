@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import engine
 from repro.experiments.engine import ExperimentResult, _key_str, jsonify
@@ -214,3 +215,48 @@ def test_body_encoding_preserves_float_spellings():
     doc = {"deg": 5.0, "neg": -0.0, "n": 3}
     assert encode_body(doc) == b'{"deg":5.0,"n":3,"neg":-0.0}'
     assert canonical_json(doc) == '{"deg":5,"n":3,"neg":0}'
+
+
+# ---------------------------------------------------------------------------
+# normalize_request under arbitrary JSON
+# ---------------------------------------------------------------------------
+
+# Anything json.loads can return (it accepts NaN and Infinity too).
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# Plausible values per field, so fuzzing gets past the first check.
+_field_values = {
+    "experiment": st.sampled_from(sorted(engine.registry())) | _json_values,
+    "variant": st.sampled_from(["default", "", "dock"]) | _json_values,
+    "params": st.dictionaries(st.text(max_size=6), _json_values, max_size=3) | _json_values,
+    "backend": st.sampled_from(sorted(engine.WAVEFORM_BACKENDS)) | _json_values,
+    "precision": st.sampled_from(sorted(engine.PRECISIONS)) | _json_values,
+    "base_seed": st.integers() | st.floats() | st.sampled_from(["7", "1e400", "nan"]),
+    "scale": st.floats() | st.integers() | st.sampled_from(["0.1", "inf", "-1"]),
+    "trial_chunks": st.integers() | st.floats() | st.sampled_from(["2", "x"]),
+    "bogus": _json_values,
+}
+_request_bodies = _json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        name: values if name == "bogus" else values | _json_values
+        for name, values in _field_values.items()
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(body=_request_bodies)
+def test_normalize_request_is_a_valid_request_or_a_value_error(body):
+    # The server turns ValueError into a 400; anything else would be a 500.
+    try:
+        request = normalize_request(body)
+    except ValueError:
+        return
+    key = cache_key(request)
+    assert normalize_request(request.to_dict()) == request
+    assert cache_key(normalize_request(json.loads(json.dumps(request.to_dict())))) == key

@@ -8,17 +8,33 @@ cached.  Plus the satellite: ``engine.shutdown_pool()`` is idempotent
 and safe from the server's shutdown path.
 """
 
+import asyncio
 import json
+import os
+import select
+import signal
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.experiments import engine
 from repro.experiments.pool import WorkerPool
 from repro.service.client import ServiceClient
-from repro.service.server import start_background
+from repro.service.server import (
+    MAX_BODY_BYTES,
+    CampaignServer,
+    _BadRequest,
+    start_background,
+)
 from repro.service.store import CacheStore
 
 REQUEST = {"experiment": "fig22", "scale": 0.1, "backend": "batch"}
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _client(server):
@@ -218,3 +234,207 @@ def test_worker_pool_shutdown_twice_and_reusable():
 
 def _echo(x):
     return 2 * x
+
+
+# ---------------------------------------------------------------------------
+# The request surface under arbitrary bytes
+# ---------------------------------------------------------------------------
+
+_request_json = st.fixed_dictionaries(
+    {"experiment": st.sampled_from(["fig16", "tables", "nope"])},
+    optional={
+        "scale": st.floats() | st.text(max_size=4),
+        "base_seed": st.integers() | st.floats(),
+        "params": st.dictionaries(st.text(max_size=4), st.floats() | st.text(max_size=4)),
+        "backend": st.sampled_from(["fast", "legacy"]) | st.lists(st.integers(), max_size=2),
+    },
+)
+_bodies = st.binary(max_size=64) | _request_json.map(lambda v: json.dumps(v).encode())
+
+
+@st.composite
+def _raw_requests(draw):
+    """Bytes a client could send: noise, a campaign post, or a broken head."""
+    mode = draw(st.sampled_from(["noise", "campaign", "head"]))
+    if mode == "noise":
+        return draw(st.binary(max_size=200))
+    if mode == "campaign":
+        body = draw(_bodies)
+        return b"POST /campaign HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body)
+    method = draw(st.sampled_from(["GET", "POST", "PUT"]) | st.text(max_size=5))
+    path = draw(
+        st.sampled_from(["/healthz", "/stats", "/campaign", "/result/" + "a" * 64, "/result/x"])
+        | st.text(max_size=12).map(lambda t: "/" + t)
+    )
+    version = draw(st.sampled_from(["HTTP/1.1", "HTTP/1.0", ""]))
+    body = draw(_bodies)
+    length = st.just(str(len(body))) | st.integers(-5, 2 * MAX_BODY_BYTES).map(str)
+    headers = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["Content-Length", "content-length ", "Host", "X"]),
+                length | st.text(max_size=8),
+            ),
+            max_size=3,
+        )
+    )
+    head = f"{method} {path} {version}\r\n"
+    head += "".join(f"{name}:{value}\r\n" for name, value in headers) + "\r\n"
+    return head.encode("utf-8") + body
+
+
+class _Sink:
+    """Stands in for the connection's StreamWriter."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def _fed(raw):
+    reader = asyncio.StreamReader()
+    reader.feed_data(raw)
+    reader.feed_eof()
+    return reader
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_raw_requests())
+def test_head_parser_yields_a_request_or_a_4xx(raw):
+    server = CampaignServer(store=None)
+
+    async def parse():
+        return await server._read_request(_fed(raw))
+
+    try:
+        method, path, body = asyncio.run(parse())
+    except _BadRequest as exc:
+        assert 400 <= exc.status < 500
+    else:
+        assert isinstance(method, str) and isinstance(path, str)
+        assert len(body) <= MAX_BODY_BYTES
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(tmp_path_factory):
+    def compute(request):
+        return json.dumps({"result": {"status": "ok"}}).encode(), True
+
+    store = CacheStore(tmp_path_factory.mktemp("fuzz") / "cache", max_bytes=4096)
+    store.ensure_writable()
+    server = CampaignServer(store, compute=compute)
+    yield server
+    server._executor.shutdown(wait=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=_raw_requests())
+def test_any_request_bytes_are_answered_without_a_500(fuzz_server, raw):
+    sink = _Sink()
+
+    async def handle():
+        await fuzz_server._handle(_fed(raw), sink)
+
+    asyncio.run(handle())
+    status = int(bytes(sink.data[9:12]))
+    assert sink.data.startswith(b"HTTP/1.1 ") and status != 500
+    assert status == 200 or 400 <= status < 500
+
+
+# ---------------------------------------------------------------------------
+# Multi-process stress: two servers and a cached runner on one capped root
+# ---------------------------------------------------------------------------
+
+
+def _spawn_server(root, max_bytes, env):
+    """``python -m repro.service serve`` on an ephemeral port; (proc, url)."""
+    cmd = [sys.executable, "-m", "repro.service", "serve", "--port", "0"]
+    cmd += ["--cache-dir", str(root), "--max-bytes", str(max_bytes)]
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    ready, _, _ = select.select([proc.stdout], [], [], 60)
+    line = proc.stdout.readline().decode() if ready else ""
+    if " on http://" not in line:
+        proc.kill()
+        raise RuntimeError(f"server did not start: {line!r}")
+    # "serving campaigns on http://127.0.0.1:PORT (cache ...)"
+    return proc, line.split(" on ", 1)[1].split()[0]
+
+
+def _stop(proc):
+    if proc.poll() is None:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            proc.kill()
+            proc.wait(timeout=30)
+    proc.stdout.close()
+
+
+@pytest.mark.slow
+def test_two_servers_and_a_runner_share_one_capped_root(tmp_path):
+    root = tmp_path / "cache"
+    cap = 6000  # about four entries: nearly every write evicts
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE_MAX_BYTES=str(cap))
+    servers = [_spawn_server(root, cap, env) for _ in range(2)]
+    try:
+        cmd = [sys.executable, "-m", "repro.experiments.runner", "tables", "fig16"]
+        cmd += ["--scale", "0.1", "--seed", "3", "--cache-dir", str(root)]
+        runner = subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        clients = [ServiceClient(url, timeout=60) for _, url in servers]
+        requests = [
+            {"experiment": experiment, "scale": 0.1, "base_seed": seed}
+            for experiment in ("tables", "fig16")
+            for seed in range(8)
+        ]
+        bodies, failures = {}, []
+        lock = threading.Lock()
+
+        def client_loop(worker):
+            i = 0
+            while i < 30 or runner.poll() is None:  # overlap the runner's writes
+                i += 1
+                response = clients[(worker + i) % 2].campaign(
+                    requests[(7 * worker + 5 * i) % len(requests)]
+                )
+                with lock:
+                    if response.status != 200:
+                        failures.append((response.status, response.body[:200]))
+                        continue
+                    key = response.headers["x-cache-key"]
+                    bodies.setdefault(key, set()).add(response.body)
+
+        threads = [threading.Thread(target=client_loop, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        _, runner_err = runner.communicate(timeout=120)
+        assert runner.returncode == 0, runner_err.decode()[-2000:]
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        assert len(bodies) == len(requests)
+        assert all(len(seen) == 1 for seen in bodies.values())
+        evictions = sum(
+            ServiceClient(url).stats().json()["store"]["evictions"] for _, url in servers
+        )
+        assert evictions > 0
+    finally:
+        for proc, _ in servers:
+            _stop(proc)
+    survivors = {p.stem: p.read_bytes() for p in root.glob("??/*.json")}
+    assert 0 < sum(len(body) for body in survivors.values()) <= cap
+    # Whoever wrote a surviving entry (either server or the runner), it
+    # holds the bytes every server answered for that key.
+    assert all(bodies[key] == {body} for key, body in survivors.items())

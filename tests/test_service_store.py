@@ -5,22 +5,33 @@ temp file can never corrupt a read, LRU eviction honours
 ``REPRO_CACHE_MAX_BYTES``, a corrupt entry is a miss that recomputes
 (never a 500), and concurrent identical requests collapse onto exactly
 one engine call (the in-flight dedup lives in the server; tested here
-against a slow fake compute).
+against a slow fake compute).  The incremental eviction index is held
+to the full-walk eviction it replaced: same victims, same counts, under
+interleavings of two stores on one root and of outside writers.
 """
 
 import json
 import os
+import shutil
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.cachekey import UnitRequest
 from repro.service.client import ServiceClient
 from repro.service.compute import cached_unit
 from repro.service.server import start_background
-from repro.service.store import STALE_TMP_GRACE_S, CacheStore, CacheStoreError
+from repro.service.store import (
+    RACY_WINDOW_S,
+    STALE_TMP_GRACE_S,
+    CacheStore,
+    CacheStoreError,
+)
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64
@@ -194,6 +205,240 @@ def test_unbounded_store_never_evicts(store):
     store.put(KEY_A, b'{"v": 1}')
     assert store.evict() == 0
     assert store.entry_count() == 1
+
+
+# ---------------------------------------------------------------------------
+# The eviction index against the full walk it replaced
+# ---------------------------------------------------------------------------
+
+
+def _full_walk_evict(root, max_bytes):
+    """The full-walk ``CacheStore.evict`` before the index, frozen."""
+    if max_bytes <= 0:
+        return 0
+    entries = []
+    for path in Path(root).glob("??/*.json"):
+        try:
+            stat = path.stat()
+        except OSError:
+            continue
+        entries.append((path, stat.st_size, stat.st_mtime))
+    entries = sorted(entries, key=lambda e: (e[2], e[0].name))
+    total = sum(size for _, size, _ in entries)
+    dropped = 0
+    while entries and total > max_bytes:
+        path, size, _ = entries.pop(0)
+        try:
+            path.unlink()
+        except OSError:
+            continue
+        total -= size
+        dropped += 1
+    return dropped
+
+
+def _on_disk(root):
+    """{entry name: size} by a fresh walk."""
+    return {p.name: p.stat().st_size for p in Path(root).glob("??/*.json")}
+
+
+def _check_against_full_walk(store, reference_root):
+    """Make every ``store.evict`` (``put``'s too) prove itself.
+
+    Before each eviction the tree is copied (mtimes included) and the
+    frozen full walk runs on the copy; the index must evict as many
+    entries and leave the same ones.
+    """
+    evict = store.evict
+
+    def checked_evict():
+        shutil.rmtree(reference_root, ignore_errors=True)
+        shutil.copytree(store.root, reference_root)
+        expected = _full_walk_evict(reference_root, store.max_bytes)
+        evicted = evict()
+        assert evicted == expected
+        assert _on_disk(store.root).keys() == _on_disk(reference_root).keys()
+        return evicted
+
+    store.evict = checked_evict
+
+
+def _body(pad):
+    return b'{"p": "' + b"x" * pad + b'"}'
+
+
+def _write_as_outsider(path, body):
+    """An atomic write by some other process (no eviction follows)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp-outsider")
+    tmp.write_bytes(body)
+    os.replace(tmp, path)
+
+
+# Twelve keys in three shards, so shards hold several entries each.
+_KEYS = [f"{prefix}{i:062x}" for prefix in ("00", "7f", "fe") for i in range(4)]
+_key = st.integers(0, len(_KEYS) - 1)
+_pad = st.integers(0, 40)
+_op = st.one_of(
+    st.tuples(st.just("put"), st.integers(0, 1), _key, _pad),
+    st.tuples(st.just("get"), st.integers(0, 1), _key),
+    st.tuples(st.just("evict"), st.integers(0, 1)),
+    st.tuples(st.just("touch"), _key, st.integers(1, 10**9)),
+    st.tuples(st.just("unlink"), _key),
+    st.tuples(st.just("same_tick"), _key, _pad, st.booleans()),
+    st.tuples(st.just("age"), _key, st.integers(2, 100)),
+)
+
+
+def _same_tick_change(root, key, pad, write):
+    """Change ``key``'s shard, then give the shard its old mtime back.
+
+    Another process can write within the mtime tick the index last saw,
+    which leaves the directory mtime unchanged.  That is only possible
+    while the shard's mtime is within a tick of "now", and so within the
+    racy window of the newest shard mtime; elsewhere the change keeps
+    its new mtime.
+    """
+    shard = root / key[:2]
+    if not shard.is_dir():
+        return
+    before = shard.stat()
+    path = shard / f"{key}.json"
+    if write:
+        _write_as_outsider(path, _body(pad))
+    elif path.exists():
+        path.unlink()
+    newest = max(
+        [before.st_mtime_ns]
+        + [d.stat().st_mtime_ns for d in root.glob("??") if d.name != shard.name]
+    )
+    if newest - before.st_mtime_ns < RACY_WINDOW_S * 1e9:
+        os.utime(shard, ns=(before.st_atime_ns, before.st_mtime_ns))
+
+
+@settings(max_examples=120, deadline=None)
+@given(caps=st.tuples(st.integers(1, 500), st.integers(1, 500)), ops=st.lists(_op, max_size=40))
+def test_index_evicts_exactly_what_the_full_walk_evicts(caps, ops):
+    with tempfile.TemporaryDirectory() as scratch:
+        root = Path(scratch) / "cache"
+        stores = [CacheStore(root, max_bytes=cap) for cap in caps]
+        for store in stores:
+            store.ensure_writable()
+            _check_against_full_walk(store, Path(scratch) / "reference")
+        for op, *args in ops:
+            if op == "put":
+                which, key, pad = args
+                stores[which].put(_KEYS[key], _body(pad))
+            elif op == "get":
+                which, key = args
+                stores[which].get(_KEYS[key])
+            elif op == "evict":
+                stores[args[0]].evict()
+            elif op == "touch":  # a hit in another process: mtime moves forward
+                key, step_ns = args
+                path = stores[0].path_for(_KEYS[key])
+                if path.exists():
+                    stat = path.stat()
+                    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + step_ns))
+            elif op == "unlink":
+                path = stores[0].path_for(_KEYS[args[0]])
+                if path.exists():
+                    path.unlink()
+            elif op == "same_tick":
+                key, pad, write = args
+                _same_tick_change(root, _KEYS[key], pad, write)
+            else:  # the shard was last changed long ago: it stops being racy
+                key, seconds = args
+                shard = root / _KEYS[key][:2]
+                if shard.is_dir():
+                    stat = shard.stat()
+                    os.utime(shard, ns=(stat.st_atime_ns, stat.st_mtime_ns - seconds * 10**9))
+        on_disk = _on_disk(root)
+        for store in stores:
+            assert store.entry_count() == len(on_disk)
+            assert store.total_bytes() == sum(on_disk.values())
+
+
+def test_hit_in_another_process_moves_its_entry_back_in_line(tmp_path):
+    body = _body(20)
+    root = tmp_path / "cache"
+    other = CacheStore(root, max_bytes=0)
+    for age, key in enumerate((KEY_A, KEY_B)):
+        os.utime(other.put(key, body), (1000 + age, 1000 + age))
+        # Last changed long ago: the index will not list the shard again.
+        os.utime(root / key[:2], (1000, 1000))
+    store = CacheStore(root, max_bytes=3 * len(body))
+    _check_against_full_walk(store, tmp_path / "reference")
+    store.put(KEY_C, body)  # indexes A at mtime 1000, B at 1001
+    assert other.get(KEY_A) == body  # A's mtime moves to "now"
+    store.put("d" * 64, body)
+    assert store.get(KEY_A) == body
+    assert store.get(KEY_B) is None
+    assert store.evictions == 1
+
+
+class _RacedStore(CacheStore):
+    """A store whose next eviction races a rival's, mid-flight."""
+
+    rival = None
+
+    def _reconcile(self):
+        super()._reconcile()
+        if self.rival is not None:
+            rival, self.rival = self.rival, None
+            self.rival_evicted = rival.evict()
+
+
+def test_entries_another_store_evicted_cost_no_live_entry(tmp_path):
+    # Store B evicts entries that A's index already lists; A must drop
+    # their bytes, not delete a live entry in place of each.
+    body = _body(20)
+    root = tmp_path / "cache"
+    keys = [f"{i:02x}" + "0" * 62 for i in range(6)]
+    for age, key in enumerate(keys):
+        path = CacheStore(root, max_bytes=0).put(key, body)
+        os.utime(path, (1000 + age, 1000 + age))  # keys[0] is the LRU
+    a = _RacedStore(root, max_bytes=4 * len(body))
+    a.rival = CacheStore(root, max_bytes=2 * len(body))
+    assert a.evict() == 0
+    assert a.rival_evicted == 4
+    assert sorted(_on_disk(root)) == [f"{key}.json" for key in keys[4:]]
+    assert a.total_bytes() == 2 * len(body)
+    assert a.evictions == 0
+
+
+def test_threads_putting_into_one_capped_store(tmp_path):
+    body = _body(100)
+    cap = 10 * len(body)
+    store = CacheStore(tmp_path / "cache", max_bytes=cap)
+    store.ensure_writable()
+    errors = []
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+
+    def writer(t):
+        barrier.wait()
+        for i in range(25):
+            try:
+                store.put(f"{t:02x}{i:062x}", body)
+            except Exception as exc:  # collected for the assert below
+                errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(t,)) for t in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sum(_on_disk(store.root).values()) <= cap
+    assert store.total_bytes() == sum(_on_disk(store.root).values())
+    assert store.evictions == 8 * 25 - store.entry_count()
 
 
 # ---------------------------------------------------------------------------
