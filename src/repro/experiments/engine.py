@@ -2,10 +2,10 @@
 
 Every paper figure/table registers an :class:`ExperimentSpec` (name,
 entry point, paper-reference numbers, cost hint, scenario variants)
-via the :func:`register` decorator.  The campaign runner fans the
-selected experiments out over a ``ProcessPoolExecutor`` and collects
-structured :class:`ExperimentResult` artifacts (measured vs. paper
-numbers, seed provenance, wall time) that serialise to JSON.
+via the :func:`register` decorator.  Campaigns and single units run
+through one executor, serially or on a persistent worker pool, and
+produce structured :class:`ExperimentResult` artifacts (measured vs.
+paper numbers, seed provenance, wall time) that serialise to JSON.
 
 Seeding scheme
 --------------
@@ -28,6 +28,7 @@ import atexit
 import dataclasses
 import importlib
 import json
+import math
 import time
 import traceback
 import zlib
@@ -347,6 +348,45 @@ def check_backend(
     return backend
 
 
+def check_request(
+    names: Sequence[str],
+    *,
+    base_seed: int = DEFAULT_BASE_SEED,
+    scale: float = 1.0,
+    trial_chunks: int = 1,
+    backend: Optional[str] = None,
+    precision: Optional[str] = None,
+) -> None:
+    """Validate a unit or campaign request before any compute starts.
+
+    The one rule set behind :func:`run_unit`, :func:`run_campaign`,
+    :func:`plan_units`, the runner CLI and the service's request
+    normaliser.  Raises ``KeyError`` for an unregistered name, and
+    ``ValueError`` unless ``base_seed >= 0``, ``0 < scale < inf`` and
+    ``trial_chunks >= 1``, every named experiment supports ``backend``
+    and ``backend`` supports ``precision`` (:func:`check_backend`), and
+    a ``precision`` comes with an explicit ``backend``.
+    """
+    load_registry()
+    unknown = [n for n in names if n not in _REGISTRY]
+    if unknown:
+        raise KeyError(f"unknown experiment(s): {', '.join(unknown)}")
+    if base_seed < 0:
+        raise ValueError("'base_seed' must be non-negative")
+    if not 0.0 < scale < math.inf:
+        raise ValueError("'scale' must be positive and finite")
+    if trial_chunks < 1:
+        raise ValueError("'trial_chunks' must be >= 1")
+    if backend is not None:
+        for name in names:
+            check_backend(backend, name, precision=precision)
+    elif precision is not None:
+        raise ValueError(
+            f"precision {precision!r} requires --backend or the 'backend' field "
+            f"(an explicit backend; the waveform entries default per-experiment)"
+        )
+
+
 def chunk_share(count: int, chunk: Optional[Tuple[int, int]]) -> int:
     """This chunk's share of ``count`` trials (all of them when unchunked).
 
@@ -437,156 +477,139 @@ def sweep_variants(grid: Mapping[str, Sequence[Any]]) -> Tuple[Variant, ...]:
     return tuple(variants)
 
 
-def _plan_jobs(
+def plan_units(
     names: Sequence[str],
-    sweep: Optional[Mapping[str, Sequence[Any]]],
-    trial_chunks: int = 1,
+    sweep: Optional[Mapping[str, Sequence[Any]]] = None,
     backend: Optional[str] = None,
     precision: Optional[str] = None,
-) -> List[Tuple[str, str, Dict[str, Any], Optional[Tuple[int, int]]]]:
-    """(experiment, variant, params, chunk) jobs in deterministic order.
+) -> List[Tuple[str, str, Dict[str, Any]]]:
+    """The (experiment, variant, params) units a selection expands to.
 
-    With ``trial_chunks > 1``, chunkable experiments expand into one
-    job per chunk (merged back after execution), so a process pool
-    parallelises *trials*, not just whole experiments.  A campaign
-    ``backend`` (and ``precision``) is injected into every job's
-    params (sweep-provided values win within their variants).
+    This is the campaign plan at *unit* granularity — the addressing
+    scheme of the result cache (:mod:`repro.service.cachekey`): sweeps
+    expand to named variants here, so two campaigns that share a sweep
+    point share a cache entry.  ``backend`` and ``precision`` are
+    validated as a pair but *not* folded into params; the cache key
+    carries each as its own field.
     """
-    jobs: List[Tuple[str, str, Dict[str, Any], Optional[Tuple[int, int]]]] = []
+    check_request(names, backend=backend, precision=precision)
+    return _expand_units(names, sweep)
+
+
+def _expand_units(
+    names: Sequence[str], sweep: Optional[Mapping[str, Sequence[Any]]]
+) -> List[Tuple[str, str, Dict[str, Any]]]:
+    """:func:`plan_units` for names the caller has already validated."""
+    units: List[Tuple[str, str, Dict[str, Any]]] = []
     for name in names:
         spec = get_spec(name)
-        applicable = {
-            k: v for k, v in (sweep or {}).items() if k in spec.sweepable
-        }
+        applicable = {k: v for k, v in (sweep or {}).items() if k in spec.sweepable}
         variants = sweep_variants(applicable) if applicable else spec.variants
-        for variant in variants:
-            params = dict(variant.params)
-            if backend is not None:
-                params.setdefault("backend", backend)
-            if precision is not None:
-                params.setdefault("precision", precision)
-            if trial_chunks > 1 and spec.chunkable:
-                for index in range(trial_chunks):
-                    jobs.append((name, variant.name, params, (index, trial_chunks)))
-            else:
-                jobs.append((name, variant.name, params, None))
-    return jobs
+        units += [(name, variant.name, dict(variant.params)) for variant in variants]
+    return units
 
 
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
 
+#: One executable job: ``(experiment, variant, params, chunk)``, where
+#: ``chunk`` is ``(index, total)`` for a trial-chunk job, else ``None``.
+_Job = Tuple[str, str, Dict[str, Any], Optional[Tuple[int, int]]]
+
+
+def _job_seed_sequence(job: _Job, base_seed: int) -> np.random.SeedSequence:
+    """A job's substream: its variant's, or ``spawn(total)[index]`` of it.
+
+    The chunk child is a deterministic function of (base_seed,
+    experiment, variant, chunk) only, so chunked campaigns are
+    byte-identical for any worker count.
+    """
+    name, variant, _, chunk = job
+    seed_seq = variant_seed_sequence(name, variant, base_seed)
+    return seed_seq if chunk is None else seed_seq.spawn(chunk[1])[chunk[0]]
+
+
+def _job_result(
+    job: _Job,
+    base_seed: int,
+    seed_seq: Optional[np.random.SeedSequence] = None,
+    output: Optional[ExperimentOutput] = None,
+    error: Optional[str] = None,
+    wall_time_s: float = 0.0,
+) -> ExperimentResult:
+    """The one :class:`ExperimentResult` builder; ``ok`` iff ``error is None``.
+
+    In-process runs, worker deaths and merged chunk groups all go
+    through here, so each records the spawn key and chunk coordinates a
+    serial run of the same job would.  ``seed_seq`` is the job's
+    substream when the caller already built it.
+    """
+    name, variant, params, chunk = job
+    spec = get_spec(name)
+    seed_seq = seed_seq or _job_seed_sequence(job, base_seed)
+    output = output or ExperimentOutput(measured={})
+    return ExperimentResult(
+        experiment=name,
+        variant=variant,
+        title=spec.title,
+        paper_ref=spec.paper_ref,
+        params=params,
+        base_seed=base_seed,
+        spawn_key=tuple(int(k) for k in seed_seq.spawn_key),
+        status="ok" if error is None else "error",
+        measured=output.measured,
+        paper=dict(spec.paper),
+        report=output.report,
+        wall_time_s=wall_time_s,
+        error=error,
+        chunk=chunk,
+        raw=output.raw,
+    )
+
 
 def _execute(
-    name: str,
-    variant_name: str,
-    params: Dict[str, Any],
-    base_seed: int,
-    scale: float,
-    chunk: Optional[Tuple[int, int]] = None,
-    pipeline: Optional[int] = None,
+    job: _Job, base_seed: int, scale: float, pipeline: Optional[int] = None
 ) -> ExperimentResult:
-    """Run one (experiment, variant[, chunk]) job; module-level so
-    workers can run it.
-
-    A chunk job draws from ``variant_seed.spawn(total)[index]`` — a
-    deterministic function of (base_seed, experiment, variant, chunk)
-    only, so chunked campaigns are byte-identical for any worker count.
+    """Run one job in this process; module-level so workers can run it.
 
     ``pipeline`` overrides the flush-pipeline depth for waveform
     experiments (those declaring ``backends``).  It is an execution
     knob, not a parameter: results are bit-identical at every depth, so
     it is deliberately kept out of the recorded ``params``.
     """
+    name, _, params, chunk = job
     spec = get_spec(name)
-    seed_seq = variant_seed_sequence(name, variant_name, base_seed)
     kwargs = dict(params)
     if chunk is not None:
-        seed_seq = seed_seq.spawn(chunk[1])[chunk[0]]
         kwargs["chunk"] = chunk
     if pipeline is not None and spec.backends:
         kwargs["pipeline"] = pipeline
+    seed_seq = _job_seed_sequence(job, base_seed)
     rng = np.random.default_rng(seed_seq)
     start = time.perf_counter()
-    raw = None
     try:
-        output = spec.resolve_entry()(rng, scale=scale, **kwargs)
-        status, error = "ok", None
-        measured, report, raw = output.measured, output.report, output.raw
+        output, error = spec.resolve_entry()(rng, scale=scale, **kwargs), None
     except Exception:
-        status, error = "error", traceback.format_exc(limit=8)
-        measured, report = {}, ""
-    return ExperimentResult(
-        experiment=name,
-        variant=variant_name,
-        title=spec.title,
-        paper_ref=spec.paper_ref,
-        params=params,
-        base_seed=base_seed,
-        spawn_key=tuple(int(k) for k in seed_seq.spawn_key),
-        status=status,
-        measured=measured,
-        paper=dict(spec.paper),
-        report=report,
-        wall_time_s=time.perf_counter() - start,
-        error=error,
-        chunk=chunk,
-        raw=raw,
-    )
+        output, error = None, traceback.format_exc(limit=8)
+    return _job_result(job, base_seed, seed_seq, output, error, time.perf_counter() - start)
 
 
 def _execute_job(payload: Tuple) -> ExperimentResult:
     """Worker-side wrapper: run one job, park large raw arrays in shm.
 
-    ``payload`` is ``(name, variant, params, base_seed, scale, chunk,
-    pipeline)``.  The result crosses the pipe with big per-trial arrays
-    replaced by shared-memory descriptors (:func:`repro.experiments.pool
-    .shm_export`); the parent's :meth:`WorkerPool.map` resolves them
-    back before the result reaches the merge stream.
+    ``payload`` is ``(job, base_seed, scale, pipeline)``.  The result
+    crosses the pipe with big per-trial arrays replaced by shared-memory
+    descriptors (:func:`repro.experiments.pool.shm_export`); the
+    parent's :meth:`WorkerPool.map` resolves them back before the result
+    reaches the merge stream.
     """
     from repro.experiments.pool import shm_export
 
-    name, variant, params, base_seed, scale, chunk, pipeline = payload
-    result = _execute(name, variant, params, base_seed, scale, chunk, pipeline)
+    result = _execute(*payload)
     if result.raw is not None:
         result = dataclasses.replace(result, raw=shm_export(result.raw))
     return result
-
-
-def _failure_result(
-    job: Tuple[str, str, Dict[str, Any], Optional[Tuple[int, int]]],
-    message: str,
-    base_seed: int,
-) -> ExperimentResult:
-    """A ``status="error"`` result for a job whose worker died.
-
-    Mirrors what :func:`_execute` would have returned on an in-process
-    exception — same spawn key (including the chunk spawn), same chunk
-    coordinates so :func:`_merge_stream` groups it correctly — with the
-    pool's diagnostic as the recorded error.
-    """
-    name, variant_name, params, chunk = job
-    spec = get_spec(name)
-    seed_seq = variant_seed_sequence(name, variant_name, base_seed)
-    if chunk is not None:
-        seed_seq = seed_seq.spawn(chunk[1])[chunk[0]]
-    return ExperimentResult(
-        experiment=name,
-        variant=variant_name,
-        title=spec.title,
-        paper_ref=spec.paper_ref,
-        params=params,
-        base_seed=base_seed,
-        spawn_key=tuple(int(k) for k in seed_seq.spawn_key),
-        status="error",
-        measured={},
-        paper=dict(spec.paper),
-        report="",
-        wall_time_s=0.0,
-        error=message,
-        chunk=chunk,
-    )
 
 
 #: The process-wide campaign pool: ``(worker_count, WorkerPool)``.
@@ -628,38 +651,17 @@ atexit.register(shutdown_pool)
 def _merge_chunk_group(group: List[ExperimentResult]) -> ExperimentResult:
     """Fold a variant's chunk results into one merged result."""
     first = group[0]
-    spec = get_spec(first.experiment)
-    variant_seq = variant_seed_sequence(first.experiment, first.variant, first.base_seed)
-    wall = sum(r.wall_time_s for r in group)
-    failed = [r for r in group if r.status != "ok"]
-    if failed:
-        status, error = "error", "\n".join(filter(None, (r.error for r in failed)))
-        measured: Dict[str, Any] = {}
-        report = ""
-    else:
-        merge = getattr(importlib.import_module(spec.module), "merge_chunks")
+    output, error = None, "\n".join(filter(None, (r.error for r in group)))
+    if all(r.status == "ok" for r in group):
+        merge = getattr(importlib.import_module(get_spec(first.experiment).module), "merge_chunks")
         try:
-            output = merge([r.raw for r in group])
-            status, error = "ok", None
-            measured, report = output.measured, output.report
+            merged = merge([r.raw for r in group])
+            output, error = ExperimentOutput(merged.measured, merged.report), None
         except Exception:
-            status, error = "error", traceback.format_exc(limit=8)
-            measured, report = {}, ""
-    return ExperimentResult(
-        experiment=first.experiment,
-        variant=first.variant,
-        title=first.title,
-        paper_ref=first.paper_ref,
-        params=first.params,
-        base_seed=first.base_seed,
-        spawn_key=tuple(int(k) for k in variant_seq.spawn_key),
-        status=status,
-        measured=measured,
-        paper=first.paper,
-        report=report,
-        wall_time_s=wall,
-        error=error,
-    )
+            error = traceback.format_exc(limit=8)
+    job = (first.experiment, first.variant, first.params, None)
+    wall_time_s = sum(r.wall_time_s for r in group)
+    return _job_result(job, first.base_seed, None, output, error, wall_time_s)
 
 
 def _merge_stream(results: Iterable[ExperimentResult]) -> Iterator[ExperimentResult]:
@@ -693,41 +695,70 @@ def _merge_stream(results: Iterable[ExperimentResult]) -> Iterator[ExperimentRes
         yield _merge_chunk_group(group)
 
 
-#: Unit-level engine invocations in this process.  The serving tier's
+#: Units dispatched to compute in this process.  The serving tier's
 #: "a warm cache hit never touches the engine" guarantee is asserted
-#: against this counter (tests/test_service_server.py); it counts
-#: :func:`run_unit` entries, i.e. actual compute dispatches.
+#: against this counter (tests/test_service_server.py).
 _UNIT_CALLS = 0
 
 
 def unit_call_count() -> int:
-    """How many times :func:`run_unit` has dispatched compute."""
+    """How many units :func:`run_unit`/:func:`run_campaign` have dispatched."""
     return _UNIT_CALLS
 
 
-def plan_units(
-    names: Sequence[str],
-    sweep: Optional[Mapping[str, Sequence[Any]]] = None,
-    backend: Optional[str] = None,
-    precision: Optional[str] = None,
-) -> List[Tuple[str, str, Dict[str, Any]]]:
-    """The (experiment, variant, params) units a selection expands to.
+def _run_units(
+    units: Iterable[Tuple[str, str, Mapping[str, Any]]],
+    *,
+    base_seed: int,
+    scale: float,
+    backend: Optional[str],
+    precision: Optional[str],
+    trial_chunks: int,
+    workers: int,
+    pipeline: Optional[int],
+) -> Iterator[ExperimentResult]:
+    """The one executor: run (experiment, variant, params) units in order.
 
-    This is the campaign plan at *unit* granularity — the addressing
-    scheme of the result cache (:mod:`repro.service.cachekey`): sweeps
-    expand to named variants here, so two campaigns that share a sweep
-    point share a cache entry.  ``backend`` and ``precision`` are
-    validated as a pair but *not* folded into params; the cache key
-    carries each as its own field.
+    The caller has validated the request (:func:`check_request`).
+    Each unit's params are its declared variant's params, the explicit
+    ``params`` over them, then ``backend``/``precision`` as defaults.
+    A chunkable unit expands into ``trial_chunks`` chunk jobs.  Jobs run
+    in process when ``workers <= 1``, else on the persistent pool, where
+    a dead worker's job becomes an error result.
+    Yields one merged result per unit as soon as it is complete.
     """
-    load_registry()
-    if backend is not None:
-        for name in names:
-            check_backend(backend, name, precision=precision)
-    return [
-        (name, variant, params)
-        for name, variant, params, _ in _plan_jobs(names, sweep, 1, None)
-    ]
+    global _UNIT_CALLS
+    units = list(units)
+    jobs: List[_Job] = []
+    for name, variant, params in units:
+        spec = get_spec(name)
+        declared = {v.name: v.params for v in spec.variants}
+        merged = {**declared.get(variant, {}), **params}
+        if backend is not None:
+            merged.setdefault("backend", backend)
+        if precision is not None:
+            merged.setdefault("precision", precision)
+        chunked = trial_chunks > 1 and spec.chunkable
+        chunks = [(i, trial_chunks) for i in range(trial_chunks)] if chunked else [None]
+        jobs += [(name, variant, merged, chunk) for chunk in chunks]
+    _UNIT_CALLS += len(units)
+    if workers <= 1:
+        raw: Iterable[ExperimentResult] = (
+            _execute(job, base_seed, scale, pipeline) for job in jobs
+        )
+    else:
+        from repro.experiments.pool import WorkerCrash
+
+        outcomes = _campaign_pool(workers).map(
+            [(job, base_seed, scale, pipeline) for job in jobs]
+        )
+        raw = (
+            _job_result(job, base_seed, error=outcome.message)
+            if isinstance(outcome, WorkerCrash)
+            else outcome
+            for job, outcome in zip(jobs, outcomes)
+        )
+    return _merge_stream(raw)
 
 
 def run_unit(
@@ -750,55 +781,20 @@ def run_unit(
     backend, precision, trial_chunks)`` — exactly the fields
     :func:`repro.service.cachekey.cache_key` hashes.  ``workers`` and
     ``pipeline`` are execution knobs (chunk parallelism / flush depth)
-    that never change the bytes.  Declared-variant params are folded in
-    under explicit ``params`` overrides, and ad-hoc variant names get
-    the same CRC32-extended substream as campaign sweeps, so a unit
-    reproduces the corresponding :func:`run_campaign` job bit for bit.
+    that never change the bytes.  Explicit ``params`` override the
+    declared variant's; an ad-hoc variant name draws the CRC32-extended
+    substream of :func:`variant_seed_sequence`.
     """
-    global _UNIT_CALLS
-    load_registry()
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown experiment: {name}")
-    if trial_chunks < 1:
-        raise ValueError("trial_chunks must be >= 1")
-    spec = get_spec(name)
-    merged: Dict[str, Any] = {}
-    declared = {v.name: v.params for v in spec.variants}
-    if variant in declared:
-        merged.update(declared[variant])
-    merged.update(dict(params or {}))
-    if backend is not None:
-        check_backend(backend, name, precision=precision)
-        merged.setdefault("backend", backend)
-        if precision is not None:
-            merged.setdefault("precision", precision)
-    elif precision is not None:
-        raise ValueError(
-            f"precision {precision!r} requires an explicit backend "
-            f"(the waveform entries default per-experiment)"
-        )
-    _UNIT_CALLS += 1
-    if trial_chunks > 1 and spec.chunkable:
-        jobs = [(name, variant, merged, (i, trial_chunks)) for i in range(trial_chunks)]
-    else:
-        jobs = [(name, variant, merged, None)]
-    if workers <= 1 or len(jobs) == 1:
-        raw: Iterable[ExperimentResult] = (
-            _execute(n, v, p, base_seed, scale, c, pipeline) for n, v, p, c in jobs
-        )
-    else:
-        from repro.experiments.pool import WorkerCrash
-
-        pool = _campaign_pool(workers)
-        payloads = [(n, v, p, base_seed, scale, c, pipeline) for n, v, p, c in jobs]
-        outcomes = pool.map(payloads)
-        raw = (
-            _failure_result(job, outcome.message, base_seed)
-            if isinstance(outcome, WorkerCrash)
-            else outcome
-            for job, outcome in zip(jobs, outcomes)
-        )
-    return next(iter(_merge_stream(raw)))
+    request = dict(
+        base_seed=base_seed,
+        scale=scale,
+        trial_chunks=trial_chunks,
+        backend=backend,
+        precision=precision,
+    )
+    check_request([name], **request)
+    units = [(name, variant, params or {})]
+    return next(_run_units(units, workers=workers, pipeline=pipeline, **request))
 
 
 def run_campaign(
@@ -816,72 +812,46 @@ def run_campaign(
 ) -> List[ExperimentResult]:
     """Run the selected experiments (all by default), serial or parallel.
 
-    Results come back in deterministic job order regardless of
-    ``workers``; a failing experiment yields a ``status="error"``
-    result instead of aborting the campaign — including when the worker
-    *process* dies (OOM kill, segfault, stray ``SystemExit``): the dead
-    worker's in-flight job is the only casualty, surviving jobs run on
-    a replacement worker (one fresh pool's worth of replacements before
-    remaining jobs drain as errors).  ``trial_chunks > 1``
-    splits chunkable experiments into that many trial-chunk jobs (each
-    on its own spawned substream) and merges them after execution:
-    ``--workers`` then parallelises inside an experiment, and the
-    artifact depends only on ``(base_seed, trial_chunks)`` — never on
-    the worker count.  Parallel runs go through a persistent
-    shared-memory worker pool (:mod:`repro.experiments.pool`) that
-    outlives the campaign; call :func:`shutdown_pool` to retire it.
-    ``backend`` selects the waveform backend for the whole campaign;
-    every selected experiment must declare it in its capability flags.
-    ``precision`` selects the working precision (validated against the
-    backend: only ``fast`` supports ``"float32"``).  ``pipeline`` sets
-    the Phase-A/Phase-B flush-pipeline depth for waveform experiments
-    (``None`` = the ``REPRO_PIPELINE_DEPTH`` default); artifacts are
-    bit-identical at every depth.
+    The campaign is the :func:`plan_units` plan fed to the unit executor; results
+    come back in unit order regardless of ``workers``, and ``progress``
+    sees each one as it completes.  A failing experiment yields a
+    ``status="error"`` result instead of aborting the campaign —
+    including when a pool worker *process* dies (OOM kill, segfault,
+    stray ``SystemExit``): the dead worker's in-flight job is the only
+    casualty, surviving jobs run on a replacement worker (one fresh
+    pool's worth of replacements before remaining jobs drain as
+    errors).  ``trial_chunks > 1`` splits chunkable experiments into
+    that many trial-chunk jobs (each on its own spawned substream) and
+    merges them after execution: ``--workers`` then parallelises inside
+    an experiment, and the artifact depends only on ``(base_seed,
+    trial_chunks)`` — never on the worker count.  Parallel runs go
+    through a persistent shared-memory worker pool
+    (:mod:`repro.experiments.pool`) that outlives the campaign; call
+    :func:`shutdown_pool` to retire it.  ``backend`` selects the
+    waveform backend for the whole campaign; every selected experiment
+    must declare it in its capability flags.  ``precision`` selects the
+    working precision (validated against the backend: only ``fast``
+    supports ``"float32"``).  ``pipeline`` sets the Phase-A/Phase-B
+    flush-pipeline depth for waveform experiments (``None`` = the
+    ``REPRO_PIPELINE_DEPTH`` default); artifacts are bit-identical at
+    every depth.
     """
-    load_registry()
-    selected = list(names) if names else [n for n in CANONICAL_ORDER if n in _REGISTRY]
-    unknown = [n for n in selected if n not in _REGISTRY]
-    if unknown:
-        raise KeyError(f"unknown experiment(s): {', '.join(unknown)}")
-    if trial_chunks < 1:
-        raise ValueError("trial_chunks must be >= 1")
-    if backend is not None:
-        for name in selected:
-            check_backend(backend, name, precision=precision)
-    elif precision is not None:
-        raise ValueError(
-            f"precision {precision!r} requires an explicit backend "
-            f"(the waveform entries default per-experiment)"
-        )
-    jobs = _plan_jobs(selected, sweep, trial_chunks, backend, precision)
-
-    def _collect(raw_results: Iterable[ExperimentResult]) -> List[ExperimentResult]:
-        merged: List[ExperimentResult] = []
-        for result in _merge_stream(raw_results):
-            if progress:
-                progress(result)
-            merged.append(result)
-        return merged
-
-    if workers <= 1:
-        return _collect(
-            _execute(name, variant, params, base_seed, scale, chunk, pipeline)
-            for name, variant, params, chunk in jobs
-        )
-    from repro.experiments.pool import WorkerCrash
-
-    pool = _campaign_pool(workers)
-    payloads = [
-        (name, variant, params, base_seed, scale, chunk, pipeline)
-        for name, variant, params, chunk in jobs
-    ]
-    outcomes = pool.map(payloads)
-    return _collect(
-        _failure_result(job, outcome.message, base_seed)
-        if isinstance(outcome, WorkerCrash)
-        else outcome
-        for job, outcome in zip(jobs, outcomes)
+    selected = list(names or CANONICAL_ORDER)
+    request = dict(
+        base_seed=base_seed,
+        scale=scale,
+        trial_chunks=trial_chunks,
+        backend=backend,
+        precision=precision,
     )
+    check_request(selected, **request)
+    units = _expand_units(selected, sweep)
+    results: List[ExperimentResult] = []
+    for result in _run_units(units, workers=workers, pipeline=pipeline, **request):
+        if progress:
+            progress(result)
+        results.append(result)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -230,27 +230,20 @@ def main(argv=None) -> int:
 
     experiments = engine.registry()
     selected = args.experiments or list(experiments)
-    unknown = [name for name in selected if name not in experiments]
-    if unknown:
-        print(f"unknown experiment(s): {', '.join(unknown)}")
+    try:
+        engine.check_request(
+            selected,
+            base_seed=args.seed,
+            scale=args.scale,
+            trial_chunks=args.trial_chunks,
+            backend=args.backend,
+            precision=args.precision,
+        )
+        sweep = _parse_sweep(args.sweep)
+    except KeyError as exc:
+        print(exc.args[0])
         print(f"available: {', '.join(experiments)}")
         return 2
-
-    if args.backend is not None or args.precision is not None:
-        try:
-            if args.backend is None:
-                raise ValueError(
-                    f"--precision {args.precision} requires --backend "
-                    f"(the waveform experiments default per-experiment)"
-                )
-            for name in selected:
-                engine.check_backend(args.backend, name, precision=args.precision)
-        except ValueError as exc:
-            print(exc)
-            return 2
-
-    try:
-        sweep = _parse_sweep(args.sweep)
     except ValueError as exc:
         print(exc)
         return 2

@@ -20,9 +20,9 @@ be evaluated meaningfully.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-import networkx as nx
 import numpy as np
 
 Edge = Tuple[int, int]
@@ -183,11 +183,33 @@ def _globally_rigid(num_nodes: int, edge_set: FrozenSet[Edge]) -> bool:
         return len(edge_list) == 1
     if num_nodes == 3:
         return len(edge_list) == 3
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
-    graph.add_edges_from(edge_list)
-    if not nx.is_connected(graph):
-        return False
-    if nx.node_connectivity(graph) < 3:
-        return False
-    return is_redundantly_rigid(num_nodes, edge_list)
+    return _three_connected(num_nodes, edge_list) and is_redundantly_rigid(num_nodes, edge_list)
+
+
+def _three_connected(num_nodes: int, edge_list: List[Edge]) -> bool:
+    """Vertex connectivity >= 3 for ``num_nodes >= 4``.
+
+    By Menger's theorem that holds iff the graph stays connected after
+    deleting any zero, one or two vertices: ``1 + n + C(n, 2)`` graph
+    searches, cheap at Algorithm 1's sizes (``n`` up to about 12).
+    """
+    adjacency: List[Set[int]] = [set() for _ in range(num_nodes)]
+    for u, v in edge_list:
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+    def connected_without(removed: Tuple[int, ...]) -> bool:
+        start = next(v for v in range(num_nodes) if v not in removed)
+        seen = {start, *removed}
+        stack = [start]
+        while stack:
+            for w in adjacency[stack.pop()] - seen:
+                seen.add(w)
+                stack.append(w)
+        return len(seen) == num_nodes
+
+    return all(
+        connected_without(removed)
+        for k in range(3)
+        for removed in combinations(range(num_nodes), k)
+    )

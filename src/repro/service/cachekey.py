@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -156,9 +155,10 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
     """Validate a request mapping into a :class:`UnitRequest`.
 
     Raises ``ValueError`` with a client-presentable message on unknown
-    fields, unknown experiments, bad types, a backend the experiment
-    does not declare, or a (backend, precision) pair the backend
-    registry rejects.
+    fields or bad types here, and on whatever
+    :func:`repro.experiments.engine.check_request` rejects (unknown
+    experiments, ranges, backend capability, the (backend, precision)
+    pair).
     """
     if not isinstance(body, Mapping):
         raise ValueError("request body must be a JSON object")
@@ -168,12 +168,6 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
     experiment = body.get("experiment")
     if not isinstance(experiment, str) or not experiment:
         raise ValueError("'experiment' is required and must be a string")
-    registry = engine.registry()
-    if experiment not in registry:
-        raise ValueError(
-            f"unknown experiment {experiment!r} "
-            f"(available: {', '.join(registry)})"
-        )
     variant = body.get("variant", "default")
     if not isinstance(variant, str) or not variant:
         raise ValueError("'variant' must be a non-empty string")
@@ -190,22 +184,26 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
         raise ValueError("'backend' must be a string")
     if precision is not None and not isinstance(precision, str):
         raise ValueError("'precision' must be a string")
-    if backend is not None:
-        engine.check_backend(backend, experiment, precision=precision)
-    elif precision is not None:
-        raise ValueError(f"'precision' {precision!r} requires an explicit 'backend'")
     try:
         base_seed = int(body.get("base_seed", engine.DEFAULT_BASE_SEED))
         scale = float(body.get("scale", 1.0))
         trial_chunks = int(body.get("trial_chunks", 1))
     except (TypeError, ValueError, OverflowError):
         raise ValueError("'base_seed'/'scale'/'trial_chunks' must be finite numbers")
-    if base_seed < 0:
-        raise ValueError("'base_seed' must be non-negative")
-    if not (0.0 < scale < math.inf):
-        raise ValueError("'scale' must be positive and finite")
-    if trial_chunks < 1:
-        raise ValueError("'trial_chunks' must be >= 1")
+    try:
+        engine.check_request(
+            [experiment],
+            base_seed=base_seed,
+            scale=scale,
+            trial_chunks=trial_chunks,
+            backend=backend,
+            precision=precision,
+        )
+    except KeyError:
+        raise ValueError(
+            f"unknown experiment {experiment!r} "
+            f"(available: {', '.join(engine.registry())})"
+        ) from None
     return UnitRequest(
         experiment=experiment,
         variant=variant,

@@ -178,6 +178,22 @@ class TestRunnerCli:
         assert main(["not_a_figure"]) == 2
         assert "unknown experiment" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--trial-chunks", "0"], "'trial_chunks' must be >= 1"),
+            (["--seed", "-5"], "'base_seed' must be non-negative"),
+            (["--scale", "0"], "'scale' must be positive and finite"),
+            (["--scale", "-1"], "'scale' must be positive and finite"),
+            (["--scale", "inf"], "'scale' must be positive and finite"),
+        ],
+        ids=["trial-chunks-0", "seed-negative", "scale-0", "scale-negative", "scale-inf"],
+    )
+    def test_out_of_range_request_exits_2(self, flags, message, capsys):
+        assert main(["tables", *flags]) == 2
+        out = capsys.readouterr().out
+        assert message in out and "Traceback" not in out
+
     def test_bad_sweep_exits_2(self, capsys):
         assert main(["fig16", "--sweep", "nonsense"]) == 2
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.localization.rigidity import (
+    _three_connected,
     edges_from_weights,
     independent_edge_count,
     is_redundantly_rigid,
@@ -135,6 +136,24 @@ class TestUniqueRealizability:
         n = int(rng.integers(4, 7))
         edges = [e for e in complete_graph_edges(n) if rng.random() < 0.8]
         assert is_uniquely_realizable(n, edges) == _jackson_jordan(n, edges)
+
+
+class TestThreeConnectivity:
+    """The stdlib deletion test against networkx's max-flow connectivity."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(4, 12),
+        density=st.floats(0.3, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_networkx_node_connectivity(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        edges = [e for e in complete_graph_edges(n) if rng.random() < density]
+        graph = nx.Graph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(edges)
+        assert _three_connected(n, edges) == (nx.node_connectivity(graph) >= 3)
 
 
 class TestMemoizedRealizability:

@@ -48,7 +48,15 @@ def test_failing_figure_recorded_and_exit_nonzero(
     )
     path = tmp_path / "bench.json"
     code = bench_module.main(
-        ["--figures", "fig11", "--skip-kernels", "--json", str(path)]
+        [
+            "--figures",
+            "fig11",
+            "--skip-kernels",
+            "--skip-service",
+            "--skip-fleet",
+            "--json",
+            str(path),
+        ]
     )
     assert code == 1
     assert "FAILED figures: fig11" in capsys.readouterr().out

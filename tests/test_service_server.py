@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments import engine
 from repro.experiments.pool import WorkerPool
 from repro.service.client import ServiceClient
+from repro.service.compute import encode_body
 from repro.service.server import (
     MAX_BODY_BYTES,
     CampaignServer,
@@ -82,6 +83,11 @@ def test_bad_request_bodies(served):
     )
     assert response.status == 400
     assert "base_seed" in response.json()["error"]
+    response = client.request(
+        "POST", "/campaign", {"experiment": "fig22", "precision": "float32"}
+    )
+    assert response.status == 400
+    assert "'backend' field" in response.json()["error"]
 
 
 def test_result_endpoint(served):
@@ -186,6 +192,36 @@ def test_run_unit_chunked_matches_campaign_chunked():
     campaign = engine.run_campaign(["fig14"], scale=0.05, trial_chunks=2)[0]
     unit = engine.run_unit("fig14", scale=0.05, trial_chunks=2)
     assert unit.to_dict() == campaign.to_dict()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "name, sweep, scale, trial_chunks",
+    [
+        ("fig18", None, 0.1, 1),  # declared variants
+        ("fig18", {"site": ["dock", "boathouse"]}, 0.1, 1),  # sweep variants
+        ("fig14", None, 0.05, 2),  # chunked
+    ],
+    ids=["declared", "sweep", "chunked"],
+)
+def test_run_unit_per_planned_unit_matches_campaign(name, sweep, scale, trial_chunks, workers):
+    def as_bytes(result):
+        unit = engine.unit_to_dict(result, scale=scale, trial_chunks=trial_chunks)
+        return encode_body(unit)
+
+    knobs = dict(scale=scale, trial_chunks=trial_chunks, workers=workers)
+    units = engine.plan_units([name], sweep=sweep)
+    try:
+        campaign = engine.run_campaign([name], sweep=sweep, **knobs)
+        # Declared variants by name alone: run_unit folds in their params.
+        singles = [
+            engine.run_unit(n, v, params if sweep else None, **knobs) for n, v, params in units
+        ]
+    finally:
+        engine.shutdown_pool()
+    assert [(r.experiment, r.variant) for r in campaign] == [(n, v) for n, v, _ in units]
+    assert all(r.status == "ok" for r in campaign)
+    assert [as_bytes(r) for r in singles] == [as_bytes(r) for r in campaign]
 
 
 def test_run_unit_validates_input():
