@@ -3,11 +3,13 @@
 The ``fast`` waveform backend deliberately gives up bit-parity with the
 ``legacy``/``batch`` reference: it consumes the random stream
 differently (frequency-domain noise from a dedicated substream), uses
-shared padded FFT sizes, a fused NCC normalisation and right-sized
-channel FIRs.  Its correctness claim is therefore *statistical*: on the
-same seed it is an equally valid realisation of the same simulated
-experiment, so every figure's measured metrics must land within
-pre-registered tolerances of the batch reference.
+shared padded FFT sizes, a fused NCC normalisation and a strided-Gram
+candidate gate (one ``(S, S)`` Gram per candidate, normalised after the
+product; its scores move by at most a few ulps, ~1e-15, so it needs no
+tolerance of its own).  Its correctness claim is therefore
+*statistical*: on the same seed it is an equally valid realisation of
+the same simulated experiment, so every figure's measured metrics must
+land within pre-registered tolerances of the batch reference.
 
 This module is the tolerance registry — the single place where "how
 far may fast drift" is written down (DESIGN.md §7 explains how the

@@ -8,9 +8,11 @@ streams:
 
 * normalised cross-correlation shares cached template/window spectra
   and stacks equal-FFT-length streams into single transforms;
-* candidate gating stacks *every* stream's shortlisted windows into one
-  exact-parity GEMM per flush (scalar-reduction fallback where BLAS
-  does not reproduce ``ddot`` bitwise);
+* candidate gating scores *every* stream's shortlisted windows in one
+  call per flush: the parity backends stack them into one exact-parity
+  GEMM (scalar-reduction fallback where BLAS does not reproduce
+  ``ddot`` bitwise); the fast backend computes one strided Gram per
+  candidate and never copies the windows;
 * LS channel estimation FFTs all detected streams' OFDM symbols in one
   stacked transform and accumulates per-symbol terms in legacy order;
 * peak scans are vectorised comparisons instead of per-sample Python.
@@ -54,13 +56,13 @@ def detect_preamble_batch(
     """Batched :func:`repro.ranging.detector.detect_preamble`.
 
     One NCC pass over all long-enough streams (grouped by transform
-    length), one cross-stream candidate-gate GEMM over every stream's
+    length), one cross-stream candidate-gate call over every stream's
     shortlisted windows (:func:`segment_autocorrelation_scores_multi`),
     then the scalar accept logic per stream on the bit-identical
     correlation arrays and scores.
 
     ``fast=True`` swaps in the non-parity kernels: fused-normalisation
-    NCC over one shared transform length and the forced-GEMM candidate
+    NCC over one shared transform length and the strided-Gram candidate
     gate.  Same candidate logic on last-ulp-different scores — the
     statistical contract of the fast backend.
     """
@@ -83,7 +85,7 @@ def detect_preamble_batch(
     signs = preamble.config.pn_signs
     window = stride * num_symbols
     # Shortlist candidates per stream, then score every stream's
-    # windows in a single stacked GEMM instead of one call per stream.
+    # windows in a single gate call instead of one call per stream.
     pending: List[tuple] = []  # (result row, ncc, config, valid starts)
     for k, i in enumerate(eligible):
         cfg = configs[i] or DetectionConfig()

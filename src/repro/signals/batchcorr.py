@@ -19,6 +19,10 @@ hypothesis and `tests/test_batch_parity.py` relies on end to end:
   sign handling are restructured, using identities that are exact in
   IEEE-754 (``|-x| == |x|``, ``(-x)·y == -(x·y)``, ``1.0*x == x``).
 
+The fast backend's kernels (:func:`normalized_cross_correlation_fused`
+and the strided-Gram gate behind ``force_gemm=True``) are the
+exceptions: same mathematics, different rounding.
+
 Grouping helper
 ---------------
 Streams in one batch usually differ in length by a few samples, but
@@ -502,26 +506,114 @@ def _gemm_gate_scores(W: np.ndarray, signs: Sequence[int]) -> np.ndarray:
     ``matmul`` over a 3-D stack runs one independent GEMM per slice, so
     each candidate's score depends only on its own windows — stacking
     candidates from *many streams* into one call changes nothing per
-    candidate (the cross-stream single-GEMM gate relies on this).
+    candidate (the cross-stream single-GEMM gate relies on this).  The
+    slab is the caller's private scratch: it is normalised in place
+    (the same IEEE division as ``W / norms``, without a second slab).
     """
-    num_segments = W.shape[1]
     G = W @ W.transpose(0, 2, 1)
-    idx = np.arange(num_segments)
+    safe, degenerate = _gram_norms(G)
+    U = np.divide(W, safe[:, :, None], out=W)
+    G2 = U @ U.transpose(0, 2, 1)
+    return _signed_pair_mean(G2, signs, degenerate)
+
+
+def _gram_norms(G: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-segment norms from a ``(K, S, S)`` Gram stack's diagonal.
+
+    Returns ``(safe, degenerate)``: the norms with every degenerate
+    (``<= 1e-12``) one replaced by 1.0 so dividing by them is harmless,
+    and the per-candidate mask of candidates that must score 0.0.
+    """
+    idx = np.arange(G.shape[1])
     norms = np.sqrt(G[:, idx, idx])
     degenerate = (norms <= 1e-12).any(axis=1)
-    safe = np.where(norms > 1e-12, norms, 1.0)
-    U = W / safe[:, :, None]
-    G2 = U @ U.transpose(0, 2, 1)
-    total = np.zeros(W.shape[0], dtype=W.dtype)
+    return np.where(norms > 1e-12, norms, 1.0), degenerate
+
+
+def _signed_pair_mean(Gn: np.ndarray, signs: Sequence[int], degenerate: np.ndarray) -> np.ndarray:
+    """Mean PN-signed upper-triangle pair of each normalised Gram.
+
+    An element-wise ``total ± pair`` fold in fixed pair order: each
+    candidate's bits depend on its own Gram only, never on the stack
+    height (a GEMV over the stacked pairs would not promise that).
+    Candidates with a degenerate segment score 0.0.
+    """
+    num_segments = Gn.shape[1]
+    total = np.zeros(Gn.shape[0], dtype=Gn.dtype)
     count = 0
     for a in range(num_segments):
         for b in range(a + 1, num_segments):
-            pair = G2[:, a, b]
+            pair = Gn[:, a, b]
             total = total + (pair if signs[a] * signs[b] == 1 else -pair)
             count += 1
     scores = total / count
     scores[degenerate] = 0.0
     return scores
+
+
+def _strided_gram_scores(
+    streams: Sequence[np.ndarray],
+    starts_per_stream: Sequence[Sequence[int]],
+    signs: Sequence[int],
+    symbol_stride: int,
+    symbol_len: int,
+    dtype: Any,
+) -> np.ndarray:
+    """Fast-backend gate scores: one strided Gram per candidate, no slab.
+
+    Each stream gets a read-only ``(n, segments, symbol_len)`` view
+    whose row ``s`` *is* candidate ``s``'s segment matrix, so a
+    candidate costs one ``(S, L) @ (L, S)`` product written straight
+    into its slot of a ``(K, S, S)`` Gram stack.  Norms come from the
+    Gram's diagonal and the tiny Gram is normalised as ``G / (n nᵀ)``
+    instead of the windows.  Mathematically the parity scores; the
+    bits differ by a few ulps, so the mean is clipped to [-1, 1].
+    Starts must already be validated: ``as_strided`` does no bounds
+    checking.
+    """
+    num_segments = len(signs)
+    total = sum(len(starts) for starts in starts_per_stream)
+    G = np.empty((total, num_segments, num_segments), dtype=dtype)
+    matmul = np.matmul
+    pos = 0
+    for stream, starts in zip(streams, starts_per_stream):
+        if not len(starts):
+            continue
+        stream = np.ascontiguousarray(stream, dtype=dtype)
+        item = stream.itemsize
+        V = np.lib.stride_tricks.as_strided(
+            stream,
+            shape=(stream.size - symbol_stride * num_segments + 1, num_segments, symbol_len),
+            strides=(item, symbol_stride * item, item),
+            writeable=False,
+        )
+        for s in starts:
+            Wk = V[s]
+            matmul(Wk, Wk.T, out=G[pos])
+            pos += 1
+    safe, degenerate = _gram_norms(G)
+    G /= safe[:, :, None] * safe[:, None, :]
+    scores = _signed_pair_mean(G, signs, degenerate)
+    return np.clip(scores, -1.0, 1.0, out=scores)
+
+
+def _check_gate_starts(
+    streams: Sequence[np.ndarray],
+    starts_per_stream: Sequence[Sequence[int]],
+    needed: int,
+) -> None:
+    """Every start must leave a full ``needed``-sample window in its stream."""
+    for stream, starts in zip(streams, starts_per_stream):
+        if not len(starts):
+            continue
+        arr = np.asarray(starts, dtype=np.int64)
+        lo, hi = int(arr.min()), int(arr.max())
+        if lo < 0 or hi + needed > stream.size:
+            bad = lo if lo < 0 else hi
+            raise ValueError(
+                f"gate start {bad} out of range: needs 0 <= start and "
+                f"start + {needed} <= {stream.size}"
+            )
 
 
 def segment_autocorrelation_scores(
@@ -535,11 +627,12 @@ def segment_autocorrelation_scores(
     """Gate scores for many candidate starts of one stream, batched.
 
     Every ``starts[i]`` must satisfy
-    ``0 <= start`` and ``start + stride * len(signs) <= stream.size``.
-    Bit-identical to :func:`segment_autocorrelation` per candidate —
-    unless ``force_gemm`` is set (the fast backend), which always takes
-    the batched GEMM path: same mathematics, possibly different last
-    ulps on platforms where BLAS accumulates differently from ``ddot``.
+    ``0 <= start`` and ``start + stride * len(signs) <= stream.size``;
+    any other start raises ``ValueError``.  Bit-identical to
+    :func:`segment_autocorrelation` per candidate — unless
+    ``force_gemm`` is set (the fast backend), which scores each
+    candidate from its own strided Gram: same mathematics, scores
+    within a few ulps of the reference.
     """
     (scores,) = segment_autocorrelation_scores_multi(
         [stream], [starts], pn_signs, symbol_stride, symbol_len, force_gemm=force_gemm
@@ -555,25 +648,31 @@ def segment_autocorrelation_scores_multi(
     symbol_len: int,
     force_gemm: bool = False,
 ) -> List[np.ndarray]:
-    """Candidate-gate scores for *all streams of a flush* in one GEMM.
+    """Candidate-gate scores for *all streams of a flush* in one call.
 
-    The per-stream gate used to issue one batched ``matmul`` per stream
-    (~0.8 ms/exchange of fixed BLAS/dispatch overhead each).  Here every
-    stream's candidate windows are gathered into a single
-    ``(sum(K_i), segments, symbol_len)`` stack and scored by one
-    :func:`_gemm_gate_scores` call, then split back per stream.  Because
-    ``matmul`` runs an independent GEMM per slice, each candidate's
-    score is bit-identical to the per-stream call's — the parity
-    backends share this path whenever the :func:`_gemm_matches_dot`
-    probe passes, and fall back to the per-candidate scalar reductions
-    (exact :func:`segment_autocorrelation_fast`) where it does not.
-    ``force_gemm`` (the fast backend) skips the probe.
+    The parity backends gather every stream's candidate windows into a
+    single ``(sum(K_i), segments, symbol_len)`` stack and score it with
+    one :func:`_gemm_gate_scores` call, then split the scores back per
+    stream.  Because ``matmul`` runs an independent GEMM per slice,
+    each candidate's score is bit-identical to the per-stream call's —
+    the parity path whenever the :func:`_gemm_matches_dot` probe
+    passes; where it does not, the per-candidate scalar reductions
+    (exact :func:`segment_autocorrelation_fast`) run instead.
+
+    ``force_gemm`` (the fast backend) skips the probe and the slab:
+    :func:`_strided_gram_scores` computes one Gram per candidate from a
+    strided view of its stream.  Every path validates the starts up
+    front and raises ``ValueError`` for a window that leaves its stream.
     """
     if len(streams) != len(starts_per_stream):
         raise ValueError("streams and starts_per_stream must align")
     signs = list(pn_signs)
     num_segments = len(signs)
+    if symbol_len > symbol_stride:
+        raise ValueError(f"symbol_len {symbol_len} exceeds symbol_stride {symbol_stride}")
+    needed = symbol_stride * num_segments
     streams = [as_float_array(s) for s in streams]
+    _check_gate_starts(streams, starts_per_stream, needed)
     dtype = (
         np.result_type(*[s.dtype for s in streams]) if streams else np.float64
     )
@@ -582,7 +681,6 @@ def segment_autocorrelation_scores_multi(
     if total == 0:
         return [np.zeros(0, dtype=dtype) for _ in counts]
     if not force_gemm and not _gemm_matches_dot(num_segments, symbol_len):
-        needed = symbol_stride * num_segments
         out = []
         for stream, starts in zip(streams, starts_per_stream):
             out.append(
@@ -599,21 +697,26 @@ def segment_autocorrelation_scores_multi(
                 )
             )
         return out
-    W = np.empty((total, num_segments, symbol_len), dtype=dtype)
-    pos = 0
-    for stream, starts in zip(streams, starts_per_stream):
-        if not len(starts):
-            continue
-        _gather_windows(
-            stream,
-            starts,
-            num_segments,
-            symbol_stride,
-            symbol_len,
-            out=W[pos : pos + len(starts)],
+    if force_gemm:
+        scores = _strided_gram_scores(
+            streams, starts_per_stream, signs, symbol_stride, symbol_len, dtype
         )
-        pos += len(starts)
-    scores = _gemm_gate_scores(W, signs)
+    else:
+        W = np.empty((total, num_segments, symbol_len), dtype=dtype)
+        pos = 0
+        for stream, starts in zip(streams, starts_per_stream):
+            if not len(starts):
+                continue
+            _gather_windows(
+                stream,
+                starts,
+                num_segments,
+                symbol_stride,
+                symbol_len,
+                out=W[pos : pos + len(starts)],
+            )
+            pos += len(starts)
+        scores = _gemm_gate_scores(W, signs)
     out = []
     pos = 0
     for k in counts:

@@ -198,6 +198,106 @@ class TestSegmentAutocorrelationParity:
         assert batchcorr.segment_autocorrelation_fast(window, signs, stride, symbol_len) == 0.0
 
 
+def _fast_gate(stream, starts, signs, stride, symbol_len):
+    return batchcorr.segment_autocorrelation_scores(
+        stream, starts, signs, stride, symbol_len, force_gemm=True
+    )
+
+
+class TestFastGateProperties:
+    """The strided-Gram gate of the fast backend (``force_gemm=True``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        symbol_len=st.integers(1, 48),
+        cp=st.integers(0, 16),
+        num_symbols=st.integers(2, 5),
+        n_candidates=st.integers(1, 8),
+        periodic=st.booleans(),
+    )
+    def test_close_to_scalar_and_bounded(
+        self, seed, symbol_len, cp, num_symbols, n_candidates, periodic
+    ):
+        rng = _rng(seed)
+        stride = symbol_len + cp
+        needed = stride * num_symbols
+        signs = tuple(int(s) for s in rng.choice([-1, 1], size=num_symbols))
+        scale = 10.0 ** rng.uniform(-4, 2)
+        if periodic:
+            # A clean PN-signed repetition scores at the +1 edge.
+            body = rng.standard_normal(stride)
+            stream = np.concatenate([s * body for s in signs] + [body])
+            stream += 1e-9 * rng.standard_normal(stream.size)
+        else:
+            stream = rng.standard_normal(needed + int(rng.integers(0, 200)))
+        stream *= scale
+        starts = [int(s) for s in rng.integers(0, stream.size - needed + 1, n_candidates)]
+        got = _fast_gate(stream, starts, signs, stride, symbol_len)
+        assert got.dtype == np.float64
+        assert np.all((got >= -1.0) & (got <= 1.0))
+        for start, score in zip(starts, got):
+            want = segment_autocorrelation(
+                stream[start : start + needed], signs, stride, symbol_len
+            )
+            assert abs(score - want) <= 1e-12
+
+    @pytest.mark.parametrize("segment", [0, 2, 3])
+    def test_zero_segment_scores_exactly_zero(self, segment):
+        stride, symbol_len = 60, 48
+        signs = (1, 1, -1, 1)
+        stream = _rng(segment).standard_normal(stride * 4 + 30)
+        start = 17
+        seg = start + segment * stride
+        stream[seg : seg + symbol_len] = 0.0
+        (score,) = _fast_gate(stream, [start], signs, stride, symbol_len)
+        assert score == 0.0
+
+    def test_float32_streams_give_float32_scores(self):
+        stride, symbol_len = 60, 48
+        stream = _rng(3).standard_normal(stride * 4 + 100).astype(np.float32)
+        scores = _fast_gate(stream, [0, 50, 100], (1, 1, -1, 1), stride, symbol_len)
+        assert scores.dtype == np.float32
+        want = batchcorr.segment_autocorrelation_scores(
+            stream.astype(np.float64), [0, 50, 100], (1, 1, -1, 1), stride, symbol_len
+        )
+        assert np.allclose(scores, want, atol=1e-5)
+
+    @pytest.mark.parametrize("path", ["fast", "probe_passes", "probe_fails"])
+    @pytest.mark.parametrize("bad", [-5, -1, "tail"])
+    def test_out_of_range_start_raises_on_every_path(self, monkeypatch, path, bad):
+        stride, symbol_len = 60, 48
+        signs = (1, 1, -1, 1)
+        stream = _rng(0).standard_normal(stride * 4 + 30)
+        start = stream.size - stride * 4 + 1 if bad == "tail" else bad
+        if path != "fast":
+            monkeypatch.setitem(
+                batchcorr._GEMM_PROBE, (len(signs), symbol_len), path == "probe_passes"
+            )
+        with pytest.raises(ValueError, match="out of range"):
+            batchcorr.segment_autocorrelation_scores(
+                stream, [0, start], signs, stride, symbol_len, force_gemm=path == "fast"
+            )
+        with pytest.raises(ValueError, match="out of range"):
+            batchcorr.segment_autocorrelation_scores_multi(
+                [stream[:10], stream],
+                [[], [start]],
+                signs,
+                stride,
+                symbol_len,
+                force_gemm=path == "fast",
+            )
+
+    def test_last_valid_start_is_accepted(self):
+        stride, symbol_len = 60, 48
+        signs = (1, 1, -1, 1)
+        stream = _rng(1).standard_normal(stride * 4 + 30)
+        last = stream.size - stride * 4
+        fast = _fast_gate(stream, [0, last], signs, stride, symbol_len)
+        want = segment_autocorrelation(stream[last:], signs, stride, symbol_len)
+        assert abs(fast[1] - want) <= 1e-12
+
+
 class TestRenderParity:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_taps=st.integers(1, 40))
