@@ -271,10 +271,7 @@ def bench_kernels() -> Dict[str, Dict[str, float]]:
     from repro.ranging.batch import power_threshold_hits
     from repro.ranging.detector import detect_power_threshold
     from repro.signals import batchcorr
-    from repro.signals.correlation import (
-        normalized_cross_correlation,
-        sliding_autocorrelation,
-    )
+    from repro.signals.correlation import normalized_cross_correlation
     from repro.signals.peaks import local_peak_indices
     from repro.signals.preamble import make_preamble
 
@@ -330,26 +327,8 @@ def bench_kernels() -> Dict[str, Dict[str, float]]:
         ),
     }
 
-    # Candidate gate: sliding segment autocorrelation at 32 offsets.
-    stream = rng.standard_normal(20_000)
-    cands = np.sort(rng.integers(0, 8_000, 32))
-    cfg = preamble.config
-    out["sliding_autocorrelation_32"] = {
-        "legacy": _time_call(
-            lambda: sliding_autocorrelation(
-                stream, cands, cfg.pn_signs, cfg.symbol_stride, cfg.ofdm.n_fft
-            ),
-            3,
-        ),
-        "batch": _time_call(
-            lambda: batchcorr.sliding_autocorrelation_batch(
-                stream, cands, cfg.pn_signs, cfg.symbol_stride, cfg.ofdm.n_fft
-            ),
-            3,
-        ),
-    }
-
     # Power-threshold detector across the Fig. 12a threshold sweep.
+    stream = rng.standard_normal(20_000)
     thresholds = (3.0, 6.0, 10.0, 15.0, 20.0)
     out["power_threshold_5_thresholds"] = {
         "legacy": _time_call(

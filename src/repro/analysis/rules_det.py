@@ -14,7 +14,7 @@ must never influence cache-keyed bytes (DESIGN.md §9: the cache key
 deliberately excludes them).  The mechanical enforcement is choke-point
 based: only the sanctioned knob-parsing helpers may read ``os.environ``
 at all — everything else takes knob values as arguments, so a reviewer
-can audit knob influence by reading four modules.
+can audit knob influence by reading two modules.
 """
 
 from __future__ import annotations
@@ -57,12 +57,9 @@ _DET_EXEMPT_PREFIXES = (
 )
 
 #: The sanctioned ``os.environ`` choke points (ENV001): the defensive
-#: knob parsers in batchcorr, the array-backend resolver, the worker
-#: pool's shm threshold, and the cache store's eviction budget.
+#: knob parsers in batchcorr and the cache store's eviction budget.
 _ENV_SANCTIONED_MODULES = {
     "repro.signals.batchcorr",
-    "repro.signals.xp",
-    "repro.experiments.pool",
     "repro.service.store",
 }
 
@@ -147,7 +144,7 @@ class EnvironReadRule(Rule):
     id = "ENV001"
     contract = (
         "os.environ is read only by the sanctioned knob helpers (batchcorr, "
-        "xp, pool, store); knobs never shape cache-keyed bytes (DESIGN.md §9)."
+        "store); knobs never shape cache-keyed bytes (DESIGN.md §9)."
     )
     hint = (
         "parse the knob through repro.signals.batchcorr.env_int/env_str (or "

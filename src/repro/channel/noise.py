@@ -145,8 +145,8 @@ def _band_gain_shape(num_samples: int, sample_rate: float) -> np.ndarray:
     once).
     """
     # The bin grid is a float64 design artefact (it feeds sosfreqz), so
-    # the parity-pinned float64 numpy context supplies the binding.
-    freqs = get_context("float64", namespace="numpy").rfftfreq(num_samples, 1.0 / sample_rate)
+    # the parity-pinned float64 context supplies the binding.
+    freqs = get_context("float64").rfftfreq(num_samples, 1.0 / sample_rate)
     _, h = sp_signal.sosfreqz(
         _bandpass_sos_design(sample_rate), worN=freqs, fs=sample_rate
     )

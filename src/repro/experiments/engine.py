@@ -387,6 +387,18 @@ def check_request(
         )
 
 
+def check_workers(workers: int) -> None:
+    """Reject a worker count below 1 (``ValueError``) before any compute.
+
+    ``workers`` is an execution knob, not part of the request, so it is
+    checked apart from :func:`check_request`; the runner and service
+    CLIs call this too, so a bad ``--workers`` exits 2 instead of
+    silently running serial.
+    """
+    if workers < 1:
+        raise ValueError(f"'workers' must be >= 1, got {workers}")
+
+
 def chunk_share(count: int, chunk: Optional[Tuple[int, int]]) -> int:
     """This chunk's share of ``count`` trials (all of them when unchunked).
 
@@ -568,16 +580,16 @@ def _job_result(
     )
 
 
-def _execute(
-    job: _Job, base_seed: int, scale: float, pipeline: Optional[int] = None
-) -> ExperimentResult:
-    """Run one job in this process; module-level so workers can run it.
+def _execute(payload: Tuple[_Job, int, float, Optional[int]]) -> ExperimentResult:
+    """Run one ``(job, base_seed, scale, pipeline)`` payload in this process.
 
+    Module-level so pool workers can run it on the payload as sent.
     ``pipeline`` overrides the flush-pipeline depth for waveform
     experiments (those declaring ``backends``).  It is an execution
     knob, not a parameter: results are bit-identical at every depth, so
     it is deliberately kept out of the recorded ``params``.
     """
+    job, base_seed, scale, pipeline = payload
     name, _, params, chunk = job
     spec = get_spec(name)
     kwargs = dict(params)
@@ -595,23 +607,6 @@ def _execute(
     return _job_result(job, base_seed, seed_seq, output, error, time.perf_counter() - start)
 
 
-def _execute_job(payload: Tuple) -> ExperimentResult:
-    """Worker-side wrapper: run one job, park large raw arrays in shm.
-
-    ``payload`` is ``(job, base_seed, scale, pipeline)``.  The result
-    crosses the pipe with big per-trial arrays replaced by shared-memory
-    descriptors (:func:`repro.experiments.pool.shm_export`); the
-    parent's :meth:`WorkerPool.map` resolves them back before the result
-    reaches the merge stream.
-    """
-    from repro.experiments.pool import shm_export
-
-    result = _execute(*payload)
-    if result.raw is not None:
-        result = dataclasses.replace(result, raw=shm_export(result.raw))
-    return result
-
-
 #: The process-wide campaign pool: ``(worker_count, WorkerPool)``.
 #: Persistent across campaigns — re-running figs pays process startup
 #: once, not per call — and rebuilt only when the requested worker
@@ -626,7 +621,7 @@ def _campaign_pool(workers: int):
     if _POOL is None:
         from repro.experiments.pool import WorkerPool
 
-        _POOL = (workers, WorkerPool(workers, _execute_job))
+        _POOL = (workers, WorkerPool(workers, _execute))
     return _POOL[1]
 
 
@@ -723,11 +718,13 @@ def _run_units(
     Each unit's params are its declared variant's params, the explicit
     ``params`` over them, then ``backend``/``precision`` as defaults.
     A chunkable unit expands into ``trial_chunks`` chunk jobs.  Jobs run
-    in process when ``workers <= 1``, else on the persistent pool, where
-    a dead worker's job becomes an error result.
+    in process when ``workers == 1``, else on the persistent pool, where
+    a dead worker's job becomes an error result; ``workers < 1`` raises
+    ``ValueError`` (:func:`check_workers`).
     Yields one merged result per unit as soon as it is complete.
     """
     global _UNIT_CALLS
+    check_workers(workers)
     units = list(units)
     jobs: List[_Job] = []
     for name, variant, params in units:
@@ -742,16 +739,13 @@ def _run_units(
         chunks = [(i, trial_chunks) for i in range(trial_chunks)] if chunked else [None]
         jobs += [(name, variant, merged, chunk) for chunk in chunks]
     _UNIT_CALLS += len(units)
-    if workers <= 1:
-        raw: Iterable[ExperimentResult] = (
-            _execute(job, base_seed, scale, pipeline) for job in jobs
-        )
+    payloads = [(job, base_seed, scale, pipeline) for job in jobs]
+    if workers == 1:
+        raw: Iterable[ExperimentResult] = map(_execute, payloads)
     else:
         from repro.experiments.pool import WorkerCrash
 
-        outcomes = _campaign_pool(workers).map(
-            [(job, base_seed, scale, pipeline) for job in jobs]
-        )
+        outcomes = _campaign_pool(workers).map(payloads)
         raw = (
             _job_result(job, base_seed, error=outcome.message)
             if isinstance(outcome, WorkerCrash)
@@ -781,9 +775,10 @@ def run_unit(
     backend, precision, trial_chunks)`` — exactly the fields
     :func:`repro.service.cachekey.cache_key` hashes.  ``workers`` and
     ``pipeline`` are execution knobs (chunk parallelism / flush depth)
-    that never change the bytes.  Explicit ``params`` override the
-    declared variant's; an ad-hoc variant name draws the CRC32-extended
-    substream of :func:`variant_seed_sequence`.
+    that never change the bytes; ``workers < 1`` raises ``ValueError``.
+    Explicit ``params`` override the declared variant's; an ad-hoc
+    variant name draws the CRC32-extended substream of
+    :func:`variant_seed_sequence`.
     """
     request = dict(
         base_seed=base_seed,
@@ -824,10 +819,11 @@ def run_campaign(
     that many trial-chunk jobs (each on its own spawned substream) and
     merges them after execution: ``--workers`` then parallelises inside
     an experiment, and the artifact depends only on ``(base_seed,
-    trial_chunks)`` — never on the worker count.  Parallel runs go
-    through a persistent shared-memory worker pool
-    (:mod:`repro.experiments.pool`) that outlives the campaign; call
-    :func:`shutdown_pool` to retire it.  ``backend`` selects the
+    trial_chunks)`` — never on the worker count.  ``workers`` must be
+    at least 1 (``ValueError`` otherwise); above 1, jobs run on a
+    persistent worker pool (:mod:`repro.experiments.pool`) that
+    outlives the campaign and returns each result pickled over a pipe;
+    call :func:`shutdown_pool` to retire it.  ``backend`` selects the
     waveform backend for the whole campaign; every selected experiment
     must declare it in its capability flags.  ``precision`` selects the
     working precision (validated against the backend: only ``fast``

@@ -1,22 +1,21 @@
-"""Persistent worker pool with shared-memory result transport.
+"""Persistent worker pool with exact failure attribution.
 
 ``concurrent.futures.ProcessPoolExecutor`` has two costs the campaign
 engine outgrew.  First, a worker-process death (OOM kill, segfault,
 ``SystemExit``) breaks the whole pool: *every* outstanding future
 raises ``BrokenProcessPool`` and the campaign aborts, even though only
 one job was actually lost.  Second, a throwaway pool per campaign pays
-process startup plus full-result pickling on every run, which puts a
-serialization floor under ``--workers`` scaling.
+process startup on every run.
 
 :class:`WorkerPool` replaces it with a deliberately small design:
 
 * **One duplex pipe per worker, one job in flight per worker.**  The
   parent dispatches a job to an idle worker over its pipe and reads the
-  result back on the same pipe.  Because a worker never holds more than
-  one job, a dead worker's casualty set is exactly its in-flight job —
-  the parent can fail *that* job and keep every other result, which is
-  what lets a campaign finish with ``status="error"`` for the killed
-  job only.
+  pickled result back on the same pipe.  Because a worker never holds
+  more than one job, a dead worker's casualty set is exactly its
+  in-flight job — the parent can fail *that* job and keep every other
+  result, which is what lets a campaign finish with ``status="error"``
+  for the killed job only.
 * **Prompt death detection.**  ``multiprocessing.connection.wait``
   marks a pipe readable when the peer process dies, so the parent sees
   ``EOFError``/``OSError`` on ``recv`` immediately instead of waiting
@@ -26,12 +25,10 @@ serialization floor under ``--workers`` scaling.
   jobs are never lost — they are simply dispatched to the replacement —
   and when the budget is gone and no workers remain, the remaining jobs
   drain as :class:`WorkerCrash` outcomes instead of hanging.
-* **Shared-memory result transport.**  Workers move large ndarrays in
-  their results into ``multiprocessing.shared_memory`` segments
-  (:func:`shm_export`) and ship only small descriptors over the pipe;
-  the parent reattaches, copies out and unlinks (:func:`shm_import`).
-  Arrays below :func:`shm_min_bytes` travel pickled as before — the
-  segment setup would cost more than it saves.
+
+Results cross the pipe pickled.  Campaign results are small: the
+largest raw array any chunkable figure returns at scale 1 is 1,200
+bytes, so a zero-copy transport would have nothing to carry.
 
 Inside the worker, ``BaseException`` (not just ``Exception``) is caught
 around the job runner, so a stray ``SystemExit`` is reported as a
@@ -40,44 +37,12 @@ around the job runner, so a stray ``SystemExit`` is reported as a
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing as mp
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import shared_memory
 from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
-
-import numpy as np
-
-from repro.signals.batchcorr import env_int
-
-#: Arrays below this many bytes are pickled over the pipe instead of
-#: copied through a shared-memory segment (override with
-#: ``REPRO_SHM_MIN_BYTES``); segment create/attach/unlink overhead only
-#: pays for itself on large trial arrays.
-SHM_DEFAULT_MIN_BYTES = 1 << 14
-
-
-def shm_min_bytes() -> int:
-    """Minimum ndarray size routed through shared memory."""
-    return env_int("REPRO_SHM_MIN_BYTES", SHM_DEFAULT_MIN_BYTES, minimum=0)
-
-
-@dataclass(frozen=True)
-class ShmArray:
-    """Descriptor for an ndarray parked in a shared-memory segment.
-
-    The worker that created the segment has already closed its mapping
-    and unregistered the segment from its ``resource_tracker`` — the
-    receiving parent owns the lifetime and must attach, copy, and
-    unlink exactly once (:func:`shm_import`).
-    """
-
-    name: str
-    shape: tuple
-    dtype: str
 
 
 @dataclass(frozen=True)
@@ -85,91 +50,6 @@ class WorkerCrash:
     """Outcome of a job whose worker died or raised past the runner."""
 
     message: str
-
-
-def _array_to_shm(arr: np.ndarray) -> Any:
-    """Park one array in a fresh segment; fall back to the array itself."""
-    try:
-        arr = np.ascontiguousarray(arr)
-        shm = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
-    except OSError:  # pragma: no cover - /dev/shm unavailable or full
-        return arr
-    try:
-        np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)[...] = arr
-        descriptor = ShmArray(shm.name, tuple(arr.shape), arr.dtype.str)
-    except BaseException:  # pragma: no cover - copy failure
-        shm.close()
-        shm.unlink()
-        raise
-    shm.close()
-    try:
-        # The parent unlinks; without this the worker's resource tracker
-        # would unlink the segment again at exit and warn about a leak.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals moved
-        pass
-    return descriptor
-
-
-def shm_export(value: Any, min_bytes: Optional[int] = None) -> Any:
-    """Recursively move large ndarrays in ``value`` into shared memory.
-
-    Returns an equal-shaped structure (dicts/lists/tuples preserved)
-    with qualifying arrays replaced by :class:`ShmArray` descriptors.
-    Called in the worker, on its result payload, just before the pipe
-    send.
-    """
-    if min_bytes is None:
-        min_bytes = shm_min_bytes()
-    if isinstance(value, np.ndarray):
-        if value.nbytes >= min_bytes:
-            return _array_to_shm(value)
-        return value
-    if isinstance(value, dict):
-        return {k: shm_export(v, min_bytes) for k, v in value.items()}
-    if isinstance(value, list):
-        return [shm_export(v, min_bytes) for v in value]
-    if isinstance(value, tuple):
-        return tuple(shm_export(v, min_bytes) for v in value)
-    return value
-
-
-def shm_import(value: Any) -> Any:
-    """Resolve :class:`ShmArray` descriptors back to owned ndarrays.
-
-    Attaches to each segment, copies the data out, then closes and
-    unlinks it — after this returns, no shared memory remains behind
-    the structure.  Called in the parent, on each received result.
-    Walks dataclasses too (results wrap their payload in one), so a
-    descriptor is found wherever the exporter parked it.
-    """
-    if isinstance(value, ShmArray):
-        shm = shared_memory.SharedMemory(name=value.name)
-        try:
-            arr = np.ndarray(
-                value.shape, dtype=np.dtype(value.dtype), buffer=shm.buf
-            ).copy()
-        finally:
-            shm.close()
-            shm.unlink()
-        return arr
-    if isinstance(value, dict):
-        return {k: shm_import(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [shm_import(v) for v in value]
-    if isinstance(value, tuple):
-        return tuple(shm_import(v) for v in value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        changes = {
-            f.name: imported
-            for f in dataclasses.fields(value)
-            if (imported := shm_import(getattr(value, f.name)))
-            is not getattr(value, f.name)
-        }
-        return dataclasses.replace(value, **changes) if changes else value
-    return value
 
 
 def _worker_main(conn, runner: Callable[[Any], Any], close_first: Sequence) -> None:
@@ -295,8 +175,8 @@ class WorkerPool:
         """Run ``runner(payload)`` for each payload; order-preserving.
 
         Each element of the returned list is either the runner's return
-        value (with :class:`ShmArray` descriptors already resolved) or
-        a :class:`WorkerCrash` describing why that job has no result.
+        value, as received, or a :class:`WorkerCrash` describing why
+        that job has no result.
         Never raises for worker failure.
         """
         self._ensure_workers()
@@ -345,7 +225,7 @@ class WorkerPool:
                     self._on_death(worker, outcomes)
                     continue
                 if status == "ok":
-                    outcomes[worker.job] = shm_import(value)
+                    outcomes[worker.job] = value
                 else:
                     outcomes[worker.job] = WorkerCrash(value)
                 worker.job = None

@@ -239,6 +239,7 @@ def main(argv=None) -> int:
             backend=args.backend,
             precision=args.precision,
         )
+        engine.check_workers(args.workers)
         sweep = _parse_sweep(args.sweep)
     except KeyError as exc:
         print(exc.args[0])

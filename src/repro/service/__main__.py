@@ -36,8 +36,9 @@ from repro.service.store import CacheStore, CacheStoreError
 def _cmd_serve(args) -> int:
     store = CacheStore(args.cache_dir, max_bytes=args.max_bytes)
     try:
+        engine.check_workers(args.engine_workers)
         store.ensure_writable()
-    except CacheStoreError as exc:
+    except (CacheStoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -93,6 +94,7 @@ def _unit_requests(args) -> List[UnitRequest]:
 
 def _cmd_warm(args) -> int:
     try:
+        engine.check_workers(args.workers)
         requests = _unit_requests(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

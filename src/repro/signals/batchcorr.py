@@ -41,12 +41,11 @@ import numpy as np
 
 from repro.signals.xp import as_float_array, get_context, precision_of
 
-#: Parity-tier FFT bindings.  The batch backend is pinned to float64
-#: numpy bits regardless of ``REPRO_ARRAY_BACKEND``, and the float64
-#: numpy context binds exactly the historic ``scipy.fft``
-#: rfft/irfft/next_fast_len — so routing through the facade here is a
-#: pure aliasing change (parity epoch 2 baselines unaffected).
-_PARITY_CTX = get_context("float64", namespace="numpy")
+#: Parity-tier FFT bindings.  The float64 context binds exactly the
+#: historic ``scipy.fft`` rfft/irfft/next_fast_len — so routing through
+#: the facade here is a pure aliasing change (parity epoch 2 baselines
+#: unaffected).
+_PARITY_CTX = get_context("float64")
 
 #: (variable, value) pairs already warned about, so a long campaign
 #: complains once per bad setting instead of once per chunk flush.
@@ -190,41 +189,6 @@ def _grouped_rows(
         nf = _PARITY_CTX.next_fast_len(streams[idx].size + template_size - 1, True)
         groups.setdefault(nf, []).append(idx)
     return groups
-
-
-def cross_correlate_batch(
-    streams: Sequence[np.ndarray], template: CachedTemplate | np.ndarray
-) -> List[np.ndarray]:
-    """Batched :func:`repro.signals.correlation.cross_correlate`.
-
-    Returns one correlation array per stream, bit-identical to the
-    scalar function.  Rows are grouped by transform length and the
-    template spectrum is reused across the whole batch.
-    """
-    tmpl = template if isinstance(template, CachedTemplate) else CachedTemplate(template)
-    streams = [np.asarray(s, dtype=float) for s in streams]  # repro: allow[DTYPE001] parity is f64
-    for s in streams:
-        if s.size == 0:
-            raise ValueError("stream and template must be non-empty")
-    out: List[Optional[np.ndarray]] = [None] * len(streams)
-    start = tmpl.size - 1
-    fft_rows = []
-    for idx, s in enumerate(streams):
-        if tmpl.size == 1 or s.size == 1:
-            # fftconvolve drops length-1 axes and multiplies directly.
-            corr = s * tmpl._reversed
-            out[idx] = corr[start : start + s.size].copy()
-        else:
-            fft_rows.append(idx)
-    for nf, rows in _grouped_rows(streams, fft_rows, tmpl.size).items():
-        stacked = _stack_padded(streams, rows, nf)
-        spec = _PARITY_CTX.rfft(stacked, nf, axis=-1)
-        corr = _PARITY_CTX.irfft(spec * tmpl.reversed_fft(nf), nf, axis=-1)
-        for k, idx in enumerate(rows):
-            n = streams[idx].size
-            full = n + tmpl.size - 1
-            out[idx] = corr[k, :full][start : start + n].copy()
-    return out  # type: ignore[return-value]
 
 
 def normalized_cross_correlation_batch(
@@ -384,16 +348,6 @@ def local_peak_indices_fast(values: np.ndarray, min_height: float = 0.0) -> np.n
     if values.size == 0:
         return np.array([], dtype=int)
     return np.nonzero((values > min_height) & peak_mask(values))[0]
-
-
-def local_peak_indices_batch(
-    values: np.ndarray, min_height: float = 0.0
-) -> List[np.ndarray]:
-    """Row-wise peak indices of a ``(batch, n)`` array."""
-    values = as_float_array(values)
-    if values.ndim != 2:
-        raise ValueError("expected a 2-D (batch, n) array")
-    return [local_peak_indices_fast(row, min_height) for row in values]
 
 
 def _segment_matrix(
@@ -723,29 +677,3 @@ def segment_autocorrelation_scores_multi(
         out.append(scores[pos : pos + k])
         pos += k
     return out
-
-
-def sliding_autocorrelation_batch(
-    stream: np.ndarray,
-    candidates,
-    pn_signs,
-    symbol_stride: int,
-    symbol_len: int,
-) -> np.ndarray:
-    """Batched :func:`repro.signals.correlation.sliding_autocorrelation`."""
-    stream = np.asarray(stream, dtype=float)  # repro: allow[DTYPE001] parity is f64
-    signs = list(pn_signs)
-    needed = symbol_stride * len(signs)
-    scores = np.zeros(len(candidates))
-    valid = [
-        (i, int(start))
-        for i, start in enumerate(candidates)
-        if 0 <= int(start) and int(start) + needed <= stream.size
-    ]
-    if valid:
-        batch = segment_autocorrelation_scores(
-            stream, [s for _, s in valid], signs, symbol_stride, symbol_len
-        )
-        for (i, _), score in zip(valid, batch):
-            scores[i] = score
-    return scores

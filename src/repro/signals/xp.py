@@ -1,21 +1,17 @@
-"""Array-namespace / precision facade for the batched waveform kernels.
+"""Precision facade for the batched waveform kernels.
 
 Every batched kernel (stacked NCC, shared-FFT channel rendering, the
-GEMM candidate gate, synthesized noise) takes its array namespace and
-dtypes from here instead of hardcoding ``np.`` and float64.  The
-facade resolves three things as one immutable :class:`ArrayContext`:
+GEMM candidate gate, synthesized noise) takes its dtypes and FFT
+bindings from here instead of hardcoding float64 and ``scipy.fft``.
+The facade resolves two things as one immutable :class:`ArrayContext`:
 
-* the array namespace — numpy by default; CuPy or torch via the
-  ``REPRO_ARRAY_BACKEND`` env knob when installed (array-api-compat
-  style: the knob names the namespace, resolution falls back to numpy
-  with a one-time warning when the value is unknown or the package is
-  missing, mirroring the defensive ``env_int`` parse in
-  :mod:`repro.signals.batchcorr`);
 * the working precision — ``"float64"`` (the bit-parity reference
   tier) or ``"float32"`` (the statistical-contract fast tier);
-* the FFT bindings for that (namespace, precision) pair.
+* the FFT bindings for that precision.
 
-The float64 numpy context binds exactly the functions the kernels
+Arrays are always numpy; the kernels call ``np.`` directly.
+
+The float64 context binds exactly the functions the kernels
 historically called — ``scipy.fft`` ``rfft``/``irfft``/
 ``next_fast_len`` and ``np.fft`` ``fft``/``ifft`` — so routing the
 kernels through the facade changes no bits on the reference path; the
@@ -27,11 +23,8 @@ accepts ``workers=`` for threaded stacked transforms.
 
 from __future__ import annotations
 
-import importlib.util
-import os
-import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 import scipy.fft as _sp_fft
@@ -41,7 +34,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "ArrayContext",
     "get_context",
-    "resolve_namespace",
     "precision_of",
     "as_float_array",
     "as_complex_array",
@@ -52,58 +44,8 @@ PRECISIONS: Tuple[str, ...] = ("float64", "float32")
 
 DEFAULT_PRECISION = "float64"
 
-#: Array namespaces the env knob may name.  numpy is always available;
-#: the others resolve only when actually importable.
-_KNOWN_NAMESPACES: Tuple[str, ...] = ("numpy", "cupy", "torch")
-
 _REAL_DTYPES = {"float64": np.dtype(np.float64), "float32": np.dtype(np.float32)}
 _COMPLEX_DTYPES = {"float64": np.dtype(np.complex128), "float32": np.dtype(np.complex64)}
-
-#: Messages already emitted, so a bad env value warns once per process
-#: (same contract as ``batchcorr._ENV_WARNED``).
-_ENV_WARNED: Set[str] = set()
-
-
-def _warn_once(message: str) -> None:
-    if message in _ENV_WARNED:
-        return
-    _ENV_WARNED.add(message)
-    warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
-def _resolve_name(name: Optional[str] = None) -> str:
-    """Defensive parse of the namespace choice (arg wins over env)."""
-    raw = name if name is not None else os.environ.get("REPRO_ARRAY_BACKEND")
-    if raw is None:
-        return "numpy"
-    choice = str(raw).strip().lower()
-    if not choice or choice == "numpy":
-        return "numpy"
-    if choice not in _KNOWN_NAMESPACES:
-        _warn_once(
-            f"REPRO_ARRAY_BACKEND={raw!r} is not a known array backend "
-            f"(choose from {', '.join(_KNOWN_NAMESPACES)}); falling back to numpy"
-        )
-        return "numpy"
-    if importlib.util.find_spec(choice) is None:
-        _warn_once(
-            f"REPRO_ARRAY_BACKEND={raw!r} is not installed; falling back to numpy"
-        )
-        return "numpy"
-    return choice
-
-
-def resolve_namespace(name: Optional[str] = None) -> Any:
-    """Return the array namespace module for ``name`` (default: env knob).
-
-    Unknown or uninstalled choices warn once and fall back to numpy,
-    so a stray ``REPRO_ARRAY_BACKEND`` can never break a campaign.
-    """
-    resolved = _resolve_name(name)
-    if resolved == "numpy":
-        return np
-    module = importlib.import_module(resolved)
-    return module
 
 
 def precision_of(dtype: Any) -> str:
@@ -139,10 +81,10 @@ def as_complex_array(values: Any) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ArrayContext:
-    """One resolved (namespace, precision) pair plus its FFT bindings."""
+    """One working precision plus its dtypes and FFT bindings."""
 
+    #: Always ``"numpy"``; benchmark artifacts record it.
     name: str
-    xp: Any
     precision: str
     real_dtype: np.dtype
     complex_dtype: np.dtype
@@ -153,132 +95,40 @@ class ArrayContext:
     next_fast_len: Callable[..., int]
     rfftfreq: Callable[..., Any]
 
-    @property
-    def is_single(self) -> bool:
-        return self.precision == "float32"
 
-    def asreal(self, values: Any) -> Any:
-        """Coerce to this context's real working dtype."""
-        return self.xp.asarray(values, dtype=self.real_dtype)
-
-
-def _drop_workers(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Adapt an FFT callable that has no ``workers=`` parameter."""
-
-    def wrapped(a, n=None, axis=-1, workers=None, **kwargs):
-        del workers
-        return fn(a, n, axis, **kwargs)
-
-    return wrapped
-
-
-def _torch_fft_bindings() -> Dict[str, Callable[..., Any]]:
-    """torch.fft uses ``dim=`` instead of ``axis=``; adapt the facade."""
-    import torch
-
-    def _adapt(fn):
-        def wrapped(a, n=None, axis=-1, workers=None):
-            del workers
-            return fn(a, n=n, dim=axis)
-
-        return wrapped
-
-    return {
-        "rfft": _adapt(torch.fft.rfft),
-        "irfft": _adapt(torch.fft.irfft),
-        "fft": _adapt(torch.fft.fft),
-        "ifft": _adapt(torch.fft.ifft),
-    }
+def _build_context(precision: str) -> ArrayContext:
+    # float64 keeps the historic bindings: scipy.fft for the real
+    # stacked transforms, np.fft for the OFDM fft/ifft pair.  Changing
+    # either would shift parity-epoch bits.
+    single = precision == "float32"
+    return ArrayContext(
+        name="numpy",
+        precision=precision,
+        real_dtype=_REAL_DTYPES[precision],
+        complex_dtype=_COMPLEX_DTYPES[precision],
+        rfft=_sp_fft.rfft,
+        irfft=_sp_fft.irfft,
+        fft=_sp_fft.fft if single else np.fft.fft,
+        ifft=_sp_fft.ifft if single else np.fft.ifft,
+        next_fast_len=_sp_fft.next_fast_len,
+        rfftfreq=np.fft.rfftfreq,
+    )
 
 
-def _build_context(name: str, precision: str) -> ArrayContext:
-    real = _REAL_DTYPES[precision]
-    cplx = _COMPLEX_DTYPES[precision]
-    if name == "numpy":
-        if precision == "float64":
-            # Historic bindings: scipy.fft for the real stacked
-            # transforms, np.fft for the OFDM fft/ifft pair.  Changing
-            # either would shift parity-epoch bits.
-            return ArrayContext(
-                name=name,
-                xp=np,
-                precision=precision,
-                real_dtype=real,
-                complex_dtype=cplx,
-                rfft=_sp_fft.rfft,
-                irfft=_sp_fft.irfft,
-                fft=np.fft.fft,
-                ifft=np.fft.ifft,
-                next_fast_len=_sp_fft.next_fast_len,
-                rfftfreq=np.fft.rfftfreq,
-            )
-        return ArrayContext(
-            name=name,
-            xp=np,
-            precision=precision,
-            real_dtype=real,
-            complex_dtype=cplx,
-            rfft=_sp_fft.rfft,
-            irfft=_sp_fft.irfft,
-            fft=_sp_fft.fft,
-            ifft=_sp_fft.ifft,
-            next_fast_len=_sp_fft.next_fast_len,
-            rfftfreq=np.fft.rfftfreq,
-        )
-    if name == "cupy":
-        import cupy
-        from cupyx.scipy import fft as cufft
-
-        return ArrayContext(
-            name=name,
-            xp=cupy,
-            precision=precision,
-            real_dtype=real,
-            complex_dtype=cplx,
-            rfft=_drop_workers(cufft.rfft),
-            irfft=_drop_workers(cufft.irfft),
-            fft=_drop_workers(cufft.fft),
-            ifft=_drop_workers(cufft.ifft),
-            next_fast_len=_sp_fft.next_fast_len,
-            rfftfreq=cupy.fft.rfftfreq,
-        )
-    if name == "torch":
-        import torch
-
-        bindings = _torch_fft_bindings()
-        return ArrayContext(
-            name=name,
-            xp=torch,
-            precision=precision,
-            real_dtype=real,
-            complex_dtype=cplx,
-            next_fast_len=_sp_fft.next_fast_len,
-            rfftfreq=torch.fft.rfftfreq,
-            **bindings,
-        )
-    raise ValueError(f"unknown array namespace {name!r}")
+_CONTEXTS: Dict[str, ArrayContext] = {}
 
 
-_CONTEXTS: Dict[Tuple[str, str], ArrayContext] = {}
+def get_context(precision: str = DEFAULT_PRECISION) -> ArrayContext:
+    """Resolve (and cache) the context for ``precision``.
 
-
-def get_context(
-    precision: str = DEFAULT_PRECISION, namespace: Optional[str] = None
-) -> ArrayContext:
-    """Resolve (and cache) the context for ``precision`` and namespace.
-
-    ``namespace=None`` consults ``REPRO_ARRAY_BACKEND``; contexts are
-    cached per resolved (namespace, precision) pair, so kernels can
-    call this in hot paths.
+    Contexts are cached per precision, so kernels can call this in hot
+    paths.
     """
     if precision not in PRECISIONS:
         raise ValueError(
             f"unknown precision {precision!r} (choose from {', '.join(PRECISIONS)})"
         )
-    name = _resolve_name(namespace)
-    key = (name, precision)
-    ctx = _CONTEXTS.get(key)
+    ctx = _CONTEXTS.get(precision)
     if ctx is None:
-        ctx = _build_context(name, precision)
-        _CONTEXTS[key] = ctx
+        ctx = _CONTEXTS[precision] = _build_context(precision)
     return ctx

@@ -242,8 +242,16 @@ def test_env001_flags_reads_outside_the_helpers():
 
 def test_env001_quiet_in_sanctioned_modules():
     source = "import os\nval = os.environ.get('REPRO_CACHE_MAX_BYTES')\n"
-    for module in ("repro.signals.batchcorr", "repro.signals.xp", "repro.service.store"):
+    for module in ("repro.signals.batchcorr", "repro.service.store"):
         assert findings_of(source, module=module) == []
+
+
+def test_env001_fires_in_the_retired_choke_points():
+    # The array facade and the worker pool read no knob any more, so a
+    # new os.environ read there must be flagged like anywhere else.
+    source = "import os\nval = os.environ.get('REPRO_ARRAY_BACKEND')\n"
+    for module in ("repro.signals.xp", "repro.experiments.pool"):
+        assert rule_ids(findings_of(source, module=module)) == ["ENV001"]
 
 
 # ---------------------------------------------------------------------------

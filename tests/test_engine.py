@@ -102,6 +102,15 @@ class TestCampaign:
         with pytest.raises(KeyError, match="not_a_figure"):
             run_campaign(["not_a_figure"])
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_below_one_raises(self, workers):
+        calls = engine.unit_call_count()
+        with pytest.raises(ValueError, match="'workers' must be >= 1"):
+            run_campaign(["tables"], workers=workers)
+        with pytest.raises(ValueError, match="'workers' must be >= 1"):
+            engine.run_unit("tables", workers=workers)
+        assert engine.unit_call_count() == calls  # rejected before dispatch
+
     def test_variants_expand_into_jobs(self):
         results = run_campaign(["fig20"], scale=0.05)
         assert [r.label for r in results] == ["fig20/device1", "fig20/device2"]
@@ -186,8 +195,18 @@ class TestRunnerCli:
             (["--scale", "0"], "'scale' must be positive and finite"),
             (["--scale", "-1"], "'scale' must be positive and finite"),
             (["--scale", "inf"], "'scale' must be positive and finite"),
+            (["--workers", "0"], "'workers' must be >= 1"),
+            (["--workers", "-2"], "'workers' must be >= 1"),
         ],
-        ids=["trial-chunks-0", "seed-negative", "scale-0", "scale-negative", "scale-inf"],
+        ids=[
+            "trial-chunks-0",
+            "seed-negative",
+            "scale-0",
+            "scale-negative",
+            "scale-inf",
+            "workers-0",
+            "workers-negative",
+        ],
     )
     def test_out_of_range_request_exits_2(self, flags, message, capsys):
         assert main(["tables", *flags]) == 2

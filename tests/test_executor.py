@@ -8,12 +8,12 @@ Three contracts under test:
   substream-driven ``fast`` backend.
 * **Campaign byte-identity** — the JSON artifact of a chunked campaign
   is byte-identical across pipeline depths {off, 1, 2} and worker
-  counts {1, 4}, including with every array forced through the
-  shared-memory transport.
+  counts {1, 4}; pool results cross the worker pipe pickled, arrays
+  intact.
 * **Failure semantics** — a worker death (SIGKILL) or stray
   ``SystemExit`` yields ``status="error"`` for the affected job only;
-  the campaign completes, surviving jobs succeed on replacement
-  workers, and no shared-memory segments leak.
+  the campaign completes and surviving jobs succeed on replacement
+  workers.
 """
 
 import os
@@ -25,14 +25,7 @@ import pytest
 
 from repro.channel.environment import DOCK
 from repro.experiments import engine
-from repro.experiments.pool import (
-    ShmArray,
-    WorkerCrash,
-    WorkerPool,
-    shm_export,
-    shm_import,
-    shm_min_bytes,
-)
+from repro.experiments.pool import WorkerCrash, WorkerPool
 from repro.signals.batchcorr import env_int, fft_workers
 from repro.signals.preamble import make_preamble
 from repro.simulate.batch_exchange import (
@@ -42,13 +35,6 @@ from repro.simulate.batch_exchange import (
 from repro.simulate.waveform_sim import ExchangeConfig
 
 CHUNKED = ["fig11"]
-
-
-def _leaked_segments():
-    try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith("psm_")]
-    except FileNotFoundError:  # pragma: no cover - non-Linux
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -150,41 +136,18 @@ def test_fft_workers_valid_env(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory transport
-# ---------------------------------------------------------------------------
-
-
-def test_shm_roundtrip_structure():
-    payload = {
-        "big": np.arange(50_000, dtype=float),
-        "small": np.arange(4, dtype=np.int32),
-        "nested": [(np.full(30_000, 2.5), "label")],
-        "scalar": 7,
-    }
-    exported = shm_export(payload, min_bytes=16_384)
-    assert isinstance(exported["big"], ShmArray)
-    assert isinstance(exported["small"], np.ndarray)  # below threshold
-    assert isinstance(exported["nested"][0][0], ShmArray)
-    restored = shm_import(exported)
-    assert np.array_equal(restored["big"], payload["big"])
-    assert np.array_equal(restored["small"], payload["small"])
-    assert np.array_equal(restored["nested"][0][0], payload["nested"][0][0])
-    assert restored["scalar"] == 7
-    assert not _leaked_segments()
-
-
-def test_shm_min_bytes_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "1024")
-    assert shm_min_bytes() == 1024
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "lots")
-        assert shm_min_bytes() == 1 << 14
-
-
-# ---------------------------------------------------------------------------
 # Worker pool
 # ---------------------------------------------------------------------------
+
+
+def _nested_arrays():
+    """A result nesting a 1 MiB float64, a float32 and an int32 array."""
+    rng = np.random.default_rng(11)
+    return {
+        "big": rng.standard_normal(1 << 17),
+        "rows": [(rng.standard_normal((3, 5)).astype(np.float32), "label")],
+        "ids": (np.arange(-4, 4, dtype=np.int32), 7),
+    }
 
 
 def _pool_runner(payload):
@@ -192,6 +155,8 @@ def _pool_runner(payload):
     kind, value = payload
     if kind == "square":
         return value * value
+    if kind == "arrays":
+        return _nested_arrays()
     if kind == "sigkill":
         os.kill(os.getpid(), signal.SIGKILL)
     if kind == "exit":
@@ -210,6 +175,29 @@ def test_worker_pool_preserves_order_and_persists():
         assert {w.proc.pid for w in pool._workers} == pids
     finally:
         pool.shutdown()
+
+
+def test_worker_pool_returns_nested_arrays_intact():
+    """Arrays nested in dicts, lists and tuples cross the pipe bit-exact."""
+    want = _nested_arrays()
+    assert want["big"].nbytes >= 1 << 20
+    pool = WorkerPool(2, _pool_runner)
+    try:
+        (got,) = pool.map([("arrays", None)])
+    finally:
+        pool.shutdown()
+    assert set(got) == set(want)
+    assert isinstance(got["rows"], list) and isinstance(got["rows"][0], tuple)
+    assert isinstance(got["ids"], tuple) and got["ids"][1] == 7
+    assert got["rows"][0][1] == "label"
+    pairs = [
+        (got["big"], want["big"]),
+        (got["rows"][0][0], want["rows"][0][0]),
+        (got["ids"][0], want["ids"][0]),
+    ]
+    for have, expect in pairs:
+        assert have.dtype == expect.dtype and have.shape == expect.shape
+        assert have.tobytes() == expect.tobytes()
 
 
 def test_worker_pool_sigkill_attribution():
@@ -274,19 +262,16 @@ def _campaign_json(**kw):
 
 
 @pytest.mark.slow
-def test_campaign_byte_identical_across_executors(monkeypatch):
-    """Serial == pipelined == parallel, bit for bit, shm forced on."""
+def test_campaign_byte_identical_across_executors():
+    """Serial == pipelined == parallel, bit for bit."""
     try:
         baseline = _campaign_json(workers=1, pipeline=0)
         assert _campaign_json(workers=1, pipeline=1) == baseline
         assert _campaign_json(workers=1, pipeline=2) == baseline
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
-        engine.shutdown_pool()  # fresh workers that see the env override
         assert _campaign_json(workers=4, pipeline=None) == baseline
         assert _campaign_json(workers=4, pipeline=2) == baseline
     finally:
         engine.shutdown_pool()
-    assert not _leaked_segments()
 
 
 def _crash_entry(rng, scale=1.0, mode="ok", **kwargs):
@@ -336,10 +321,9 @@ def test_campaign_survives_worker_death(crash_registry):
     assert "died" in by_variant["kill"].error
     assert by_variant["exit"].status == "error"
     assert "SystemExit" in by_variant["exit"].error
-    # Surviving results round-tripped their arrays through shared memory.
+    # Surviving results carry their arrays back over the worker pipe.
     trials = by_variant["ok"].raw["trials"]
     assert isinstance(trials, np.ndarray) and trials.shape == (40_000,)
-    assert not _leaked_segments()
 
 
 @pytest.mark.slow

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments import engine
 from repro.experiments.pool import WorkerPool
+from repro.service.__main__ import main as service_main
 from repro.service.client import ServiceClient
 from repro.service.compute import encode_body
 from repro.service.server import (
@@ -270,6 +271,24 @@ def test_worker_pool_shutdown_twice_and_reusable():
 
 def _echo(x):
     return 2 * x
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--engine-workers", "0"],
+        ["serve", "--engine-workers", "-2"],
+        ["warm", "fig22", "--workers", "0"],
+        ["warm", "fig22", "--workers", "-2"],
+    ],
+    ids=["serve-0", "serve-negative", "warm-0", "warm-negative"],
+)
+def test_service_cli_rejects_worker_count_below_one(argv, tmp_path, capsys):
+    calls = engine.unit_call_count()
+    assert service_main([*argv, "--cache-dir", str(tmp_path / "cache")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: 'workers' must be >= 1, got {argv[-1]}"]
+    assert engine.unit_call_count() == calls
 
 
 # ---------------------------------------------------------------------------
