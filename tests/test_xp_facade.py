@@ -83,12 +83,39 @@ def test_as_complex_array_pairs_real_and_complex_widths():
     assert xp.as_complex_array([1, 2]).dtype == np.complex128
 
 
-def test_array_backend_env_never_changes_the_context(monkeypatch):
+def _assert_numpy_contexts_silently(reference):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for precision, ctx in reference.items():
+            assert xp.get_context(precision) is ctx
+            assert ctx.name == "numpy"
+
+
+def test_resolve_namespace_defaults_to_numpy(monkeypatch):
+    monkeypatch.delenv("REPRO_ARRAY_BACKEND", raising=False)
+    assert not hasattr(xp, "resolve_namespace")
+    for precision in xp.PRECISIONS:
+        assert xp.get_context(precision).name == "numpy"
+
+
+def test_env_knob_unknown_backend_warns_once(monkeypatch):
+    # The knob is no longer read, so an unknown value warns zero times.
     reference = {p: xp.get_context(p) for p in xp.PRECISIONS}
-    for value in ("", "numpy", "cupy", "torch", "mlx", "  CUPY  ", "definitely-not"):
+    for value in ("", "mlx", "definitely-not"):
         monkeypatch.setenv("REPRO_ARRAY_BACKEND", value)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for precision, ctx in reference.items():
-                assert xp.get_context(precision) is ctx
-                assert ctx.name == "numpy"
+        _assert_numpy_contexts_silently(reference)
+
+
+def test_env_knob_uninstalled_backend_falls_back(monkeypatch):
+    reference = {p: xp.get_context(p) for p in xp.PRECISIONS}
+    for value in ("numpy", "cupy", "torch", "  CUPY  "):
+        monkeypatch.setenv("REPRO_ARRAY_BACKEND", value)
+        _assert_numpy_contexts_silently(reference)
+
+
+def test_explicit_namespace_argument_wins_over_env(monkeypatch):
+    # get_context takes the precision alone; no namespace can be chosen.
+    monkeypatch.setenv("REPRO_ARRAY_BACKEND", "definitely-not-a-backend")
+    with pytest.raises(TypeError):
+        xp.get_context("float32", namespace="numpy")
+    _assert_numpy_contexts_silently({"float32": xp.get_context("float32")})
