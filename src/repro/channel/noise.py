@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.constants import BAND_HIGH_HZ, BAND_LOW_HZ, SAMPLE_RATE
 from repro.signals.xp import get_context
+
+# scipy.signal is imported by the functions that call it, so importing
+# this module does not load it (DESIGN.md §11, import budget).
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,8 @@ class NoiseModel:
 
 @lru_cache(maxsize=8)
 def _bandpass_sos_design(sample_rate: float) -> np.ndarray:
+    from scipy import signal as sp_signal
+
     nyq = sample_rate / 2
     low = max(BAND_LOW_HZ * 0.5, 10.0) / nyq
     high = min(BAND_HIGH_HZ * 1.5, nyq * 0.95) / nyq
@@ -77,6 +81,8 @@ def bandpass_sos(sample_rate: float) -> np.ndarray:
 
 def _bandpass(x: np.ndarray, sample_rate: float) -> np.ndarray:
     """Constrain noise to the audible underwater band used by the system."""
+    from scipy import signal as sp_signal
+
     return sp_signal.sosfilt(bandpass_sos(sample_rate), x)
 
 
@@ -144,6 +150,8 @@ def _band_gain_shape(num_samples: int, sample_rate: float) -> np.ndarray:
     (interior rfft bins count twice, DC — and Nyquist for even sizes —
     once).
     """
+    from scipy import signal as sp_signal
+
     # The bin grid is a float64 design artefact (it feeds sosfreqz), so
     # the parity-pinned float64 context supplies the binding.
     freqs = get_context("float64").rfftfreq(num_samples, 1.0 / sample_rate)

@@ -12,10 +12,12 @@ from __future__ import annotations
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.channel.multipath import PathTap
 from repro.signals.xp import get_context, precision_of
+
+# scipy.signal is imported by the functions that call it, so importing
+# this module does not load it (DESIGN.md §11, import budget).
 
 
 def fir_length_for(
@@ -284,6 +286,8 @@ def apply_channel(
     Pinned by ``tests/test_channel.py`` (output-length contract) and
     ``tests/test_batchcorr.py`` (long-FIR truncation equivalence).
     """
+    from scipy import signal as sp_signal
+
     wave = np.asarray(waveform, dtype=float)  # repro: allow[DTYPE001] legacy parity path is float64
     if not taps:
         raise ValueError("taps must be non-empty")

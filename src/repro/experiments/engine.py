@@ -48,7 +48,7 @@ from typing import (
 
 import numpy as np
 
-from repro.signals.xp import PRECISIONS
+from repro.signals.xp import PRECISIONS, get_context
 
 #: Default campaign seed (the paper's publication year, as in the seed repo).
 DEFAULT_BASE_SEED = 2023
@@ -619,8 +619,13 @@ def _campaign_pool(workers: int):
     if _POOL is not None and _POOL[0] != workers:
         shutdown_pool()
     if _POOL is None:
+        import scipy.signal  # noqa: F401
+
         from repro.experiments.pool import WorkerPool
 
+        # Workers fork from this process: load the waveform stack here,
+        # once, so no worker pays its import on a first waveform job.
+        get_context("float64")
         _POOL = (workers, WorkerPool(workers, _execute))
     return _POOL[1]
 

@@ -41,11 +41,13 @@ import numpy as np
 
 from repro.signals.xp import as_float_array, get_context, precision_of
 
-#: Parity-tier FFT bindings.  The float64 context binds exactly the
-#: historic ``scipy.fft`` rfft/irfft/next_fast_len — so routing through
-#: the facade here is a pure aliasing change (parity epoch 2 baselines
-#: unaffected).
-_PARITY_CTX = get_context("float64")
+#: Precision of the parity-tier FFT bindings.  The float64 context
+#: binds exactly the historic ``scipy.fft`` rfft/irfft/next_fast_len —
+#: so routing through the facade here is a pure aliasing change (parity
+#: epoch 2 baselines unaffected).  Kernels resolve it when they run,
+#: not at import: importing this module (``service.store`` does, for
+#: :func:`env_int`) must not load ``scipy.fft``.
+_PARITY = "float64"
 
 #: (variable, value) pairs already warned about, so a long campaign
 #: complains once per bad setting instead of once per chunk flush.
@@ -120,7 +122,7 @@ def shared_fast_len(full_sizes: Sequence[int]) -> int:
     convolution cannot alias it, so each row's first ``full`` samples
     still hold that row's exact linear convolution.
     """
-    return _PARITY_CTX.next_fast_len(int(max(full_sizes)), True)
+    return get_context(_PARITY).next_fast_len(int(max(full_sizes)), True)
 
 
 class CachedTemplate:
@@ -184,9 +186,10 @@ def _stack_padded(
 def _grouped_rows(
     streams: Sequence[np.ndarray], rows: Sequence[int], template_size: int
 ) -> Dict[int, List[int]]:
+    next_fast_len = get_context(_PARITY).next_fast_len
     groups: Dict[int, List[int]] = {}
     for idx in rows:
-        nf = _PARITY_CTX.next_fast_len(streams[idx].size + template_size - 1, True)
+        nf = next_fast_len(streams[idx].size + template_size - 1, True)
         groups.setdefault(nf, []).append(idx)
     return groups
 
@@ -221,14 +224,15 @@ def normalized_cross_correlation_batch(
             _finish(idx, corr, energy)
         else:
             fft_rows.append(idx)
+    ctx = get_context(_PARITY)
     for nf, rows in _grouped_rows(streams, fft_rows, tmpl.size).items():
         stacked = _stack_padded(streams, rows, nf)
-        spec = _PARITY_CTX.rfft(stacked, nf, axis=-1)
+        spec = ctx.rfft(stacked, nf, axis=-1)
         spec *= tmpl.reversed_fft(nf)
-        corr = _PARITY_CTX.irfft(spec, nf, axis=-1)
+        corr = ctx.irfft(spec, nf, axis=-1)
         np.square(stacked, out=stacked)
-        sq_spec = _PARITY_CTX.rfft(stacked, nf, axis=-1)
-        energy = _PARITY_CTX.irfft(sq_spec * tmpl.window_fft(nf), nf, axis=-1)
+        sq_spec = ctx.rfft(stacked, nf, axis=-1)
+        energy = ctx.irfft(sq_spec * tmpl.window_fft(nf), nf, axis=-1)
         for k, idx in enumerate(rows):
             n = streams[idx].size
             _finish(idx, corr[k, start : start + n], energy[k, start : start + n])

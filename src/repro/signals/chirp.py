@@ -8,7 +8,9 @@ same band and duration as the OFDM preamble.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
+
+# scipy.signal is imported by the functions that call it, so importing
+# this module does not load it (DESIGN.md §11, import budget).
 
 
 def linear_chirp(
@@ -35,6 +37,8 @@ def linear_chirp(
     amplitude:
         Peak amplitude of the output.
     """
+    from scipy import signal as sp_signal
+
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     nyquist = sample_rate / 2

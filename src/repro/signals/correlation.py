@@ -16,7 +16,9 @@ Two statistics are used (paper section 2.2.1):
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
+
+# scipy.signal is imported by the functions that call it, so importing
+# this module does not load it (DESIGN.md §11, import budget).
 
 
 def cross_correlate(stream: np.ndarray, template: np.ndarray) -> np.ndarray:
@@ -30,6 +32,8 @@ def cross_correlate(stream: np.ndarray, template: np.ndarray) -> np.ndarray:
     implicit zeros, so those tail entries taper rather than being
     zero).
     """
+    from scipy import signal as sp_signal
+
     stream = np.asarray(stream, dtype=float)
     template = np.asarray(template, dtype=float)
     if template.size == 0 or stream.size == 0:
@@ -50,6 +54,8 @@ def normalized_cross_correlation(stream: np.ndarray, template: np.ndarray) -> np
     the template and the stream window starting at ``i``, so it is
     comparable across SNRs. Values are clipped to ``[-1, 1]``.
     """
+    from scipy import signal as sp_signal
+
     stream = np.asarray(stream, dtype=float)
     template = np.asarray(template, dtype=float)
     corr = cross_correlate(stream, template)

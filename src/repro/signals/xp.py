@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
-import scipy.fft as _sp_fft
 
 __all__ = [
     "PRECISIONS",
@@ -97,6 +96,11 @@ class ArrayContext:
 
 
 def _build_context(precision: str) -> ArrayContext:
+    # scipy.fft is imported here, not at module level, so a process
+    # that never builds a context (localization, fleets) never loads
+    # it; contexts are cached, so this runs once per precision.
+    import scipy.fft as _sp_fft
+
     # float64 keeps the historic bindings: scipy.fft for the real
     # stacked transforms, np.fft for the OFDM fft/ifft pair.  Changing
     # either would shift parity-epoch bits.

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from repro.channel.multipath import image_method_tap_arrays
 from repro.channel.noise import (
@@ -427,6 +426,10 @@ class BatchExchangeRenderer:
                 precision=self.precision,
             )
         else:
+            # Imported here, not at module level (DESIGN.md §11, import
+            # budget).
+            from scipy import signal as sp_signal
+
             # Ambient noise: one batched causal filter over all rows.
             # A zero-padded tail cannot alter a causal filter's prefix,
             # so each row's first ``stream_length`` samples match the

@@ -122,6 +122,19 @@ class FleetConfig:
             raise ConfigurationError(
                 f"unknown fleet backend {self.fleet_backend!r}"
             )
+        # Both engines must reject the same configurations with the same
+        # error, before either draws from the shared generator.
+        for name in ("max_range_m", "contention_window_s"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigurationError(f"{name} must be positive")
+        if not self.packet_duration_s >= 0.0:
+            raise ConfigurationError("packet_duration_s must be non-negative")
+        if self.area_xy_m is not None and not self.area_xy_m > 0.0:
+            raise ConfigurationError("area_xy_m must be positive (or None)")
+        for name in ("speed_range_mps", "amplitude_range_m"):
+            lo, hi = getattr(self, name)
+            if not 0.0 < lo <= hi:
+                raise ConfigurationError(f"{name} must satisfy 0 < low <= high")
         if not 0.0 <= self.mobility_fraction <= 1.0:
             raise ConfigurationError("mobility_fraction must be in [0, 1]")
         for name in ("leave_prob", "join_prob"):

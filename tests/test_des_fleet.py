@@ -78,6 +78,49 @@ class TestFleetConfig:
         with pytest.raises(ConfigurationError):
             FleetConfig(join_prob=-0.1)
 
+    @pytest.mark.parametrize("backend", ["event", "vec"])
+    @pytest.mark.parametrize(
+        "field, kw",
+        [
+            ("max_range_m", dict(max_range_m=0.0)),
+            ("max_range_m", dict(max_range_m=-5.0)),
+            ("contention_window_s", dict(mac="contention", contention_window_s=-1.0)),
+            ("contention_window_s", dict(contention_window_s=0.0)),
+            ("packet_duration_s", dict(packet_duration_s=-0.1)),
+            ("area_xy_m", dict(area_xy_m=0.0)),
+            ("area_xy_m", dict(area_xy_m=-3.0)),
+            ("speed_range_mps", dict(mobility_fraction=0.5, speed_range_mps=(0.0, 0.0))),
+            ("speed_range_mps", dict(mobility_fraction=0.5, speed_range_mps=(0.5, 0.2))),
+            ("amplitude_range_m", dict(mobility_fraction=0.5, amplitude_range_m=(0.0, 0.0))),
+            ("amplitude_range_m", dict(amplitude_range_m=(-1.0, 2.0))),
+            ("max_range_m", dict(max_range_m=float("nan"))),
+        ],
+    )
+    def test_physically_invalid_parameters_rejected_by_both_backends(self, backend, field, kw):
+        """The engines are drop-ins for each other, so a bad setup must
+        fail the same way on both: a ConfigurationError naming the field,
+        never a numpy ValueError, a ZeroDivisionError or a silent run."""
+        with pytest.raises(ConfigurationError, match=field):
+            run_fleet_campaign(
+                np.random.default_rng(1),
+                FleetConfig(num_devices=20, num_rounds=1, fleet_backend=backend, **kw),
+            )
+
+    def test_boundary_parameters_run_identically_on_both_backends(self):
+        kw = dict(
+            num_devices=20,
+            num_rounds=1,
+            packet_duration_s=0.0,
+            mobility_fraction=0.5,
+            speed_range_mps=(0.3, 0.3),
+            amplitude_range_m=(4.0, 4.0),
+        )
+        summaries = [
+            run_fleet_campaign(np.random.default_rng(1), FleetConfig(fleet_backend=b, **kw)).summary()
+            for b in ("event", "vec")
+        ]
+        assert summaries[0] == summaries[1]
+
     def test_error_model_shared_with_network_sim(self):
         from repro.simulate.network_sim import RangingErrorModel
 
