@@ -54,14 +54,55 @@ class NoiseModel:
         )
 
 
-@lru_cache(maxsize=8)
-def _bandpass_sos_design(sample_rate: float) -> np.ndarray:
-    from scipy import signal as sp_signal
+#: ``butter(4, [500, 7500] Hz, btype="bandpass", output="sos")`` at
+#: 44.1 kHz, the rate every experiment runs at.  ``butter`` is a
+#: deterministic closed-form design (bilinear transform, pole pairing),
+#: so these are the exact coefficient bits it returns — the design the
+#: parity-epoch baselines were generated with, pinned against a live
+#: ``butter`` call by the tests.  Holding them as a literal keeps the
+#: fast waveform path off ``scipy.signal`` (DESIGN.md §11).
+_BANDPASS_SOS_44K1 = np.array(
+    [
+        [
+            0.022290295761242234,
+            0.04458059152248447,
+            0.022290295761242234,
+            1.0,
+            -0.6425125056235876,
+            0.14549785605941631,
+        ],
+        [1.0, 2.0, 1.0, 1.0, -0.7581390763092802, 0.5396008723615395],
+        [1.0, -2.0, 1.0, 1.0, -1.8606085637397687, 0.8664983616405119],
+        [1.0, -2.0, 1.0, 1.0, -1.9464839995219956, 0.951579136200052],
+    ]
+)
+_BANDPASS_SOS_44K1.setflags(write=False)
 
+#: Zero padding of the frequency-domain bandpass (:func:`_bandpass_fft`).
+#: The slowest pole pair has radius ~0.9755, so the impulse response
+#: falls below 1e-16 of its peak within ~1,500 samples; 8192 samples of
+#: padding keep the circular wrap-around far below float64 rounding.
+_FFT_FILTER_PAD = 8192
+
+
+def _bandpass_edges(sample_rate: float) -> tuple:
+    """Normalised ``(low, high)`` band edges of the ambient bandpass."""
     nyq = sample_rate / 2
     low = max(BAND_LOW_HZ * 0.5, 10.0) / nyq
     high = min(BAND_HIGH_HZ * 1.5, nyq * 0.95) / nyq
-    return sp_signal.butter(4, [low, high], btype="bandpass", output="sos")
+    return low, high
+
+
+@lru_cache(maxsize=8)
+def _bandpass_sos_design(sample_rate: float) -> np.ndarray:
+    """The shared, read-only SOS design (a cached array every caller sees)."""
+    if sample_rate == SAMPLE_RATE:
+        return _BANDPASS_SOS_44K1
+    from scipy import signal as sp_signal
+
+    sos = sp_signal.butter(4, _bandpass_edges(sample_rate), btype="bandpass", output="sos")
+    sos.setflags(write=False)
+    return sos
 
 
 def bandpass_sos(sample_rate: float) -> np.ndarray:
@@ -72,11 +113,36 @@ def bandpass_sos(sample_rate: float) -> np.ndarray:
     any filtered sample — it only removes the per-call design cost from
     hot paths (the batch renderer filters hundreds of noise rows with
     one cached SOS).  Returns a fresh writable copy each call
-    (``sosfilt`` needs a writable buffer, and sharing one mutable array
-    across callers would let an in-place edit corrupt every later
-    filter).
+    (``sosfilt`` needs a writable buffer; the cached design itself is
+    read-only, so no caller can corrupt a later filter).
     """
     return _bandpass_sos_design(sample_rate).copy()
+
+
+def sos_response(sos: np.ndarray, freqs, fs: float) -> np.ndarray:
+    """Complex frequency response of an SOS cascade at ``freqs`` (Hz).
+
+    A numpy replacement for ``scipy.signal.sosfreqz(sos, worN=freqs,
+    fs=fs)[1]`` that repeats scipy 1.17's ``freqz`` arithmetic step for
+    step — ``2*pi*f/fs``, ``exp(-1j*w)``, Horner from a complex-promoted
+    leading coefficient, then ``h = 1.; h *= num/den`` per section — so
+    its result is bit-identical (pinned by the tests).
+    """
+    ctx = get_context("float64")
+    sos = np.asarray(sos)
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=ctx.real_dtype))
+    zm1 = np.exp(-1j * (2 * np.pi * freqs / float(fs)))
+
+    def polyval(c):
+        acc = np.full(zm1.shape, c[-1], dtype=zm1.dtype)
+        for coef in c[-2::-1]:
+            acc = coef + acc * zm1
+        return acc
+
+    h = 1.0
+    for row in sos:
+        h *= polyval(row[:3]) / polyval(row[3:])
+    return h
 
 
 def _bandpass(x: np.ndarray, sample_rate: float) -> np.ndarray:
@@ -86,6 +152,33 @@ def _bandpass(x: np.ndarray, sample_rate: float) -> np.ndarray:
     return sp_signal.sosfilt(bandpass_sos(sample_rate), x)
 
 
+@lru_cache(maxsize=32)
+def _band_response(num_samples: int, sample_rate: float) -> np.ndarray:
+    """The bandpass response at the rfft bins of a ``num_samples`` transform.
+
+    Cached and read-only: every caller shares the one array.
+    """
+    # The bin grid is a float64 design artefact, so the parity-pinned
+    # float64 context supplies the binding.
+    freqs = get_context("float64").rfftfreq(num_samples, 1.0 / sample_rate)
+    h = sos_response(_bandpass_sos_design(sample_rate), freqs, sample_rate)
+    h.setflags(write=False)
+    return h
+
+
+def _bandpass_fft(x: np.ndarray, sample_rate: float) -> np.ndarray:
+    """:func:`_bandpass` as a zero-padded FFT filter (no ``scipy.signal``).
+
+    The padding outlasts the filter's impulse response, so the circular
+    product equals the causal filter's output to rounding (~1e-14
+    relative).
+    """
+    ctx = get_context("float64")
+    nf = ctx.next_fast_len(x.size + _FFT_FILTER_PAD, True)
+    spectrum = ctx.rfft(x, nf) * _band_response(nf, float(sample_rate))
+    return ctx.irfft(spectrum, nf)[: x.size]
+
+
 def ambient_noise(
     num_samples: int,
     model: NoiseModel,
@@ -93,10 +186,15 @@ def ambient_noise(
     sample_rate: float = SAMPLE_RATE,
 ) -> np.ndarray:
     """Band-limited Gaussian ambient noise with the model's RMS."""
+    return _ambient(num_samples, model, rng, sample_rate, _bandpass)
+
+
+def _ambient(num_samples, model, rng, sample_rate, bandpass) -> np.ndarray:
+    """One white draw through ``bandpass``, rescaled to the model's RMS."""
     if num_samples <= 0:
         return np.zeros(0)
     white = rng.standard_normal(num_samples)
-    shaped = _bandpass(white, sample_rate)
+    shaped = bandpass(white, sample_rate)
     rms = np.sqrt(np.mean(shaped**2))
     if rms > 0:
         shaped = shaped * (model.ambient_rms / rms)
@@ -141,6 +239,25 @@ def make_noise(
     )
 
 
+def make_noise_fft(
+    num_samples: int,
+    model: NoiseModel,
+    rng: np.random.Generator,
+    sample_rate: float = SAMPLE_RATE,
+) -> np.ndarray:
+    """:func:`make_noise` with the bandpass applied in the frequency domain.
+
+    Draws exactly what :func:`make_noise` draws, in the same order
+    (white, then spikes), so the generator ends in the same state; the
+    ambient component differs from the ``sosfilt`` one only in rounding
+    (~1e-14 relative, see :func:`_bandpass_fft`).  The fast backend's
+    main-stream noise uses it to stay off ``scipy.signal``.
+    """
+    return _ambient(num_samples, model, rng, sample_rate, _bandpass_fft) + spiky_noise(
+        num_samples, model, rng, sample_rate
+    )
+
+
 @lru_cache(maxsize=32)
 def _band_gain_shape(num_samples: int, sample_rate: float) -> np.ndarray:
     """|H| of the ambient bandpass at the rfft bins, unit per-sample RMS.
@@ -148,27 +265,20 @@ def _band_gain_shape(num_samples: int, sample_rate: float) -> np.ndarray:
     Normalised so that white noise shaped by these gains has unit
     per-sample variance: the full-spectrum mean of ``gain**2`` is one
     (interior rfft bins count twice, DC — and Nyquist for even sizes —
-    once).
+    once).  Cached and read-only: every noise row shares the array.
     """
-    from scipy import signal as sp_signal
-
-    # The bin grid is a float64 design artefact (it feeds sosfreqz), so
-    # the parity-pinned float64 context supplies the binding.
-    freqs = get_context("float64").rfftfreq(num_samples, 1.0 / sample_rate)
-    _, h = sp_signal.sosfreqz(
-        _bandpass_sos_design(sample_rate), worN=freqs, fs=sample_rate
-    )
-    gain = np.abs(h)
+    gain = np.abs(_band_response(num_samples, sample_rate))
     weights = np.full(gain.size, 2.0)
     weights[0] = 1.0
     if num_samples % 2 == 0:
         weights[-1] = 1.0
     mean_power = float(np.sum(weights * gain**2)) / num_samples
-    if mean_power <= 0.0:
-        # Degenerate sizes (a DC-only spectrum) carry no in-band bins:
-        # the ambient component is zero, not 0/0.
-        return gain
-    return gain / np.sqrt(mean_power)
+    # Degenerate sizes (a DC-only spectrum) carry no in-band bins: the
+    # ambient component is zero, not 0/0.
+    if mean_power > 0.0:
+        gain = gain / np.sqrt(mean_power)
+    gain.setflags(write=False)
+    return gain
 
 
 def synth_noise_shape(lengths) -> tuple:

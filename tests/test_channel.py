@@ -6,7 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.channel.environment import BOATHOUSE, DOCK, ENVIRONMENTS, SWIMMING_POOL, VIEWPOINT
 from repro.channel.multipath import PathTap, delay_spread, image_method_taps
-from repro.channel.noise import NoiseModel, ambient_noise, make_noise, spiky_noise
+from repro.channel import noise as noise_mod
+from repro.channel.noise import (
+    NoiseModel,
+    ambient_noise,
+    bandpass_sos,
+    make_noise,
+    make_noise_fft,
+    sos_response,
+    spiky_noise,
+)
 from repro.channel.occlusion import Occlusion, apply_occlusion
 from repro.channel.render import (
     apply_channel,
@@ -122,6 +131,78 @@ class TestNoise:
     def test_empty_request(self):
         rng = np.random.default_rng(4)
         assert ambient_noise(0, NoiseModel(), rng).size == 0
+
+
+class TestScipyFreeNoise:
+    """The numpy replacements for ``butter``, ``sosfreqz`` and ``sosfilt``.
+
+    scipy.signal is imported here only to pin each replacement to it.
+    """
+
+    @pytest.mark.parametrize("fs", [44_100, 44_100.0, 48_000.0, 16_000])
+    def test_design_equals_butter(self, fs):
+        from scipy import signal as sp_signal
+
+        edges = noise_mod._bandpass_edges(fs)
+        expected = sp_signal.butter(4, edges, btype="bandpass", output="sos")
+        assert np.array_equal(noise_mod._bandpass_sos_design(fs), expected)
+
+    def test_44k1_design_is_the_literal_table(self):
+        assert noise_mod._bandpass_sos_design(44_100.0) is noise_mod._BANDPASS_SOS_44K1
+
+    @pytest.mark.parametrize("num_samples", [1, 2, 3, 8, 17, 4_096, 4_097, 30_000])
+    @pytest.mark.parametrize("fs", [44_100.0, 48_000.0])
+    def test_sos_response_equals_sosfreqz(self, num_samples, fs):
+        from scipy import signal as sp_signal
+
+        sos = noise_mod._bandpass_sos_design(fs)
+        freqs = np.fft.rfftfreq(num_samples, 1.0 / fs)
+        _, expected = sp_signal.sosfreqz(sos, worN=freqs, fs=fs)
+        got = sos_response(sos, freqs, fs)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_sos_response_off_grid_frequencies(self):
+        from scipy import signal as sp_signal
+
+        sos = sp_signal.butter(3, [0.1, 0.4], btype="bandpass", output="sos")
+        freqs = np.array([0.0, 13.5, 999.25, 7_000.0, 22_050.0])
+        _, expected = sp_signal.sosfreqz(sos, worN=freqs, fs=44_100)
+        assert np.array_equal(sos_response(sos, freqs, 44_100), expected)
+
+    def test_cached_designs_and_gains_are_read_only(self):
+        design = noise_mod._bandpass_sos_design(44_100.0)
+        gain = noise_mod._band_gain_shape(1_024, 44_100.0)
+        response = noise_mod._band_response(1_024, 44_100.0)
+        for shared in (design, gain, response, noise_mod._bandpass_sos_design(48_000.0)):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0.0
+        # The degenerate (DC-only) gain is shared too.
+        with pytest.raises(ValueError, match="read-only"):
+            noise_mod._band_gain_shape(1, 44_100.0)[0] = 1.0
+        # bandpass_sos hands out a private writable copy.
+        sos = bandpass_sos(44_100.0)
+        sos[0, 0] = 0.0
+        assert noise_mod._bandpass_sos_design(44_100.0)[0, 0] != 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num_samples=st.integers(1, 20_000),
+        seed=st.integers(0, 2**32 - 1),
+        model=st.sampled_from([BOATHOUSE.noise, NoiseModel(spike_rate_hz=20.0)]),
+    )
+    def test_fft_noise_matches_make_noise(self, num_samples, seed, model):
+        legacy_rng = np.random.default_rng(seed)
+        fft_rng = np.random.default_rng(seed)
+        expected = make_noise(num_samples, model, legacy_rng)
+        got = make_noise_fft(num_samples, model, fft_rng)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        # Same draws in the same order: the generators end in one state.
+        assert fft_rng.bit_generator.state == legacy_rng.bit_generator.state
+
+    def test_fft_noise_empty_request(self):
+        assert make_noise_fft(0, NoiseModel(), np.random.default_rng(0)).size == 0
 
 
 class TestEnvironments:

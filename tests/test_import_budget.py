@@ -3,7 +3,8 @@ waveform stack.
 
 ``scipy.signal`` (about 1 s and 49 MB to import) and ``scipy.fft`` are
 imported by the first call that needs them, so a process that only
-localizes or runs fleets never loads either.  Each check starts a fresh
+localizes or runs fleets never loads either, and the fast waveform
+backend never loads ``scipy.signal``.  Each check starts a fresh
 interpreter, because the test process itself has long since imported
 both.
 """
@@ -123,3 +124,32 @@ def test_pool_workers_inherit_the_waveform_stack():
     )
     assert report["parent"] == [False, False]
     assert report["workers"] == [[True, True, ["float64"]]] * 2
+
+
+def test_fast_waveform_figures_load_no_scipy_signal():
+    """The fast backend's filter design, response, chirp, window and
+    fig22 noise filter are numpy; only the bit-parity backends load
+    scipy.signal (here: batch fig22's sosfilt, which proves the probe)."""
+    report = _run(
+        """
+        import json
+        import sys
+
+        from repro.experiments import engine
+
+        engine.load_registry()
+        figures = ("fig11", "fig12", "fig13", "fig14", "fig15", "fig22")
+        for precision in ("float64", "float32"):
+            for result in engine.run_campaign(
+                figures, base_seed=7, workers=1, scale=0.05, backend="fast", precision=precision
+            ):
+                assert result.status == "ok", result.error
+        fast = "scipy.signal" in sys.modules
+        [result] = engine.run_campaign(
+            ["fig22"], base_seed=7, workers=1, scale=0.05, backend="batch"
+        )
+        assert result.status == "ok", result.error
+        print(json.dumps({"fast": fast, "batch": "scipy.signal" in sys.modules}))
+        """
+    )
+    assert report == {"fast": False, "batch": True}

@@ -40,6 +40,53 @@ class TestLinearChirp:
         assert np.max(np.abs(wave)) == pytest.approx(0.3)
 
 
+class TestLinearChirpMatchesScipy:
+    """``linear_chirp`` is numpy-only but bit-identical to scipy's
+    ``chirp`` times ``get_window`` (scipy is imported here only)."""
+
+    @staticmethod
+    def reference(duration_s, f0, f1, fs, window):
+        from scipy import signal as sp_signal
+
+        n = int(round(duration_s * fs))
+        t = np.arange(n) / fs
+        wave = sp_signal.chirp(t, f0=f0, t1=duration_s, f1=f1, method="linear")
+        if window is not None:
+            wave = wave * sp_signal.get_window(window, n)
+        return wave * (1.0 / np.max(np.abs(wave)))
+
+    @pytest.mark.parametrize("window", ["hann", None])
+    @pytest.mark.parametrize("num_samples", [1, 2, 3, 441, 4_410, 8_820, 9_261])
+    def test_bit_identical(self, num_samples, window):
+        duration_s = num_samples / 44_100
+        got = linear_chirp(duration_s, 1_000, 5_000, 44_100, window=window)
+        expected = self.reference(duration_s, 1_000, 5_000, 44_100, window)
+        assert got.size == num_samples
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("window", ["hann", None])
+    def test_bit_identical_downsweep_float_edges(self, window):
+        got = linear_chirp(0.0371, 5_000.0, 1_000.0, 48_000.0, window=window)
+        expected = self.reference(0.0371, 5_000.0, 1_000.0, 48_000.0, window)
+        assert np.array_equal(got, expected)
+
+
+class TestLinearChirpErrors:
+    @pytest.mark.parametrize("window", ["hann", None])
+    def test_sub_sample_duration_names_duration(self, window):
+        with pytest.raises(ValueError, match="duration_s=1e-06 is shorter than one sample"):
+            linear_chirp(1e-6, 1_000, 5_000, 44_100, window=window)
+
+    @pytest.mark.parametrize("sample_rate", [0, -44_100.0])
+    def test_non_positive_sample_rate(self, sample_rate):
+        with pytest.raises(ValueError, match="sample_rate must be positive"):
+            linear_chirp(0.1, 1_000, 5_000, sample_rate)
+
+    def test_unsupported_window_names_the_supported_ones(self):
+        with pytest.raises(ValueError, match=r"window must be one of \('hann',\) or None"):
+            linear_chirp(0.1, 1_000, 5_000, 44_100, window="hamming")
+
+
 class TestFmcw:
     def test_config_properties(self):
         cfg = FmcwConfig(duration_s=0.2)
