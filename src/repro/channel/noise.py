@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.constants import BAND_HIGH_HZ, BAND_LOW_HZ, SAMPLE_RATE
-from repro.signals.xp import get_context
+from repro.signals.xp import get_context, row_blocks
 
 # scipy.signal is imported by the functions that call it, so importing
 # this module does not load it (DESIGN.md §11, import budget).
@@ -322,16 +322,22 @@ def synth_noise_rows(
 
     Returns a ``(rows, max(lengths))`` array; callers slice each row to
     its stream length.  Draws ``rows * (nf//2 + 1) * 2`` standard
-    normals from ``rng`` in one block — deterministic in row order.
-    The synthesis length is padded to a 5-smooth size (a window into a
-    stationary process is the same process), keeping the inverse
-    transform on a fast path.
+    normals from ``rng`` in row order, one
+    :func:`~repro.signals.xp.row_blocks` block of rows at a time, and
+    shapes and inverse-transforms each block before drawing the next,
+    so the working set is bounded by the block budget.
+    ``standard_normal`` fills in C order, so the values drawn and the
+    generator state after the call are the same as one
+    ``(rows, nf//2 + 1, 2)`` draw.  The synthesis length is padded to a
+    5-smooth size (a window into a stationary process is the same
+    process), keeping the inverse transform on a fast path.
 
     ``z`` optionally supplies that normal block pre-drawn (shape
     ``(rows, nf//2 + 1, 2)``, see :func:`synth_noise_shape`): the
     pipelined executor draws it at the flush point on the producer
     thread so the substream's consumption order is bit-identical to a
-    sequential run, then ships only the RNG-free shaping here.
+    sequential run, then ships only the RNG-free shaping here (which
+    slices ``z`` into the same row blocks).
 
     ``precision="float32"`` draws the normal block, shapes and
     inverse-transforms the spectrum all in single precision (complex64
@@ -360,21 +366,37 @@ def synth_noise_rows(
         if key not in levels:
             level = np.sqrt((a * gain) ** 2 + h**2) * np.sqrt(nf / 2.0)
             levels[key] = level.astype(ctx.real_dtype, copy=False)
-    if z is None:
-        # The draw dtype follows the working precision (float32 halves
-        # the per-trial RNG cost, the single largest fixed cost of the
-        # float32 tier).  A pipelined producer pre-drawing ``z`` must
-        # use the same dtype — see ``BatchExchangeRenderer.draw_noise_block``
-        # — so sequential and pipelined flushes consume the substream
-        # identically within a precision tier.
-        z = rng.standard_normal((rows, gain.size, 2), dtype=ctx.real_dtype)
-    elif z.shape != (rows, gain.size, 2):
+    if z is not None and z.shape != (rows, gain.size, 2):
         raise ValueError(
             f"pre-drawn noise block has shape {z.shape}, "
             f"expected {(rows, gain.size, 2)}"
         )
-    spectrum = (z[..., 0] + 1j * z[..., 1]).astype(ctx.complex_dtype, copy=False)
-    for r, (a, h) in enumerate(zip(amb, hw)):
-        spectrum[r] *= levels[(float(a), float(h))]
     fft_kwargs = {} if workers is None else {"workers": workers}
-    return ctx.irfft(spectrum, nf, axis=-1, **fft_kwargs)[:, :n]
+    out = np.empty((rows, n), dtype=ctx.real_dtype)
+    blocks = list(row_blocks(rows, nf * ctx.real_dtype.itemsize))
+    # One normal buffer and one spectrum buffer serve every block:
+    # fresh per-block arrays would be unmapped and faulted back in on
+    # each block.
+    width = blocks[0][1]
+    normals = np.empty((width, gain.size, 2), dtype=ctx.real_dtype) if z is None else None
+    spectra = np.empty((width, gain.size), dtype=ctx.complex_dtype)
+    for lo, hi in blocks:
+        if z is None:
+            # The draw dtype follows the working precision (float32
+            # halves the per-trial RNG cost, the single largest fixed
+            # cost of the float32 tier).  A pipelined producer
+            # pre-drawing ``z`` must use the same dtype — see
+            # ``BatchExchangeRenderer.draw_noise_block`` — so sequential
+            # and pipelined flushes consume the substream identically
+            # within a precision tier.
+            zb = rng.standard_normal(dtype=ctx.real_dtype, out=normals[: hi - lo])
+        else:
+            zb = z[lo:hi]
+        # ``z[..., 0] + 1j * z[..., 1]``, operand order kept, written
+        # into the block's spectrum buffer.
+        spectrum = np.multiply(1j, zb[..., 1], out=spectra[: hi - lo])
+        np.add(zb[..., 0], spectrum, out=spectrum)
+        for r in range(lo, hi):
+            spectrum[r - lo] *= levels[(float(amb[r]), float(hw[r]))]
+        out[lo:hi] = ctx.irfft(spectrum, nf, axis=-1, **fft_kwargs)[:, :n]
+    return out

@@ -14,7 +14,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from repro.channel.multipath import PathTap
-from repro.signals.xp import get_context, precision_of
+from repro.signals.xp import get_context, precision_of, row_blocks
 
 # scipy.signal is imported by the functions that call it, so importing
 # this module does not load it (DESIGN.md §11, import budget).
@@ -172,7 +172,11 @@ def apply_channel_batch(
     and the convolution uses the same ``next_fast_len`` transform size
     the scalar path picks for that FIR length, so outputs are
     bit-identical.  The waveform spectrum is computed once per distinct
-    transform length.
+    transform length.  Each group is convolved
+    :func:`~repro.signals.xp.row_blocks` rows at a time and every body
+    is copied out of its block, so the working set is bounded by the
+    block budget; splitting rows never changes a transform, so the
+    outputs do not depend on the block size.
 
     ``shared_length=True`` (the fast backend) pads every row to one
     shared 5-smooth transform length instead of the per-row legacy
@@ -219,7 +223,8 @@ def apply_channel_batch(
     else:
         for idx in fft_rows:
             groups.setdefault(ctx.next_fast_len(fulls[idx], True), []).append(idx)
-    for nf, rows in groups.items():
+
+    def _block(rows: List[int], nf: int) -> None:
         stacked = np.zeros((len(rows), nf), dtype=cached.dtype)
         for k, idx in enumerate(rows):
             n_fir = int(fir_lengths[idx])
@@ -231,17 +236,25 @@ def apply_channel_batch(
             else:
                 stacked[k, :n_fir] = row[:n_fir]
         spec = ctx.rfft(stacked, nf, axis=-1, **fft_kwargs)
+        del stacked
         # fftconvolve computes fft(wave) * fft(fir) in that operand
         # order; complex multiplication is *not* bitwise-commutative
         # under FMA, so preserve it (out= aliasing x2 is fine).
         np.multiply(cached.fft(nf), spec, out=spec)
         conv = ctx.irfft(spec, nf, axis=-1, **fft_kwargs)
+        del spec
         for k, idx in enumerate(rows):
+            # Copy each body out (zero tail included) so no output row
+            # keeps the block's whole transform buffer alive.
             n_out = int(output_lengths[idx])
-            body = conv[k, : fulls[idx]][:n_out]
-            if body.size < n_out:
-                body = np.pad(body, (0, n_out - body.size))
+            m = min(fulls[idx], n_out)
+            body = np.zeros(n_out, dtype=conv.dtype)
+            body[:m] = conv[k, :m]
             out[idx] = body
+
+    for nf, rows in groups.items():
+        for lo, hi in row_blocks(len(rows), nf * cached.dtype.itemsize):
+            _block(rows[lo:hi], nf)
     return out
 
 

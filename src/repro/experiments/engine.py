@@ -29,6 +29,7 @@ import dataclasses
 import importlib
 import json
 import math
+import sys
 import time
 import traceback
 import zlib
@@ -206,6 +207,12 @@ class ExperimentResult:
     chunk: Optional[Tuple[int, int]] = None
     #: Per-trial payload for ``merge_chunks``; never serialised.
     raw: Optional[Dict[str, Any]] = None
+    #: Peak RSS (MB) of the process that ran the job, read when it
+    #: ended (:func:`peak_rss_mb`): the process's high-water mark, so
+    #: it includes earlier jobs run in the same process.  The max over
+    #: a merged result's chunks; like ``wall_time_s``, serialised only
+    #: with timing.
+    peak_rss_mb: float = 0.0
 
     @property
     def label(self) -> str:
@@ -234,6 +241,7 @@ class ExperimentResult:
         }
         if include_timing:
             out["wall_time_s"] = self.wall_time_s
+            out["peak_rss_mb"] = self.peak_rss_mb
         return out
 
 
@@ -549,6 +557,7 @@ def _job_result(
     output: Optional[ExperimentOutput] = None,
     error: Optional[str] = None,
     wall_time_s: float = 0.0,
+    peak_rss: float = 0.0,
 ) -> ExperimentResult:
     """The one :class:`ExperimentResult` builder; ``ok`` iff ``error is None``.
 
@@ -577,7 +586,25 @@ def _job_result(
         error=error,
         chunk=chunk,
         raw=output.raw,
+        peak_rss_mb=peak_rss,
     )
+
+
+def peak_rss_mb() -> float:
+    """This process's peak resident set size so far, in MB (MiB).
+
+    A running high-water mark since the process started, not the peak
+    of the last job: every job that ran earlier in it counts.
+
+    ``ru_maxrss`` counts kilobytes on Linux and the BSDs but bytes on
+    macOS; platforms without :mod:`resource` (Windows) report 0.0.
+    """
+    try:
+        import resource
+    except ImportError:  # pragma: no cover - Windows
+        return 0.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0
 
 
 def _execute(payload: Tuple[_Job, int, float, Optional[int]]) -> ExperimentResult:
@@ -604,7 +631,8 @@ def _execute(payload: Tuple[_Job, int, float, Optional[int]]) -> ExperimentResul
         output, error = spec.resolve_entry()(rng, scale=scale, **kwargs), None
     except Exception:
         output, error = None, traceback.format_exc(limit=8)
-    return _job_result(job, base_seed, seed_seq, output, error, time.perf_counter() - start)
+    wall_time_s = time.perf_counter() - start
+    return _job_result(job, base_seed, seed_seq, output, error, wall_time_s, peak_rss_mb())
 
 
 #: The process-wide campaign pool: ``(worker_count, WorkerPool)``.
@@ -661,7 +689,8 @@ def _merge_chunk_group(group: List[ExperimentResult]) -> ExperimentResult:
             error = traceback.format_exc(limit=8)
     job = (first.experiment, first.variant, first.params, None)
     wall_time_s = sum(r.wall_time_s for r in group)
-    return _job_result(job, first.base_seed, None, output, error, wall_time_s)
+    peak_rss = max(r.peak_rss_mb for r in group)
+    return _job_result(job, first.base_seed, None, output, error, wall_time_s, peak_rss)
 
 
 def _merge_stream(results: Iterable[ExperimentResult]) -> Iterator[ExperimentResult]:
@@ -936,8 +965,8 @@ def result_from_dict(entry: Mapping[str, Any]) -> ExperimentResult:
 
     Used by the cached runner path to fold stored unit bodies back into
     the normal campaign artifact flow; ``to_dict`` of the rebuilt
-    result round-trips byte-for-byte (wall time is not serialised, so
-    it comes back as 0.0).
+    result round-trips byte-for-byte (wall time and peak RSS are not
+    serialised, so they come back as 0.0).
     """
     seed = entry.get("seed") or {}
     return ExperimentResult(
@@ -954,6 +983,7 @@ def result_from_dict(entry: Mapping[str, Any]) -> ExperimentResult:
         report=entry.get("report") or "",
         wall_time_s=float(entry.get("wall_time_s", 0.0)),
         error=entry.get("error"),
+        peak_rss_mb=float(entry.get("peak_rss_mb", 0.0)),
     )
 
 

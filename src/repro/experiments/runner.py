@@ -21,7 +21,9 @@ for pytest-benchmark.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import tempfile
 from typing import Any, Dict, List, Optional
 
 from repro.experiments import engine
@@ -65,6 +67,29 @@ def _parse_sweep(entries: Optional[List[str]]) -> Dict[str, List[Any]]:
     return sweep
 
 
+def _json_destination_error(path: str) -> Optional[str]:
+    """Why ``--json PATH`` cannot be written, or ``None`` when it can.
+
+    The artifact is written only after the whole campaign has run, so
+    the destination is probed up front: a missing parent directory or
+    a directory path must fail before any compute starts.
+    """
+    if os.path.isdir(path):
+        return f"--json {path!r} is a directory; give a file path"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"--json {path!r}: directory {parent!r} does not exist; create it first"
+    try:
+        fd, probe = tempfile.mkstemp(prefix=".probe-", dir=parent)
+        os.close(fd)
+        os.unlink(probe)
+    except OSError as exc:
+        return f"--json {path!r}: directory {parent!r} is not writable: {exc}"
+    if os.path.exists(path) and not os.access(path, os.W_OK):
+        return f"--json {path!r} is not writable"
+    return None
+
+
 def _print_registry() -> None:
     print(f"{'name':<8} {'cost':<9} {'variants':<22} title")
     for spec in engine.registry().values():
@@ -104,7 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timing",
         action="store_true",
-        help="include wall times in the JSON artifact (breaks byte-identity)",
+        help=(
+            "include each experiment's wall time and peak RSS in the JSON "
+            "artifact (breaks byte-identity)"
+        ),
     )
     parser.add_argument(
         "--backend",
@@ -248,6 +276,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(exc)
         return 2
+    if args.json:
+        problem = _json_destination_error(args.json)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
+            return 2
     for key in sweep:
         if not any(key in experiments[name].sweepable for name in selected):
             print(

@@ -27,7 +27,10 @@ Grouping helper
 ---------------
 Streams in one batch usually differ in length by a few samples, but
 ``next_fast_len`` maps nearby sizes onto the same fast transform
-length, so most rows share a group and one stacked FFT covers them.
+length, so most rows share a group and stacked FFTs cover them.  The
+stacked kernels walk each group :func:`repro.signals.xp.row_blocks`
+rows at a time, so their working set is bounded by
+:data:`repro.signals.xp.BLOCK_BYTES` rather than the batch size.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.signals.xp import as_float_array, get_context, precision_of
+from repro.signals.xp import as_float_array, get_context, precision_of, row_blocks
 
 #: Precision of the parity-tier FFT bindings.  The float64 context
 #: binds exactly the historic ``scipy.fft`` rfft/irfft/next_fast_len —
@@ -197,7 +200,14 @@ def _grouped_rows(
 def normalized_cross_correlation_batch(
     streams: Sequence[np.ndarray], template: CachedTemplate | np.ndarray
 ) -> List[np.ndarray]:
-    """Batched :func:`repro.signals.correlation.normalized_cross_correlation`."""
+    """Batched :func:`repro.signals.correlation.normalized_cross_correlation`.
+
+    Rows sharing a transform length are correlated as stacked FFTs,
+    :func:`~repro.signals.xp.row_blocks` rows at a time, so the working
+    set stays bounded by the block budget rather than the batch size.
+    Blocking splits only rows, never a transform, so every output is
+    bit-identical to the scalar reference.
+    """
     tmpl = template if isinstance(template, CachedTemplate) else CachedTemplate(template)
     streams = [np.asarray(s, dtype=float) for s in streams]  # repro: allow[DTYPE001] parity is f64
     for s in streams:
@@ -225,17 +235,24 @@ def normalized_cross_correlation_batch(
         else:
             fft_rows.append(idx)
     ctx = get_context(_PARITY)
-    for nf, rows in _grouped_rows(streams, fft_rows, tmpl.size).items():
+
+    def _block(rows: Sequence[int], nf: int) -> None:
         stacked = _stack_padded(streams, rows, nf)
         spec = ctx.rfft(stacked, nf, axis=-1)
         spec *= tmpl.reversed_fft(nf)
         corr = ctx.irfft(spec, nf, axis=-1)
+        del spec
         np.square(stacked, out=stacked)
         sq_spec = ctx.rfft(stacked, nf, axis=-1)
+        del stacked
         energy = ctx.irfft(sq_spec * tmpl.window_fft(nf), nf, axis=-1)
         for k, idx in enumerate(rows):
             n = streams[idx].size
             _finish(idx, corr[k, start : start + n], energy[k, start : start + n])
+
+    for nf, rows in _grouped_rows(streams, fft_rows, tmpl.size).items():
+        for lo, hi in row_blocks(len(rows), nf * 8):
+            _block(rows[lo:hi], nf)
     return out  # type: ignore[return-value]
 
 
@@ -250,13 +267,21 @@ def normalized_cross_correlation_fused(
     :func:`normalized_cross_correlation_batch`:
 
     * every row is padded to one :func:`shared_fast_len` transform, so
-      the whole batch is two stacked FFTs against a single cached
-      template spectrum (optionally threaded with ``workers``);
+      the whole batch shares a single cached template spectrum and runs
+      as stacked FFTs (optionally threaded with ``workers``);
     * the local-energy denominator is a cumulative-sum sliding window —
       one O(n) pass instead of a second FFT convolution pair.  The
       window sums are mathematically identical and differ only in
       rounding, which the fast backend's equivalence contract absorbs
       (tests/test_fast_equivalence.py).
+
+    The stacked transforms run :func:`~repro.signals.xp.row_blocks`
+    rows at a time (sized by the float64 cumulative sum, the widest
+    per-row array), and each block's temporaries are freed before the
+    next, so the working set is bounded by the block budget instead of
+    growing with the batch.  The transform length stays call-wide and
+    ``cumsum`` runs along each row, so the outputs do not depend on the
+    block size.
 
     The working precision follows the template's dtype (float32
     templates correlate float32 streams into float32 outputs).  The
@@ -280,6 +305,29 @@ def normalized_cross_correlation_fused(
     start = tmpl.size - 1
     w = fft_workers() if workers is None else workers
 
+    def _block(rows: Sequence[int], nf: int) -> None:
+        stacked = _stack_padded(streams, rows, nf, dtype=tmpl.dtype)
+        spec = ctx.rfft(stacked, nf, axis=-1, workers=w)
+        spec *= tmpl.reversed_fft(nf)
+        corr = ctx.irfft(spec, nf, axis=-1, workers=w)
+        del spec
+        np.square(stacked, out=stacked)
+        cum = np.cumsum(stacked, axis=-1, dtype=np.float64)  # repro: allow[DTYPE001] f64 cumsum
+        del stacked
+        for k, idx in enumerate(rows):
+            n = streams[idx].size
+            # Windowed energy of the L samples ending at full-conv index
+            # start + i: cum[start + i] - cum[i - 1] (zero rows pad cum
+            # flat beyond n, so the upper index never under-counts).
+            upper = cum[k, start : start + n]
+            energy = upper - np.concatenate(([0.0], cum[k, : n - 1]))
+            denom = np.sqrt(np.maximum(energy, 0.0))
+            np.maximum(denom, 1e-12, out=denom)
+            denom *= tmpl.norm
+            denom = denom.astype(corr.dtype, copy=False)
+            np.divide(corr[k, start : start + n], denom, out=denom)
+            out[idx] = np.clip(denom, -1.0, 1.0, out=denom)
+
     fft_rows = []
     for idx, s in enumerate(streams):
         if tmpl.size == 1 or s.size == 1:
@@ -298,25 +346,8 @@ def normalized_cross_correlation_fused(
         return out  # type: ignore[return-value]
 
     nf = shared_fast_len([streams[i].size + tmpl.size - 1 for i in fft_rows])
-    stacked = _stack_padded(streams, fft_rows, nf, dtype=tmpl.dtype)
-    spec = ctx.rfft(stacked, nf, axis=-1, workers=w)
-    spec *= tmpl.reversed_fft(nf)
-    corr = ctx.irfft(spec, nf, axis=-1, workers=w)
-    np.square(stacked, out=stacked)
-    cum = np.cumsum(stacked, axis=-1, dtype=np.float64)  # repro: allow[DTYPE001] f64 accumulator
-    for k, idx in enumerate(fft_rows):
-        n = streams[idx].size
-        # Windowed energy of the L samples ending at full-conv index
-        # start + i: cum[start + i] - cum[i - 1] (zero rows pad cum
-        # flat beyond n, so the upper index never under-counts).
-        upper = cum[k, start : start + n]
-        energy = upper - np.concatenate(([0.0], cum[k, : n - 1]))
-        denom = np.sqrt(np.maximum(energy, 0.0))
-        np.maximum(denom, 1e-12, out=denom)
-        denom *= tmpl.norm
-        denom = denom.astype(corr.dtype, copy=False)
-        np.divide(corr[k, start : start + n], denom, out=denom)
-        out[idx] = np.clip(denom, -1.0, 1.0, out=denom)
+    for lo, hi in row_blocks(len(fft_rows), nf * 8):
+        _block(fft_rows[lo:hi], nf)
     return out  # type: ignore[return-value]
 
 

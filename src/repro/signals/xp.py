@@ -9,6 +9,9 @@ The facade resolves two things as one immutable :class:`ArrayContext`:
   tier) or ``"float32"`` (the statistical-contract fast tier);
 * the FFT bindings for that precision.
 
+It also holds the kernels' one working-set budget, :data:`BLOCK_BYTES`,
+which :func:`row_blocks` splits a batch's row axis under.
+
 Arrays are always numpy; the kernels call ``np.`` directly.
 
 The float64 context binds exactly the functions the kernels
@@ -24,7 +27,7 @@ accepts ``workers=`` for threaded stacked transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -36,6 +39,8 @@ __all__ = [
     "precision_of",
     "as_float_array",
     "as_complex_array",
+    "BLOCK_BYTES",
+    "row_blocks",
 ]
 
 #: Supported working precisions, reference tier first.
@@ -136,3 +141,25 @@ def get_context(precision: str = DEFAULT_PRECISION) -> ArrayContext:
     if ctx is None:
         ctx = _CONTEXTS[precision] = _build_context(precision)
     return ctx
+
+
+#: Working-set budget of the stacked FFT kernels, in bytes per stacked
+#: real array (16 float64 rows at a 32768-point transform).  Each
+#: kernel walks its batch in :func:`row_blocks` and frees one block's
+#: temporaries before the next, so its peak no longer grows with the
+#: batch.  Blocking changes no bit: only rows are split, transform
+#: lengths stay call-wide, and pocketfft transforms every row of a
+#: stack independently (DESIGN.md §6, "Working set").
+BLOCK_BYTES = 4 << 20
+
+
+def row_blocks(count: int, row_bytes: int) -> Iterator[Tuple[int, int]]:
+    """``(lo, hi)`` row ranges covering ``range(count)`` in order.
+
+    ``row_bytes`` is the size of one row of the widest array a block
+    allocates; a block holds as many rows as fit in
+    :data:`BLOCK_BYTES`, and always at least one.
+    """
+    step = max(1, BLOCK_BYTES // max(1, int(row_bytes)))
+    for lo in range(0, count, step):
+        yield lo, min(lo + step, count)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel.multipath import PathTap, image_method_tap_arrays, image_method_taps
+from repro.channel.noise import synth_noise_rows, synth_noise_shape
 from repro.channel.render import (
     CachedWaveform,
     apply_channel,
@@ -22,7 +23,7 @@ from repro.channel.render import (
     render_taps_positions,
 )
 from repro.constants import NOISE_FLOOR_TAPS
-from repro.signals import batchcorr
+from repro.signals import batchcorr, xp
 from repro.signals.correlation import (
     cross_correlate,
     normalized_cross_correlation,
@@ -459,3 +460,132 @@ class TestCrossCorrelateTail:
         out = cross_correlate(np.ones(10), np.ones(4))
         assert np.allclose(out[-4:], [4.0, 3.0, 2.0, 1.0])
         assert np.all(np.abs(out[-4:]) > 0.5)
+
+
+#: Budgets that split a batch into single rows and keep it whole.
+_ONE_ROW, _WHOLE_BATCH = 1, 1 << 62
+
+
+def _under_budgets(call):
+    """``call()`` once under a one-row budget, once under a whole-batch one."""
+    results = []
+    for budget in (_ONE_ROW, _WHOLE_BATCH):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xp, "BLOCK_BYTES", budget)
+            results.append(call())
+    return results
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+_DTYPES = st.sampled_from([np.float64, np.float32])
+
+
+class TestRowBlocking:
+    """Row-blocked stacked FFT kernels match their one-shot selves bit for bit.
+
+    Each kernel runs once with the working-set budget patched to one
+    row (every row its own block) and once to the whole batch (the
+    unblocked computation); outputs, and for the noise synthesis the
+    generator state after the call, must be identical.
+    """
+
+    def test_row_blocks_cover_rows_in_order(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xp, "BLOCK_BYTES", 100)
+            assert list(xp.row_blocks(7, 30)) == [(0, 3), (3, 6), (6, 7)]
+            assert list(xp.row_blocks(2, 1000)) == [(0, 1), (1, 2)]
+            assert list(xp.row_blocks(0, 30)) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        template_len=st.integers(1, 48),
+        dtype=_DTYPES,
+    )
+    def test_ncc_kernels(self, seed, rows, template_len, dtype):
+        rng = _rng(seed)
+        template = rng.standard_normal(template_len)
+        streams = [
+            rng.standard_normal(int(rng.integers(1, 500))).astype(dtype) for _ in range(rows)
+        ]
+        for kernel, tmpl_dtype in (
+            (batchcorr.normalized_cross_correlation_batch, np.float64),
+            (batchcorr.normalized_cross_correlation_fused, dtype),
+        ):
+            blocked, whole = _under_budgets(
+                lambda: kernel(streams, batchcorr.CachedTemplate(template, dtype=tmpl_dtype))
+            )
+            assert len(blocked) == len(whole) == rows
+            for b, w in zip(blocked, whole):
+                assert _same_bits(b, w)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        shared_length=st.booleans(),
+        dtype=_DTYPES,
+    )
+    def test_apply_channel_batch(self, seed, rows, shared_length, dtype):
+        rng = _rng(seed)
+        wave = rng.standard_normal(int(rng.integers(1, 300)))
+        fir_rows, fir_lengths, output_lengths = [], [], []
+        for _ in range(rows):
+            n_fir = int(rng.integers(1, 200))
+            if rng.random() < 0.5:
+                n_taps = int(rng.integers(1, 8))
+                fir_rows.append((rng.uniform(0.0, n_fir, n_taps), rng.standard_normal(n_taps)))
+            else:
+                fir_rows.append(rng.standard_normal(n_fir + int(rng.integers(0, 5))))
+            fir_lengths.append(n_fir)
+            # Outputs both shorter and longer than the full convolution.
+            output_lengths.append(int(rng.integers(1, wave.size + n_fir + 50)))
+        blocked, whole = _under_budgets(
+            lambda: apply_channel_batch(
+                CachedWaveform(wave, dtype=dtype),
+                fir_rows,
+                fir_lengths,
+                output_lengths,
+                shared_length=shared_length,
+            )
+        )
+        for b, w, n in zip(blocked, whole, output_lengths):
+            assert _same_bits(b, w) and b.size == n
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 40),
+        predrawn=st.booleans(),
+        precision=st.sampled_from(["float64", "float32"]),
+    )
+    def test_synth_noise_rows(self, seed, rows, predrawn, precision):
+        rng = _rng(seed)
+        lengths = [int(n) for n in rng.integers(1, 700, rows)]
+        levels = [(0.005, 0.0), (0.002, 0.001), (0.0, 0.003)]
+        picks = rng.integers(0, len(levels), rows)
+        ambient = [levels[i][0] for i in picks]
+        hw = [levels[i][1] for i in picks]
+        real = xp.get_context(precision).real_dtype
+        z = (
+            _rng(seed ^ 0x5EED).standard_normal(synth_noise_shape(lengths), dtype=real)
+            if predrawn
+            else None
+        )
+        states = []
+
+        def call():
+            gen = _rng(seed + 1)
+            out = synth_noise_rows(lengths, ambient, hw, gen, 44_100.0, z=z, precision=precision)
+            states.append(gen.bit_generator.state)
+            return out
+
+        blocked, whole = _under_budgets(call)
+        assert _same_bits(blocked, whole)
+        assert blocked.shape == (rows, max(lengths))
+        assert states[0] == states[1]

@@ -174,12 +174,22 @@ class TestArtifacts:
             assert entry["status"] == "ok"
             assert entry["measured"] and entry["paper"]
             assert "wall_time_s" not in entry
+            assert "peak_rss_mb" not in entry
             json.dumps(entry)  # strict-JSON clean
 
     def test_timing_is_opt_in(self):
         results = run_campaign(["fig16"], scale=0.2)
         timed = campaign_to_dict(results, include_timing=True)
         assert "wall_time_s" in timed["experiments"][0]
+        assert timed["experiments"][0]["peak_rss_mb"] > 0
+        assert "peak_rss_mb" not in json.dumps(engine.unit_to_dict(results[0]))
+
+    def test_merged_peak_rss_is_the_max_over_chunks(self, monkeypatch):
+        # In process, each chunk reads the peak once, when it ends.
+        peaks = iter([3.0, 1.0])
+        monkeypatch.setattr(engine, "peak_rss_mb", lambda: next(peaks))
+        (result,) = run_campaign(["fig14"], scale=0.05, trial_chunks=2)
+        assert result.peak_rss_mb == 3.0
 
 
 class TestRunnerCli:
@@ -212,6 +222,28 @@ class TestRunnerCli:
         assert main(["tables", *flags]) == 2
         out = capsys.readouterr().out
         assert message in out and "Traceback" not in out
+
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unwritable_json_exits_2_before_compute(self, where, tmp_path, monkeypatch, capsys):
+        import repro.experiments.runner as runner
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the campaign ran before --json was checked")
+
+        monkeypatch.setattr(runner, "run_campaign", no_compute)
+        path = tmp_path / "missing" / "out.json" if where == "missing-parent" else tmp_path
+        assert main(["tables", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error: --json" in err and "Traceback" not in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_timing_records_peak_rss_with_workers(self, tmp_path):
+        path = tmp_path / "timed.json"
+        args = ["fig14", "--scale", "0.05", "--seed", "5", "--trial-chunks", "2"]
+        assert main(args + ["--workers", "2", "--timing", "--json", str(path)]) == 0
+        (entry,) = json.loads(path.read_text())["experiments"]
+        assert entry["status"] == "ok"
+        assert entry["wall_time_s"] > 0 and entry["peak_rss_mb"] > 0
 
     def test_bad_sweep_exits_2(self, capsys):
         assert main(["fig16", "--sweep", "nonsense"]) == 2
