@@ -5,10 +5,12 @@ Usage::
     PYTHONPATH=src python benchmarks/run_benchmarks.py --json BENCH_PR5.json
     PYTHONPATH=src python benchmarks/run_benchmarks.py --scale 0.2 --figures fig11
 
-Times each waveform figure's campaign entry under all three backends on
-the same seeded substream: ``batch`` is bit-identical to ``legacy``
-(pinned by ``tests/test_batch_parity.py``, a pure performance A/B),
-``fast`` relaxes bit-parity and is validated statistically
+Times each waveform figure's campaign entry three ways on the same
+seeded substream: ``legacy`` is the per-exchange reference, run as the
+test oracle of ``tests/legacy_oracles.py`` (patched in around a
+``backend="batch"`` call); ``batch`` is bit-identical to it (pinned by
+``tests/test_batch_parity.py``, a pure performance A/B); ``fast``
+relaxes bit-parity and is validated statistically
 (``tests/test_fast_equivalence.py``).  Also times the hot kernels the
 batch pipeline rewrote (peak scan, tap rendering, template-cached NCC,
 multi-threshold power detection).  The JSON artifact is the repo's
@@ -23,10 +25,13 @@ never silently vanish from the CI artifact.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
+import sys
 import time
 import traceback
+from pathlib import Path
 from typing import Dict
 
 import numpy as np
@@ -34,10 +39,28 @@ import numpy as np
 from repro.experiments import engine
 from repro.experiments.fast_contract import FAST_FIGURES, compare_measured
 
-#: Figure entries that accept backend="legacy"|"batch"|"fast".
+#: Figure entries that accept backend="batch"|"fast".
 FIGURES = ("fig11", "fig12", "fig13", "fig14", "fig15", "fig22")
 
-BACKENDS = ("legacy", "batch", "fast")
+#: Timed columns: (label, entry kwargs).  ``legacy`` runs the batch
+#: entry with the per-exchange oracles patched in (:func:`_oracle`).
+BACKENDS = (
+    ("legacy", {"backend": "batch"}),
+    ("batch", {"backend": "batch"}),
+    ("fast", {"backend": "fast"}),
+)
+
+
+def _oracle(label: str):
+    """The per-exchange oracle context for the ``legacy`` column."""
+    if label != "legacy":
+        return contextlib.nullcontext()
+    tests_dir = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+    from legacy_oracles import legacy_waveform
+
+    return legacy_waveform()
 
 
 def _time_call(fn, repeats: int = 1) -> float:
@@ -61,7 +84,7 @@ def bench_figure(name: str, scale: float, repeats: int = 3) -> Dict[str, object]
     # single precision, gated against the batch run's measured metrics
     # through the float32 tolerance table (a violation here fails the
     # CI gate unconditionally — see benchmarks/check_regression.py).
-    cases = [(b, {"backend": b}) for b in BACKENDS]
+    cases = list(BACKENDS)
     cases.append(("batch_sequential", {"backend": "batch", "pipeline": 0}))
     cases.append(("fast_float32", {"backend": "fast", "precision": "float32"}))
     for label, kwargs in cases:
@@ -69,13 +92,16 @@ def bench_figure(name: str, scale: float, repeats: int = 3) -> Dict[str, object]
             # Best-of-N with a fresh substream per repeat (identical
             # workload each time): these ratios feed the CI regression
             # gate, so a single GC pause must not fail a build.
-            timings[label] = _time_call(
-                lambda: measured.__setitem__(
-                    label,
-                    entry(engine.experiment_rng(name), scale=scale, **kwargs).measured,
-                ),
-                repeats,
-            )
+            with _oracle(label):
+                timings[label] = _time_call(
+                    lambda: measured.__setitem__(
+                        label,
+                        entry(
+                            engine.experiment_rng(name), scale=scale, **kwargs
+                        ).measured,
+                    ),
+                    repeats,
+                )
         except Exception:
             timings["error"] = (
                 f"case {label!r} raised:\n{traceback.format_exc(limit=8)}"

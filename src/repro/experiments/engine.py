@@ -27,6 +27,7 @@ from __future__ import annotations
 import atexit
 import dataclasses
 import importlib
+import inspect
 import json
 import math
 import sys
@@ -55,17 +56,16 @@ from repro.signals.xp import PRECISIONS, get_context
 DEFAULT_BASE_SEED = 2023
 
 #: The waveform-backend registry every engine plugs into, mapping each
-#: backend to the working precisions it supports.  ``legacy`` is the
-#: per-exchange reference, ``batch`` the bit-identical batched
-#: pipeline, ``fast`` the non-parity engine validated statistically
+#: backend to the working precisions it supports.  ``batch`` is the
+#: bit-parity reference pipeline, pinned to the per-exchange oracles in
+#: tests/legacy_oracles.py and to the parity-epoch baselines; ``fast``
+#: is the non-parity engine validated statistically
 #: (tests/test_fast_equivalence.py).  Only ``fast`` supports the
-#: float32 tier: the bit-parity backends *are* the float64 reference,
-#: so ``(backend, precision)`` is validated as a pair by
-#: :func:`check_backend`.  Experiments declare which backends they
-#: support via ``ExperimentSpec.backends``; iteration order (and hence
-#: ``tuple(WAVEFORM_BACKENDS)``) is unchanged from the historic tuple.
+#: float32 tier: ``batch`` *is* the float64 reference, so ``(backend,
+#: precision)`` is validated as a pair by :func:`check_backend`.
+#: Experiments declare which backends they support via
+#: ``ExperimentSpec.backends``.
 WAVEFORM_BACKENDS: Dict[str, Tuple[str, ...]] = {
-    "legacy": ("float64",),
     "batch": ("float64",),
     "fast": PRECISIONS,
 }
@@ -331,7 +331,7 @@ def check_backend(
     backends are float64-only, so e.g. ``("batch", "float32")`` is
     rejected up front, exactly like an unknown backend name.
     """
-    if backend not in WAVEFORM_BACKENDS:
+    if not isinstance(backend, str) or backend not in WAVEFORM_BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r} (choose from {', '.join(WAVEFORM_BACKENDS)})"
         )
@@ -510,10 +510,14 @@ def plan_units(
     expand to named variants here, so two campaigns that share a sweep
     point share a cache entry.  ``backend`` and ``precision`` are
     validated as a pair but *not* folded into params; the cache key
-    carries each as its own field.
+    carries each as its own field.  Every unit passes
+    :func:`check_units`, so a bad sweep value fails here, before any
+    unit runs.
     """
     check_request(names, backend=backend, precision=precision)
-    return _expand_units(names, sweep)
+    units = _expand_units(names, sweep)
+    check_units(units, backend=backend, precision=precision)
+    return units
 
 
 def _expand_units(
@@ -527,6 +531,69 @@ def _expand_units(
         variants = sweep_variants(applicable) if applicable else spec.variants
         units += [(name, variant.name, dict(variant.params)) for variant in variants]
     return units
+
+
+#: Entry keywords the engine supplies itself; no unit parameter sets them.
+_ENGINE_KWARGS = frozenset({"rng", "scale", "chunk", "pipeline"})
+
+
+def _unit_kwargs(
+    name: str,
+    variant: str,
+    params: Mapping[str, Any],
+    backend: Optional[str],
+    precision: Optional[str],
+) -> Dict[str, Any]:
+    """A unit's entry keywords: its declared variant's params, the
+    explicit ``params`` over them, then ``backend``/``precision`` as
+    defaults."""
+    declared = {v.name: v.params for v in get_spec(name).variants}
+    kwargs = {**declared.get(variant, {}), **params}
+    if backend is not None:
+        kwargs.setdefault("backend", backend)
+    if precision is not None:
+        kwargs.setdefault("precision", precision)
+    return kwargs
+
+
+def check_units(
+    units: Iterable[Tuple[str, str, Mapping[str, Any]]],
+    backend: Optional[str] = None,
+    precision: Optional[str] = None,
+) -> None:
+    """Validate (experiment, variant, params) units before any compute.
+
+    Each unit's folded keywords (:func:`_unit_kwargs`) must all be
+    parameters of the experiment's entry (any key, for an entry taking
+    ``**kwargs``), and a folded ``backend`` or ``precision`` — set by
+    explicit params, a sweep point or the request — must pass
+    :func:`check_backend`, the entry's own default standing in for the
+    one not set.  Raises ``ValueError``.
+    """
+    for name, variant, params in units:
+        kwargs = _unit_kwargs(name, variant, params, backend, precision)
+        if not kwargs:
+            continue
+        entry = inspect.signature(get_spec(name).resolve_entry()).parameters
+        named = [k for k, p in entry.items() if p.kind is not p.VAR_KEYWORD]
+        takes_any = len(named) < len(entry)
+        unknown = sorted(
+            k for k in kwargs if k in _ENGINE_KWARGS or not (k in named or takes_any)
+        )
+        if unknown:
+            accepted = [k for k in named if k not in _ENGINE_KWARGS]
+            raise ValueError(
+                f"experiment {name!r} has no parameter "
+                f"{', '.join(map(repr, unknown))} "
+                f"(accepted: {', '.join(accepted) or 'none'})"
+            )
+        if "backend" in kwargs or "precision" in kwargs:
+            default = {k: p.default for k, p in entry.items()}
+            check_backend(
+                kwargs.get("backend", default.get("backend")),
+                name,
+                precision=kwargs.get("precision", default.get("precision")),
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -748,9 +815,9 @@ def _run_units(
 ) -> Iterator[ExperimentResult]:
     """The one executor: run (experiment, variant, params) units in order.
 
-    The caller has validated the request (:func:`check_request`).
-    Each unit's params are its declared variant's params, the explicit
-    ``params`` over them, then ``backend``/``precision`` as defaults.
+    The caller has validated the request (:func:`check_request`) and
+    the units (:func:`check_units`); each unit runs on its
+    :func:`_unit_kwargs`.
     A chunkable unit expands into ``trial_chunks`` chunk jobs.  Jobs run
     in process when ``workers == 1``, else on the persistent pool, where
     a dead worker's job becomes an error result; ``workers < 1`` raises
@@ -763,12 +830,7 @@ def _run_units(
     jobs: List[_Job] = []
     for name, variant, params in units:
         spec = get_spec(name)
-        declared = {v.name: v.params for v in spec.variants}
-        merged = {**declared.get(variant, {}), **params}
-        if backend is not None:
-            merged.setdefault("backend", backend)
-        if precision is not None:
-            merged.setdefault("precision", precision)
+        merged = _unit_kwargs(name, variant, params, backend, precision)
         chunked = trial_chunks > 1 and spec.chunkable
         chunks = [(i, trial_chunks) for i in range(trial_chunks)] if chunked else [None]
         jobs += [(name, variant, merged, chunk) for chunk in chunks]
@@ -810,8 +872,9 @@ def run_unit(
     :func:`repro.service.cachekey.cache_key` hashes.  ``workers`` and
     ``pipeline`` are execution knobs (chunk parallelism / flush depth)
     that never change the bytes; ``workers < 1`` raises ``ValueError``.
-    Explicit ``params`` override the declared variant's; an ad-hoc
-    variant name draws the CRC32-extended substream of
+    Explicit ``params`` override the declared variant's and must be
+    parameters of the entry (:func:`check_units`, ``ValueError``); an
+    ad-hoc variant name draws the CRC32-extended substream of
     :func:`variant_seed_sequence`.
     """
     request = dict(
@@ -823,6 +886,7 @@ def run_unit(
     )
     check_request([name], **request)
     units = [(name, variant, params or {})]
+    check_units(units, backend=backend, precision=precision)
     return next(_run_units(units, workers=workers, pipeline=pipeline, **request))
 
 
@@ -859,9 +923,10 @@ def run_campaign(
     outlives the campaign and returns each result pickled over a pipe;
     call :func:`shutdown_pool` to retire it.  ``backend`` selects the
     waveform backend for the whole campaign; every selected experiment
-    must declare it in its capability flags.  ``precision`` selects the
-    working precision (validated against the backend: only ``fast``
-    supports ``"float32"``).  ``pipeline`` sets the Phase-A/Phase-B
+    must declare it in its capability flags, and every expanded unit
+    passes :func:`check_units` before the first one runs.
+    ``precision`` selects the working precision (validated against the
+    backend: only ``fast`` supports ``"float32"``).  ``pipeline`` sets the Phase-A/Phase-B
     flush-pipeline depth for waveform experiments (``None`` = the
     ``REPRO_PIPELINE_DEPTH`` default); artifacts are bit-identical at
     every depth.
@@ -876,6 +941,7 @@ def run_campaign(
     )
     check_request(selected, **request)
     units = _expand_units(selected, sweep)
+    check_units(units, backend=backend, precision=precision)
     results: List[ExperimentResult] = []
     for result in _run_units(units, workers=workers, pipeline=pipeline, **request):
         if progress:

@@ -1,7 +1,7 @@
 """Statistical-equivalence contract between the fast and batch backends.
 
 The ``fast`` waveform backend deliberately gives up bit-parity with the
-``legacy``/``batch`` reference: it consumes the random stream
+``batch`` reference: it consumes the random stream
 differently (frequency-domain noise from a dedicated substream), uses
 shared padded FFT sizes, a fused NCC normalisation and a strided-Gram
 candidate gate (one ``(S, S)`` Gram per candidate, normalised after the

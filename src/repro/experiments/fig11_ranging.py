@@ -6,9 +6,10 @@ absolute ranging error per distance; (b) 95th-percentile error using
 both microphones vs the bottom or top microphone alone.
 
 Both studies run on either waveform backend (``backend="batch"`` is
-the default and is bit-identical to ``"legacy"`` on the same seed; see
-``tests/test_batch_parity.py``), and the campaign entry supports trial
-chunking for intra-experiment parallelism.
+the default and is bit-identical to the per-exchange oracle in
+``tests/legacy_oracles.py``; see ``tests/test_batch_parity.py``), and
+the campaign entry supports trial chunking for intra-experiment
+parallelism.
 """
 
 from __future__ import annotations
@@ -29,14 +30,11 @@ from repro.ranging.batch import (
     ls_channel_estimate_batch,
     single_mic_direct_path_fast,
 )
-from repro.ranging.detector import detect_preamble
-from repro.ranging.estimator import estimate_direct_path, single_mic_direct_path
 from repro.signals.batchcorr import CachedTemplate
-from repro.signals.channel_est import channel_impulse_response, ls_channel_estimate
 from repro.signals.preamble import make_preamble
 from repro.signals.xp import get_context
 from repro.simulate.batch_exchange import BatchExchangeRenderer, BatchOneWay
-from repro.simulate.waveform_sim import ExchangeConfig, one_way_range, simulate_reception
+from repro.simulate.waveform_sim import ExchangeConfig
 
 #: Paper-reported median ranging errors (m) by separation.
 PAPER_MEDIAN_ERROR_M = {10: 0.48, 20: 0.80, 35: 0.86}
@@ -74,14 +72,9 @@ def run_ranging_sweep(
     config = ExchangeConfig(environment=DOCK)
     results = []
     for distance in distances_m:
-        sim = (
-            BatchOneWay(
-                preamble, backend=backend, pipeline=pipeline, precision=precision
-            )
-            if backend != "legacy"
-            else None
+        sim = BatchOneWay(
+            preamble, backend=backend, pipeline=pipeline, precision=precision
         )
-        errors: List[float] = []
         for _ in range(num_exchanges):
             # Sessions vary slightly in geometry (the paper re-submerged
             # the phones every ~20 measurements).
@@ -89,13 +82,8 @@ def run_ranging_sweep(
             depth_rx = depth_m + rng.uniform(-0.2, 0.2)
             tx = np.array([0.0, 0.0, depth_tx])
             rx = np.array([distance + rng.uniform(-0.1, 0.1), 0.0, depth_rx])
-            if sim is not None:
-                sim.add(tx, rx, config, rng)
-            else:
-                errors.append(one_way_range(preamble, tx, rx, config, rng).error_m)
-        if sim is not None:
-            errors = [m.error_m for m in sim.run()]
-        errors = np.asarray(errors)
+            sim.add(tx, rx, config, rng)
+        errors = np.asarray([m.error_m for m in sim.run()])
         results.append(
             RangingSweepResult(
                 distance_m=float(distance),
@@ -115,46 +103,6 @@ class MicAblationResult:
     p95_bottom_only_m: float
     p95_top_only_m: float
     errors: Optional[Dict[str, List[float]]] = None
-
-
-def _ablation_errors_legacy(
-    rng, preamble, config, distance, num_exchanges, depth_m, fs
-) -> Dict[str, List[float]]:
-    errs: Dict[str, List[float]] = {"both": [], "bottom": [], "top": []}
-    for _ in range(num_exchanges):
-        tx = np.array([0.0, 0.0, depth_m + rng.uniform(-0.2, 0.2)])
-        rx = np.array(
-            [distance + rng.uniform(-0.1, 0.1), 0.0, depth_m + rng.uniform(-0.2, 0.2)]
-        )
-        sound_speed = DOCK.sound_speed(depth_m)
-        mic1, mic2, guard, true_idx = simulate_reception(preamble, tx, rx, config, rng)
-        detection = detect_preamble(mic1, preamble, config.detection)
-        if detection is None:
-            for key in errs:
-                errs[key].append(np.nan)
-            continue
-        cirs = []
-        for stream in (mic1, mic2):
-            h = ls_channel_estimate(stream, preamble, detection.start_index)
-            cirs.append(
-                np.roll(channel_impulse_response(h, preamble.config.ofdm), _WRAP_MARGIN)
-            )
-        joint = estimate_direct_path(
-            cirs[0], cirs[1], sound_speed=sound_speed, sample_rate=fs
-        )
-        if joint is not None:
-            est = detection.start_index + joint.tap - _WRAP_MARGIN
-            errs["both"].append((est - true_idx) / fs * sound_speed)
-        else:
-            errs["both"].append(np.nan)
-        for key, cir in (("bottom", cirs[0]), ("top", cirs[1])):
-            tap = single_mic_direct_path(cir, search_limit=512 + _WRAP_MARGIN)
-            if tap is None:
-                errs[key].append(np.nan)
-            else:
-                est = detection.start_index + tap - _WRAP_MARGIN
-                errs[key].append((est - true_idx) / fs * sound_speed)
-    return errs
 
 
 def _ablation_errors_batch(
@@ -245,22 +193,17 @@ def run_mic_ablation(
     fs = preamble.config.ofdm.sample_rate
     out = []
     for distance in distances_m:
-        if backend == "legacy":
-            errs = _ablation_errors_legacy(
-                rng, preamble, config, distance, num_exchanges, depth_m, fs
-            )
-        else:
-            errs = _ablation_errors_batch(
-                rng,
-                preamble,
-                config,
-                distance,
-                num_exchanges,
-                depth_m,
-                fs,
-                fast=backend == "fast",
-                precision=precision,
-            )
+        errs = _ablation_errors_batch(
+            rng,
+            preamble,
+            config,
+            distance,
+            num_exchanges,
+            depth_m,
+            fs,
+            fast=backend == "fast",
+            precision=precision,
+        )
         out.append(
             MicAblationResult(
                 distance_m=float(distance),

@@ -10,8 +10,9 @@ BeepBeep's correlation peak, and CAT's FMCW dechirp.
 ``backend="batch"`` renders/detects our pipeline batch-wise and
 evaluates the power-threshold sweep off a single power profile per
 stream (the threshold only enters a comparison); results are
-bit-identical to the legacy loop.  The baselines keep their per-trial
-evaluation — they already share the batch-rendered channel randomness.
+bit-identical to the per-stream oracle in ``tests/legacy_oracles.py``.
+The baselines keep their per-trial evaluation — they already share
+the batch-rendered channel randomness.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from repro.ranging.baselines import (
     cat_fmcw_delay,
 )
 from repro.ranging.batch import detect_preamble_batch, power_threshold_hits
-from repro.ranging.detector import DetectionConfig, detect_power_threshold, detect_preamble
+from repro.ranging.detector import DetectionConfig, detect_power_threshold
 from repro.signals.batchcorr import (
     CachedTemplate,
     fft_workers,
@@ -48,7 +49,7 @@ from repro.simulate.batch_exchange import (
     BatchOneWay,
     spawn_substream,
 )
-from repro.simulate.waveform_sim import ExchangeConfig, one_way_range, simulate_reception
+from repro.simulate.waveform_sim import ExchangeConfig
 
 #: Paper-reported mean 1D errors (m), read off Fig. 12b.
 PAPER_FIG12B = {
@@ -86,22 +87,12 @@ def _detection_counts(
 
     # Pre-render signal-present and noise-only streams (shared across
     # thresholds so the comparison is paired).
-    if backend != "legacy":
-        renderer = BatchExchangeRenderer(preamble, fast=fast, precision=precision)
-        for _ in range(num_trials):
-            tx = np.array([0.0, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
-            rx = np.array([distance_m, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
-            renderer.add(tx, rx, config, rng)
-        present = [(r.mic1, r.true_arrival) for r in renderer.render()]
-    else:
-        present = []
-        for _ in range(num_trials):
-            tx = np.array([0.0, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
-            rx = np.array([distance_m, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
-            mic1, _mic2, _guard, true_idx = simulate_reception(
-                preamble, tx, rx, config, rng
-            )
-            present.append((mic1, true_idx))
+    renderer = BatchExchangeRenderer(preamble, fast=fast, precision=precision)
+    for _ in range(num_trials):
+        tx = np.array([0.0, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
+        rx = np.array([distance_m, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
+        renderer.add(tx, rx, config, rng)
+    present = [(r.mic1, r.true_arrival) for r in renderer.render()]
     if fast:
         noise_rng = spawn_substream(rng)
         length = int(0.6 * fs)
@@ -127,57 +118,32 @@ def _detection_counts(
             for _ in range(num_trials)
         ]
 
-    if backend != "legacy":
-        n_present = len(present)
-        detections = detect_preamble_batch(
-            [stream for stream, _ in present] + absent,
-            preamble,
-            [DetectionConfig()] * (n_present + len(absent)),
-            template=CachedTemplate(
-                preamble.waveform, dtype=get_context(precision).real_dtype
-            ),
-            fast=fast,
-        )
-        ours_fn = sum(
-            1
-            for (stream, true_idx), det in zip(present, detections[:n_present])
-            if det is None or abs(det.start_index - true_idx) > tol
-        )
-        ours_fp = sum(1 for det in detections[n_present:] if det is not None)
-        fmcw_fn = {float(th): 0 for th in thresholds_db}
-        fmcw_fp = {float(th): 0 for th in thresholds_db}
-        for stream, true_idx in present:
-            for th, hit in zip(
-                thresholds_db, power_threshold_hits(stream, thresholds_db)
-            ):
-                if hit is None or abs(hit - true_idx) > tol:
-                    fmcw_fn[float(th)] += 1
-        for stream in absent:
-            for th, hit in zip(
-                thresholds_db, power_threshold_hits(stream, thresholds_db)
-            ):
-                if hit is not None:
-                    fmcw_fp[float(th)] += 1
-    else:
-        ours_fn = 0
-        for stream, true_idx in present:
-            det = detect_preamble(stream, preamble, DetectionConfig())
-            if det is None or abs(det.start_index - true_idx) > tol:
-                ours_fn += 1
-        ours_fp = 0
-        for stream in absent:
-            if detect_preamble(stream, preamble, DetectionConfig()) is not None:
-                ours_fp += 1
-        fmcw_fn = {float(th): 0 for th in thresholds_db}
-        fmcw_fp = {float(th): 0 for th in thresholds_db}
-        for th in thresholds_db:
-            for stream, true_idx in present:
-                hit = detect_power_threshold(stream, threshold_db=th)
-                if hit is None or abs(hit - true_idx) > tol:
-                    fmcw_fn[float(th)] += 1
-            for stream in absent:
-                if detect_power_threshold(stream, threshold_db=th) is not None:
-                    fmcw_fp[float(th)] += 1
+    n_present = len(present)
+    detections = detect_preamble_batch(
+        [stream for stream, _ in present] + absent,
+        preamble,
+        [DetectionConfig()] * (n_present + len(absent)),
+        template=CachedTemplate(
+            preamble.waveform, dtype=get_context(precision).real_dtype
+        ),
+        fast=fast,
+    )
+    ours_fn = sum(
+        1
+        for (stream, true_idx), det in zip(present, detections[:n_present])
+        if det is None or abs(det.start_index - true_idx) > tol
+    )
+    ours_fp = sum(1 for det in detections[n_present:] if det is not None)
+    fmcw_fn = {float(th): 0 for th in thresholds_db}
+    fmcw_fp = {float(th): 0 for th in thresholds_db}
+    for stream, true_idx in present:
+        for th, hit in zip(thresholds_db, power_threshold_hits(stream, thresholds_db)):
+            if hit is None or abs(hit - true_idx) > tol:
+                fmcw_fn[float(th)] += 1
+    for stream in absent:
+        for th, hit in zip(thresholds_db, power_threshold_hits(stream, thresholds_db)):
+            if hit is not None:
+                fmcw_fp[float(th)] += 1
     return {
         "num_trials": num_trials,
         "thresholds_db": [float(th) for th in thresholds_db],
@@ -277,12 +243,8 @@ def _baseline_errors(
     chirp_template = CachedTemplate(chirp, dtype=real_dtype) if fast else None
 
     for distance in distances_m:
-        sim = (
-            BatchOneWay(
-                preamble, backend=backend, pipeline=pipeline, precision=precision
-            )
-            if backend != "legacy"
-            else None
+        sim = BatchOneWay(
+            preamble, backend=backend, pipeline=pipeline, precision=precision
         )
         noise_rng = spawn_substream(rng) if fast else None
         trial_taps = []
@@ -293,12 +255,8 @@ def _baseline_errors(
             rx = np.array([distance, 0.0, depth_m + rng.uniform(-0.1, 0.1)])
             true_d = float(np.linalg.norm(rx - tx))
 
-            # Ours: the standard pipeline (batched or per exchange).
-            if sim is not None:
-                sim.add(tx, rx, config, rng)
-            else:
-                ours = one_way_range(preamble, tx, rx, config, rng)
-                errors["ours"][distance].append(ours.error_m)
+            # Ours: the standard pipeline.
+            sim.add(tx, rx, config, rng)
 
             # Baselines ride the same channel realism: per-exchange tap
             # fluctuation and the same sound-speed uncertainty (receivers
@@ -368,8 +326,7 @@ def _baseline_errors(
                 errors["cat"][distance].append(
                     np.nan if cat_est is None else cat_est * nominal_speed - true_d
                 )
-        if sim is not None:
-            errors["ours"][distance] = [m.error_m for m in sim.run()]
+        errors["ours"][distance] = [m.error_m for m in sim.run()]
 
     return {
         name: [
@@ -396,10 +353,11 @@ def _fast_baseline_trials(
 
     Fast-mode counterpart of the per-trial baseline loop: the shared
     chirp body is convolved once per trial in one grouped transform
-    (legacy computes the identical body twice, once per baseline), the
-    per-baseline noise is synthesised frequency-domain from the
-    dedicated substream, and the BeepBeep chirp correlations run as one
-    fused-NCC batch.  CAT keeps its per-trial dechirp (one small FFT).
+    (the per-trial loop computes the identical body twice, once per
+    baseline), the per-baseline noise is synthesised frequency-domain
+    from the dedicated substream, and the BeepBeep chirp correlations
+    run as one fused-NCC batch.  CAT keeps its per-trial dechirp (one
+    small FFT).
 
     Returns (BeepBeep arrival index | None, CAT delay-from-guard in
     seconds | None) per trial.
@@ -426,7 +384,7 @@ def _fast_baseline_trials(
         workers=workers,
     )
     # Two independent noise realisations per trial (BeepBeep, then CAT),
-    # matching the legacy loop's separate streams.
+    # matching the per-trial loop's separate streams.
     lengths = [guard + body.size + tail for body in bodies]
     ambient = BOATHOUSE.noise.ambient_rms
     noise = synth_noise_rows(

@@ -20,7 +20,7 @@ from repro.experiments import engine
 from repro.experiments.metrics import ErrorSummary, summarize_errors
 from repro.signals.preamble import make_preamble
 from repro.simulate.batch_exchange import BatchOneWay
-from repro.simulate.waveform_sim import ExchangeConfig, one_way_range
+from repro.simulate.waveform_sim import ExchangeConfig
 
 #: Paper: median / p95 at the best depth (5 m).
 PAPER_BEST_DEPTH = {"depth_m": 5.0, "median": 0.28, "p95": 0.73}
@@ -56,14 +56,9 @@ def run_depth_sweep(
     config = ExchangeConfig(environment=DOCK)
     results = []
     for depth in depths_m:
-        sim = (
-            BatchOneWay(
-                preamble, backend=backend, pipeline=pipeline, precision=precision
-            )
-            if backend != "legacy"
-            else None
+        sim = BatchOneWay(
+            preamble, backend=backend, pipeline=pipeline, precision=precision
         )
-        errors: List[float] = []
         for _ in range(num_exchanges):
             # The rope lets the phone sway slightly (paper setup).
             tx = np.array([0.0, 0.0, depth + rng.uniform(-0.15, 0.15)])
@@ -72,13 +67,8 @@ def run_depth_sweep(
             )
             tx[2] = np.clip(tx[2], 0.2, DOCK.water_depth_m - 0.2)
             rx[2] = np.clip(rx[2], 0.2, DOCK.water_depth_m - 0.2)
-            if sim is not None:
-                sim.add(tx, rx, config, rng)
-            else:
-                errors.append(one_way_range(preamble, tx, rx, config, rng).error_m)
-        if sim is not None:
-            errors = [m.error_m for m in sim.run()]
-        errors = np.asarray(errors)
+            sim.add(tx, rx, config, rng)
+        errors = np.asarray([m.error_m for m in sim.run()])
         results.append(
             DepthRangingResult(
                 depth_m=float(depth),

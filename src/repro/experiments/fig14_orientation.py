@@ -20,7 +20,7 @@ from repro.experiments import engine
 from repro.experiments.metrics import ErrorSummary, summarize_errors
 from repro.signals.preamble import make_preamble
 from repro.simulate.batch_exchange import BatchOneWay
-from repro.simulate.waveform_sim import ExchangeConfig, one_way_range
+from repro.simulate.waveform_sim import ExchangeConfig
 
 #: Paper: medians range from 0.54 to 1.25 m across orientations.
 PAPER_ORIENTATION_MEDIAN_RANGE = (0.54, 1.25)
@@ -94,23 +94,14 @@ def _orientation_errors(
             tx_azimuth_rad=np.deg2rad(az_deg),
             tx_polar_rad=np.deg2rad(pol_deg),
         )
-        sim = (
-            BatchOneWay(
-                preamble, backend=backend, pipeline=pipeline, precision=precision
-            )
-            if backend != "legacy"
-            else None
+        sim = BatchOneWay(
+            preamble, backend=backend, pipeline=pipeline, precision=precision
         )
-        errors: List[float] = []
         for _ in range(num_exchanges):
             tx = np.array([0.0, 0.0, case_depth + rng.uniform(-0.1, 0.1)])
             rx = np.array([distance_m, 0.0, depth_m + rng.uniform(-0.1, 0.1)])
-            if sim is not None:
-                sim.add(tx, rx, config, rng)
-            else:
-                errors.append(one_way_range(preamble, tx, rx, config, rng).error_m)
-        if sim is not None:
-            errors = [m.error_m for m in sim.run()]
+            sim.add(tx, rx, config, rng)
+        errors = [m.error_m for m in sim.run()]
         out.append((label, np.asarray(errors, dtype=float)))
     return out
 
@@ -164,23 +155,14 @@ def _model_pair_errors(
         config = ExchangeConfig(
             environment=DOCK, tx_model=tx_model, rx_model=rx_model
         )
-        sim = (
-            BatchOneWay(
-                preamble, backend=backend, pipeline=pipeline, precision=precision
-            )
-            if backend != "legacy"
-            else None
+        sim = BatchOneWay(
+            preamble, backend=backend, pipeline=pipeline, precision=precision
         )
-        errors: List[float] = []
         for _ in range(num_exchanges):
             tx = np.array([0.0, 0.0, depth_m + rng.uniform(-0.1, 0.1)])
             rx = np.array([distance_m, 0.0, depth_m + rng.uniform(-0.1, 0.1)])
-            if sim is not None:
-                sim.add(tx, rx, config, rng)
-            else:
-                errors.append(one_way_range(preamble, tx, rx, config, rng).error_m)
-        if sim is not None:
-            errors = [m.error_m for m in sim.run()]
+            sim.add(tx, rx, config, rng)
+        errors = [m.error_m for m in sim.run()]
         out.append((name, np.asarray(errors, dtype=float)))
     return out
 

@@ -19,7 +19,7 @@ from repro.experiments.metrics import ErrorSummary, summarize_errors
 from repro.signals.preamble import make_preamble
 from repro.simulate.batch_exchange import BatchOneWay
 from repro.simulate.mobility import LinearBackForthTrajectory
-from repro.simulate.waveform_sim import ExchangeConfig, one_way_range
+from repro.simulate.waveform_sim import ExchangeConfig
 
 #: Paper: combined median / p95 over both speeds.
 PAPER_MOTION = {"median": 0.51, "p95": 1.17}
@@ -70,22 +70,13 @@ def run_motion_tracking(
         if time_slice is not None:
             offset, count = time_slice
             times = times[offset : offset + count]
-        sim = (
-            BatchOneWay(
-                preamble, backend=backend, pipeline=pipeline, precision=precision
-            )
-            if backend != "legacy"
-            else None
+        sim = BatchOneWay(
+            preamble, backend=backend, pipeline=pipeline, precision=precision
         )
-        measurements = []
         for t in times:
             pos = trajectory.position(float(t))
-            if sim is not None:
-                sim.add(static, pos, config, rng)
-            else:
-                measurements.append(one_way_range(preamble, static, pos, config, rng))
-        if sim is not None:
-            measurements = sim.run()
+            sim.add(static, pos, config, rng)
+        measurements = sim.run()
         true_arr = np.asarray([m.true_distance_m for m in measurements])
         est_arr = np.asarray([m.estimated_distance_m for m in measurements])
         results.append(

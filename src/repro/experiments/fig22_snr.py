@@ -15,14 +15,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.channel.environment import BOATHOUSE
-from repro.channel.multipath import image_method_tap_arrays, image_method_taps
+from repro.channel.multipath import image_method_tap_arrays
 from repro.channel.noise import make_noise, make_noise_fft
-from repro.channel.render import (
-    CachedWaveform,
-    apply_channel,
-    apply_channel_batch,
-    fir_length_for,
-)
+from repro.channel.render import CachedWaveform, apply_channel_batch, fir_length_for
 from repro.experiments import engine
 from repro.signals.batchcorr import fft_workers
 from repro.signals.ofdm import OfdmConfig, band_bins, ofdm_symbol_from_zc
@@ -56,8 +51,8 @@ def run_snr_measurement(
     """Estimate per-subcarrier SNR from repeated OFDM symbols.
 
     ``backend="batch"`` renders every distance's channel in one grouped
-    convolution pass (identical samples; the noise draws keep the
-    legacy per-distance order).  ``backend="fast"`` additionally shares
+    convolution pass (the samples and the per-distance noise draw order
+    of the per-distance oracle in ``tests/legacy_oracles.py``).  ``backend="fast"`` additionally shares
     one padded transform length and threads the stacked FFTs; the noise
     draws stay on the main stream (this figure's noise cost is trivial),
     band-limited by an FFT filter instead of ``sosfilt``
@@ -75,66 +70,42 @@ def run_snr_measurement(
     # boundaries after the channel settles.
     wave = np.tile(base, num_symbols + 2)
 
-    received_by_distance: List[np.ndarray] = []
-    first_arrivals: List[int] = []
-    if backend != "legacy":
-        specs = []
-        for distance in distances_m:
-            tx = np.array([0.0, 0.0, depth_m])
-            rx = np.array([float(distance), 0.0, depth_m])
-            delays, amps, _surf, _bot = image_method_tap_arrays(
-                tx,
-                rx,
-                BOATHOUSE.water_depth_m,
-                sound_speed,
-                max_order=BOATHOUSE.max_image_order,
-                surface_coeff=BOATHOUSE.surface_coeff,
-                bottom_coeff=BOATHOUSE.bottom_coeff,
-            )
-            fir_len = fir_length_for(float(delays.max()), fs)
-            specs.append((delays, amps, fir_len))
-            first_arrivals.append(int(delays[0] * fs))
-        fast = backend == "fast"
-        bodies = apply_channel_batch(
-            CachedWaveform(wave, dtype=ctx.real_dtype),
-            [(delays * fs, amps) for delays, amps, _ in specs],
-            # One FIR-sizing contract for every backend (parity epoch 2);
-            # matches apply_channel's sizing in the legacy branch below.
-            [fir_len for _, _, fir_len in specs],
-            [wave.size + fir_len for _, _, fir_len in specs],
-            shared_length=fast,
-            workers=fft_workers() if fast else None,
+    specs = []
+    for distance in distances_m:
+        tx = np.array([0.0, 0.0, depth_m])
+        rx = np.array([float(distance), 0.0, depth_m])
+        delays, amps, _surf, _bot = image_method_tap_arrays(
+            tx,
+            rx,
+            BOATHOUSE.water_depth_m,
+            sound_speed,
+            max_order=BOATHOUSE.max_image_order,
+            surface_coeff=BOATHOUSE.surface_coeff,
+            bottom_coeff=BOATHOUSE.bottom_coeff,
         )
-        # Noise draws stay on the main float64 stream (legacy draw
-        # order); only the carried samples follow the working dtype.
-        # Fast filters the same draws in the frequency domain instead
-        # of through sosfilt (equal to ~1e-14 relative): with only a
-        # few symbols, re-randomised noise would move the min/max SNR
-        # by more than the contract allows.
-        noise = make_noise_fft if fast else make_noise
-        for body in bodies:
-            received_by_distance.append(
-                body
-                + noise(body.size, BOATHOUSE.noise, rng, fs).astype(body.dtype, copy=False)
-            )
-    else:
-        for distance in distances_m:
-            tx = np.array([0.0, 0.0, depth_m])
-            rx = np.array([float(distance), 0.0, depth_m])
-            taps = image_method_taps(
-                tx,
-                rx,
-                BOATHOUSE.water_depth_m,
-                sound_speed,
-                max_order=BOATHOUSE.max_image_order,
-                surface_coeff=BOATHOUSE.surface_coeff,
-                bottom_coeff=BOATHOUSE.bottom_coeff,
-            )
-            received = apply_channel(wave, taps, fs)
-            received_by_distance.append(
-                received + make_noise(received.size, BOATHOUSE.noise, rng, fs)
-            )
-            first_arrivals.append(int(taps[0].delay_s * fs))
+        specs.append((delays, amps, fir_length_for(float(delays.max()), fs)))
+    first_arrivals = [int(delays[0] * fs) for delays, _, _ in specs]
+    fast = backend == "fast"
+    bodies = apply_channel_batch(
+        CachedWaveform(wave, dtype=ctx.real_dtype),
+        [(delays * fs, amps) for delays, amps, _ in specs],
+        # One FIR-sizing contract for every backend (parity epoch 2).
+        [fir_len for _, _, fir_len in specs],
+        [wave.size + fir_len for _, _, fir_len in specs],
+        shared_length=fast,
+        workers=fft_workers() if fast else None,
+    )
+    # Noise draws stay on the main float64 stream, one per distance in
+    # order; only the carried samples follow the working dtype.  Fast
+    # filters the same draws in the frequency domain instead of through
+    # sosfilt (equal to ~1e-14 relative): with only a few symbols,
+    # re-randomised noise would move the min/max SNR by more than the
+    # contract allows.
+    noise = make_noise_fft if fast else make_noise
+    received_by_distance = [
+        body + noise(body.size, BOATHOUSE.noise, rng, fs).astype(body.dtype, copy=False)
+        for body in bodies
+    ]
 
     profiles = []
     for distance, received, first_arrival in zip(

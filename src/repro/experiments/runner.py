@@ -138,8 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         metavar="NAME",
         help=(
-            "waveform backend for the whole campaign (legacy | batch | fast); "
-            "every selected experiment must support it"
+            "waveform backend for the whole campaign (batch | fast; batch is "
+            "the bit-parity reference); every selected experiment must "
+            "support it"
         ),
     )
     parser.add_argument(
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
         )
         engine.check_workers(args.workers)
         sweep = _parse_sweep(args.sweep)
+        engine.plan_units(
+            selected, sweep=sweep, backend=args.backend, precision=args.precision
+        )
     except KeyError as exc:
         print(exc.args[0])
         print(f"available: {', '.join(experiments)}")

@@ -12,13 +12,13 @@ This is the timestamp-fidelity twin of the waveform simulator: the
 detection-error callable is calibrated from waveform-level runs (see
 DESIGN.md section 2).
 
-Since the discrete-event engine landed, :func:`run_protocol_round` is a
-thin adapter: it validates inputs, pre-draws the per-link detection
-errors (in a fixed order, so the random stream is identical for every
-backend), and hands execution to the event-driven round in
+:func:`run_protocol_round` is a thin adapter: it validates inputs,
+pre-draws the per-link detection errors in a fixed order, and hands
+execution to the event-driven round in
 :mod:`repro.simulate.des.round_adapter`. The original straight-line
-fixed-point loop is kept as the ``"legacy"`` backend; the parity tests
-pin the two to identical reports on fixed seeds (DESIGN.md section 4).
+fixed-point loop lives on as a test oracle
+(``tests/legacy_oracles.py``); the parity tests pin the DES round to it
+report for report on fixed seeds (DESIGN.md section 4).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.constants import DELTA0_S, DELTA1_S
 from repro.devices.clock import DeviceClock
 from repro.errors import ProtocolError
 from repro.protocol.messages import Beacon, TimestampReport
-from repro.protocol.sync import infer_transmit_slot
 
 #: Signature: (receiver_id, sender_id, true_distance_m, rng) -> extra
 #: detection delay in seconds (may be negative; large values model a
@@ -82,7 +81,6 @@ def run_protocol_round(
     rng: Optional[np.random.Generator] = None,
     delta0_s: float = DELTA0_S,
     delta1_s: float = DELTA1_S,
-    backend: str = "des",
 ) -> RoundOutcome:
     """Execute one distributed timestamp round.
 
@@ -106,17 +104,12 @@ def run_protocol_round(
         Randomness for the noise model.
     delta0_s / delta1_s:
         Protocol timing parameters.
-    backend:
-        ``"des"`` runs the round on the discrete-event engine (the
-        default); ``"legacy"`` uses the original fixed-point loop.
-        Detection errors are pre-drawn identically for both, and the
-        parity tests pin their reports to match on fixed seeds.
 
     Raises
     ------
     ProtocolError
-        On malformed inputs (non-square matrices, too few devices, an
-        unknown backend).
+        On malformed inputs (non-square matrices, too few devices, a
+        clock count that does not match).
     """
     d = np.asarray(distances, dtype=float)
     conn = np.asarray(connectivity, dtype=bool)
@@ -128,127 +121,21 @@ def run_protocol_round(
     clocks = clocks or [DeviceClock() for _ in range(n)]
     if len(clocks) != n:
         raise ProtocolError("need one clock per device")
-    if backend not in ("des", "legacy"):
-        raise ProtocolError(f"unknown round backend {backend!r}")
     rng = rng or np.random.default_rng(0)
     depths = np.zeros(n) if depths is None else np.asarray(depths, dtype=float)
 
     # Pre-draw the per-link detection errors (one per directed link; the
-    # same physical arrival is used for sync decisions and timestamps).
-    # The draw order is fixed so both backends consume the random stream
-    # identically.
+    # same physical arrival is used for sync decisions and timestamps)
+    # in a fixed order, so the random stream does not depend on the
+    # event schedule.
     noise: Dict[Tuple[int, int], float] = {}
     for i in range(n):
         for j in range(n):
             if i != j and conn[i, j]:
                 noise[(i, j)] = arrival_noise(i, j, float(d[i, j]), rng)
 
-    if backend == "des":
-        from repro.simulate.des.round_adapter import des_protocol_round
+    from repro.simulate.des.round_adapter import des_protocol_round
 
-        return des_protocol_round(
-            d, conn, sound_speed, clocks, depths, noise, delta0_s, delta1_s
-        )
-    return _legacy_protocol_round(
+    return des_protocol_round(
         d, conn, sound_speed, clocks, depths, noise, delta0_s, delta1_s
-    )
-
-
-def _legacy_protocol_round(
-    d: np.ndarray,
-    conn: np.ndarray,
-    sound_speed: float,
-    clocks: List[DeviceClock],
-    depths: np.ndarray,
-    noise: Dict[Tuple[int, int], float],
-    delta0_s: float,
-    delta1_s: float,
-) -> RoundOutcome:
-    """The original straight-line round: fixed-point slot assignment.
-
-    Kept as the reference implementation the DES backend is verified
-    against (tests/test_des_parity.py).
-    """
-    n = d.shape[0]
-    global_tx: Dict[int, float] = {0: 0.0}
-    sync_ref: Dict[int, int] = {0: 0}
-    missed: List[int] = []
-
-    def first_arrival(i: int) -> Optional[Tuple[float, int]]:
-        """Earliest (global) arrival at device i from known transmitters."""
-        best: Optional[Tuple[float, int]] = None
-        for j, t_j in global_tx.items():
-            if j == i or not conn[i, j]:
-                continue
-            t_arr = t_j + d[i, j] / sound_speed + noise[(i, j)]
-            if best is None or t_arr < best[0]:
-                best = (t_arr, j)
-        return best
-
-    # Fixed-point slot assignment: recompute until every reachable device
-    # has a stable transmit time (a newly known transmission can only move
-    # a device's first arrival earlier).
-    pending = set(range(1, n))
-    for _ in range(n + 2):
-        changed = False
-        for i in sorted(pending):
-            arrival = first_arrival(i)
-            if arrival is None:
-                continue
-            t_arr_global, ref = arrival
-            local_arrival = clocks[i].local_time(t_arr_global)
-            tx_local, deferred = infer_transmit_slot(
-                i, ref, local_arrival, n, delta0_s, delta1_s
-            )
-            tx_global = clocks[i].global_time(tx_local)
-            if i not in global_tx or not np.isclose(global_tx[i], tx_global):
-                global_tx[i] = tx_global
-                sync_ref[i] = ref
-                if deferred and i not in missed:
-                    missed.append(i)
-                changed = True
-        if not changed:
-            break
-
-    silent = [i for i in range(1, n) if i not in global_tx]
-    # Ascending ids, matching the DES backend (the fixed point may
-    # discover deferrals in any order across passes).
-    missed.sort()
-
-    # Build the reports: every device timestamps every beacon it hears.
-    reports: Dict[int, TimestampReport] = {}
-    last_event = 0.0
-    beacons: List[Beacon] = []
-    for i, t_i in sorted(global_tx.items()):
-        beacons.append(
-            Beacon(
-                sender_id=i,
-                sync_ref_id=sync_ref[i],
-                tx_local_time_s=clocks[i].local_time(t_i),
-            )
-        )
-    for i in range(n):
-        if i not in global_tx:
-            continue
-        receptions: Dict[int, float] = {}
-        for j, t_j in global_tx.items():
-            if j == i or not conn[i, j]:
-                continue
-            t_arr = t_j + d[i, j] / sound_speed + noise[(i, j)]
-            receptions[j] = clocks[i].local_time(t_arr)
-            last_event = max(last_event, t_arr)
-        reports[i] = TimestampReport(
-            device_id=i,
-            depth_m=float(depths[i]),
-            own_tx_local_s=clocks[i].local_time(global_tx[i]),
-            receptions=receptions,
-        )
-
-    return RoundOutcome(
-        reports=reports,
-        beacons=beacons,
-        global_tx_times=global_tx,
-        missed_slot_ids=missed,
-        silent_ids=silent,
-        duration_s=last_event,
     )

@@ -156,9 +156,11 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
 
     Raises ``ValueError`` with a client-presentable message on unknown
     fields or bad types here, and on whatever
-    :func:`repro.experiments.engine.check_request` rejects (unknown
+    :func:`repro.experiments.engine.check_request` and
+    :func:`repro.experiments.engine.check_units` reject (unknown
     experiments, ranges, backend capability, the (backend, precision)
-    pair).
+    pair, params the experiment does not take), so a bad request is a
+    client error before any compute.
     """
     if not isinstance(body, Mapping):
         raise ValueError("request body must be a JSON object")
@@ -204,6 +206,9 @@ def normalize_request(body: Mapping[str, Any]) -> UnitRequest:
             f"unknown experiment {experiment!r} "
             f"(available: {', '.join(engine.registry())})"
         ) from None
+    engine.check_units(
+        [(experiment, variant, params)], backend=backend, precision=precision
+    )
     return UnitRequest(
         experiment=experiment,
         variant=variant,

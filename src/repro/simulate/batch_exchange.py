@@ -1,15 +1,15 @@
-"""Batch-first rendering of waveform exchanges (bit-identical to legacy).
+"""Batch-first rendering of waveform exchanges (the bit-parity engine).
 
-The legacy path (:mod:`repro.simulate.waveform_sim`) simulates one
+The scalar path (:mod:`repro.simulate.waveform_sim`) simulates one
 exchange at a time: every trial pays its own template FFTs, filter
 designs, Python tap loops and per-sample peak scans.  This module
 splits each exchange into
 
 * **Phase A** (``add``): everything that touches the experiment's
   random stream — geometry-independent draws, tap realisation, noise
-  draws — executed trial by trial in *exactly* the legacy order, so the
-  generator state after ``add`` matches the legacy backend sample for
-  sample; and
+  draws — executed trial by trial in *exactly* the scalar path's order,
+  so the generator state after ``add`` matches it sample for sample;
+  and
 * **Phase B** (``render``): the heavy, RNG-free array work — FIR
   scatter, channel convolution, noise shaping, stream assembly —
   executed batched across trials, grouped by FFT length so every row
@@ -18,7 +18,9 @@ splits each exchange into
 The combination makes the rendered microphone streams **bit-identical**
 to :func:`repro.simulate.waveform_sim.simulate_reception` while paying
 template/filter/waveform preparation once per batch instead of once per
-trial (see ``tests/test_batch_parity.py``).
+trial.  ``tests/test_batch_parity.py`` pins streams, measurements and
+every waveform figure to the per-exchange oracles in
+``tests/legacy_oracles.py`` and to the parity-epoch baselines.
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ class PipelinedFlusher:
 class _MicPlan:
     """Phase-A output for one (trial, microphone) channel.
 
-    In parity mode ``white``/``hw`` hold the legacy-order noise draws;
+    In parity mode ``white``/``hw`` hold the scalar-order noise draws;
     in fast mode they are ``None`` (noise is synthesised in Phase B
     from the dedicated substream) and ``hw_rms`` carries the hardware
     noise level instead.
@@ -225,7 +227,7 @@ class BatchExchangeRenderer:
         config: ExchangeConfig,
         rng: np.random.Generator,
     ) -> int:
-        """Plan one exchange, consuming ``rng`` in legacy order."""
+        """Plan one exchange, consuming ``rng`` in the scalar path's order."""
         env = config.environment
         fs = self.fs
         if self.fast and self._noise_rng is None:
@@ -274,7 +276,7 @@ class BatchExchangeRenderer:
             order = np.argsort(delays, kind="stable")
             delays, amps = delays[order], amps[order]
             # Waterproof-case reflection: one trailing copy per arrival,
-            # then a stable delay sort — exactly the legacy list concat.
+            # then a stable delay sort — exactly the scalar list concat.
             model = config.rx_model
             delays = np.concatenate(
                 [delays, delays + model.case_multipath_delay_s]
@@ -463,7 +465,7 @@ class BatchExchangeRenderer:
                 stream[: plan.guard] = 0.0
                 stream[plan.guard :] = bodies[i]
                 # (stream + (ambient + spiky)) + hw, reusing buffers —
-                # the addition order matches the legacy path exactly.
+                # the addition order matches the scalar path exactly.
                 shaped += mic.spike
                 shaped += stream
                 shaped += mic.hw
@@ -495,9 +497,10 @@ class _OneWayMeta:
 class BatchOneWay:
     """Batched :func:`repro.simulate.waveform_sim.one_way_range`.
 
-    ``add`` mirrors the legacy call's RNG consumption; ``run`` renders
+    ``add`` mirrors the scalar call's RNG consumption; ``run`` renders
     and estimates everything batch-wise and returns measurements in
-    submission order, bit-identical to the legacy loop.  Flushes
+    submission order, bit-identical to calling ``one_way_range`` once
+    per ``add``.  Flushes
     internally every ``chunk`` trials to bound memory.
 
     Flushes are **pipelined**: while chunk N's Phase B (stacked FFTs,

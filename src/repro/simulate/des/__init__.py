@@ -8,7 +8,8 @@ per-node energy accounting, and pluggable MAC policies (the paper's
 TDMA slots, plus contention/backoff for beyond-paper fleets).
 
 ``repro.protocol.round.run_protocol_round`` runs on top of this engine
-by default (bit-compatible with the legacy loop for fixed seeds), and
+(bit-compatible on fixed seeds with the fixed-point round kept as a
+test oracle), and
 :mod:`repro.simulate.des.fleet` uses the extra headroom for 50-200
 node campaigns with churn, two-hop relay, and mobility-during-round.
 """

@@ -123,8 +123,8 @@ class AcousticMedium:
         unless the MAC passes its exact computed ``tx_time_s``).
 
         Returns the number of delivery events scheduled. The arrival
-        expression mirrors the legacy round loop term for term
-        (``tx + d / c + noise``) so the DES backend is bit-compatible
+        expression mirrors the fixed-point round oracle term for term
+        (``tx + d / c + noise``) so the DES round is bit-compatible
         with it.
         """
         tx_time = self.sim.now if tx_time_s is None else float(tx_time_s)

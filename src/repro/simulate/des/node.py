@@ -162,8 +162,8 @@ class DesNode:
         ``tx_time_s`` lets a MAC stamp the packet with its *computed*
         transmit time rather than the event-loop time — the two only
         differ when a non-causal noise draw forced the scheduler to
-        clamp, and passing the exact float keeps the DES backend
-        bit-compatible with the legacy round arithmetic.
+        clamp, and passing the exact float keeps the DES round
+        bit-compatible with the fixed-point oracle's arithmetic.
         """
         tx_time = self.sim.now if tx_time_s is None else float(tx_time_s)
         self.tx_attempts += 1

@@ -1,26 +1,28 @@
 """DES-backed execution of one protocol round (DESIGN.md §4).
 
-:func:`des_protocol_round` reproduces the legacy straight-line round
-loop on top of the event engine: one :class:`DesNode` per device, a
-:class:`TdmaMac` in instantaneous (zero-airtime) mode, and a medium
-whose arrival arithmetic matches the legacy expression term for term
-(``t_tx + d / c + noise``). Detection errors are pre-drawn by the
-caller in the legacy order, so for a fixed seed the DES backend
+:func:`des_protocol_round` reproduces the original straight-line
+fixed-point round on top of the event engine: one :class:`DesNode` per
+device, a :class:`TdmaMac` in instantaneous (zero-airtime) mode, and a
+medium whose arrival arithmetic matches the fixed point's expression
+term for term (``t_tx + d / c + noise``). Detection errors are
+pre-drawn by the caller in a fixed order, so for a fixed seed the DES
 produces *identical* :class:`~repro.protocol.messages.TimestampReport`
-floats — the parity contract that lets ``run_protocol_round`` default
-to this backend without moving any figure number.
+floats to the fixed point, which lives on as the test oracle
+``tests/legacy_oracles.py::legacy_protocol_round`` — the parity
+contract that let ``run_protocol_round`` become DES-only without
+moving any figure number.
 
 The parity contract assumes *causal* detection errors — every noise
 draw satisfies ``noise > -distance / sound_speed``, i.e. no packet is
 "detected" before it was transmitted. All shipped error models are
 causal by construction (their magnitudes are far below one propagation
 time). Under causality the DES's first delivered arrival equals the
-legacy fixed point's argmin; outside it the event loop clamps the
-acausal delivery to the current time for heap ordering and the two
-backends may legitimately diverge. The only other divergence is
+fixed point's argmin; outside it the event loop clamps the acausal
+delivery to the current time for heap ordering and the two may
+legitimately diverge. The only other divergence is
 tie-breaking: when two beacons reach an unsynchronised device at
 exactly the same float time, the DES picks the earlier-scheduled
-delivery while the legacy loop picks the lower-indexed known
+delivery while the fixed point picks the lower-indexed known
 transmitter — a measure-zero event under calibrated noise.
 """
 
@@ -52,8 +54,8 @@ def des_protocol_round(
     """Run one TDMA round through the DES; returns a ``RoundOutcome``.
 
     Inputs are pre-validated and the per-link detection errors are
-    pre-drawn by :func:`repro.protocol.round.run_protocol_round` (so
-    the random stream is consumed identically to the legacy backend).
+    pre-drawn by :func:`repro.protocol.round.run_protocol_round` in a
+    fixed order, independent of the event schedule.
     """
     from repro.protocol.round import RoundOutcome
 

@@ -13,12 +13,11 @@ DESIGN.md section 2: the waveform pipeline's per-detection error grows
 roughly linearly with range).
 
 The protocol round itself executes on the discrete-event engine
-(:mod:`repro.simulate.des`) by default — this class is a thin adapter
-that draws the per-round error realisations and feeds the resulting
-reports to the localization pipeline. ``backend="legacy"`` selects the
-original straight-line round loop; the two are bit-compatible on fixed
-seeds (DESIGN.md section 4), so figure numbers do not depend on the
-choice.
+(:mod:`repro.simulate.des`) — this class is a thin adapter that draws
+the per-round error realisations and feeds the resulting reports to
+the localization pipeline. The DES round is pinned bit for bit to the
+original straight-line round, kept as a test oracle (DESIGN.md
+section 4).
 """
 
 from __future__ import annotations
@@ -139,7 +138,6 @@ class NetworkSimulator:
         quantize_uplink: bool = True,
         drop_links: Optional[List[Tuple[int, int]]] = None,
         stress_threshold: Optional[float] = None,
-        backend: str = "des",
     ):
         """Create a simulator.
 
@@ -158,10 +156,6 @@ class NetworkSimulator:
         stress_threshold:
             Override for Algorithm 1's stress threshold; ``np.inf``
             disables outlier detection entirely (the Fig. 19a ablation).
-        backend:
-            Protocol-round backend: ``"des"`` (event-driven, default)
-            or ``"legacy"`` (the original loop); bit-compatible on
-            fixed seeds.
         """
         self.scenario = scenario
         self.error_model = error_model or RangingErrorModel()
@@ -169,7 +163,6 @@ class NetworkSimulator:
         self.quantize_uplink = quantize_uplink
         self.drop_links = [tuple(sorted(l)) for l in (drop_links or [])]
         self.stress_threshold = stress_threshold
-        self.backend = backend
 
     # ------------------------------------------------------------------
 
@@ -251,7 +244,6 @@ class NetworkSimulator:
             depths=scenario.depths,
             arrival_noise=self._arrival_noise,
             rng=self.rng,
-            backend=self.backend,
         )
 
         sensor_depths = self._sensor_depths()

@@ -1,0 +1,385 @@
+"""Frozen reference implementations the production paths are pinned to.
+
+Production runs one waveform engine per parity contract (``batch``)
+and one protocol round (the DES).  The straight-line twins they were
+derived from live here, frozen, as test oracles — the way
+``_frozen_smacof`` pins SMACOF in ``tests/test_smacof.py``:
+
+* **Per-exchange waveform paths.**  :class:`LegacyOneWay` has
+  :class:`~repro.simulate.batch_exchange.BatchOneWay`'s ``add``/``run``
+  interface but calls the scalar
+  :func:`~repro.simulate.waveform_sim.one_way_range` at ``add`` time,
+  so the experiment's random stream is consumed interleaved with the
+  figure loop exactly as the original per-exchange code did.  The
+  figure paths that never went through ``BatchOneWay`` (fig11's
+  microphone ablation, fig12's detection study, fig22's SNR sweep) are
+  frozen copies of their original per-exchange branches.
+* **The fixed-point protocol round.**  :func:`legacy_protocol_round`
+  takes the same pre-drawn inputs as
+  :func:`repro.simulate.des.round_adapter.des_protocol_round`.
+
+Nothing in ``src/`` knows these exist: :func:`legacy_waveform` and
+:func:`legacy_round` swap them in by patching module attributes for
+the duration of a ``with`` block, and the parity tests
+(``tests/test_batch_parity.py``, ``tests/test_des_parity.py``) compare
+the patched run against the unpatched one bit for bit.
+``benchmarks/run_benchmarks.py`` times its ``legacy`` column the same
+way.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from unittest import mock
+
+import numpy as np
+
+from repro.channel.environment import BOATHOUSE, DOCK
+from repro.channel.multipath import image_method_taps
+from repro.channel.noise import make_noise
+from repro.channel.render import apply_channel
+from repro.devices.clock import DeviceClock
+from repro.protocol.messages import Beacon, TimestampReport
+from repro.protocol.sync import infer_transmit_slot
+from repro.ranging.detector import (
+    DetectionConfig,
+    detect_power_threshold,
+    detect_preamble,
+)
+from repro.ranging.estimator import estimate_direct_path, single_mic_direct_path
+from repro.signals.channel_est import channel_impulse_response, ls_channel_estimate
+from repro.signals.ofdm import OfdmConfig, band_bins, ofdm_symbol_from_zc
+from repro.signals.preamble import Preamble, make_preamble
+from repro.simulate.waveform_sim import (
+    ExchangeConfig,
+    RangingMeasurement,
+    one_way_range,
+    simulate_reception,
+)
+
+#: Taps treated as negative delays by the fine stage (fig11's margin).
+_WRAP_MARGIN = 96
+
+
+# ---------------------------------------------------------------------------
+# Waveform tier
+# ---------------------------------------------------------------------------
+
+
+class LegacyOneWay:
+    """``BatchOneWay``'s interface over the scalar per-exchange path.
+
+    ``add`` ranges the exchange immediately (the random stream is
+    consumed at the call site, as the original figure loops did);
+    ``run`` returns the measurements in submission order.  Constructor
+    options of the batched engine are accepted and ignored.
+    """
+
+    def __init__(self, preamble: Preamble, *args, **kwargs):
+        self.preamble = preamble
+        self._results: List[RangingMeasurement] = []
+
+    def add(self, tx_pos, rx_pos, config: ExchangeConfig, rng: np.random.Generator) -> None:
+        self._results.append(one_way_range(self.preamble, tx_pos, rx_pos, config, rng))
+
+    def run(self) -> List[RangingMeasurement]:
+        results, self._results = self._results, []
+        return results
+
+
+def ablation_errors_legacy(
+    rng, preamble, config, distance, num_exchanges, depth_m, fs, fast=False,
+    precision="float64",
+) -> Dict[str, List[float]]:
+    """Fig. 11b per exchange: one stream, scalar detector and estimators."""
+    errs: Dict[str, List[float]] = {"both": [], "bottom": [], "top": []}
+    for _ in range(num_exchanges):
+        tx = np.array([0.0, 0.0, depth_m + rng.uniform(-0.2, 0.2)])
+        rx = np.array(
+            [distance + rng.uniform(-0.1, 0.1), 0.0, depth_m + rng.uniform(-0.2, 0.2)]
+        )
+        sound_speed = DOCK.sound_speed(depth_m)
+        mic1, mic2, guard, true_idx = simulate_reception(preamble, tx, rx, config, rng)
+        detection = detect_preamble(mic1, preamble, config.detection)
+        if detection is None:
+            for key in errs:
+                errs[key].append(np.nan)
+            continue
+        cirs = []
+        for stream in (mic1, mic2):
+            h = ls_channel_estimate(stream, preamble, detection.start_index)
+            cirs.append(
+                np.roll(channel_impulse_response(h, preamble.config.ofdm), _WRAP_MARGIN)
+            )
+        joint = estimate_direct_path(
+            cirs[0], cirs[1], sound_speed=sound_speed, sample_rate=fs
+        )
+        if joint is not None:
+            est = detection.start_index + joint.tap - _WRAP_MARGIN
+            errs["both"].append((est - true_idx) / fs * sound_speed)
+        else:
+            errs["both"].append(np.nan)
+        for key, cir in (("bottom", cirs[0]), ("top", cirs[1])):
+            tap = single_mic_direct_path(cir, search_limit=512 + _WRAP_MARGIN)
+            if tap is None:
+                errs[key].append(np.nan)
+            else:
+                est = detection.start_index + tap - _WRAP_MARGIN
+                errs[key].append((est - true_idx) / fs * sound_speed)
+    return errs
+
+
+def detection_counts_legacy(
+    rng: np.random.Generator,
+    thresholds_db: Sequence[float],
+    num_trials: int,
+    distance_m: float,
+    backend: str,
+    precision: str = "float64",
+) -> Dict[str, object]:
+    """Fig. 12a per stream: scalar rendering, detector and power sweep."""
+    preamble = make_preamble()
+    fs = preamble.config.ofdm.sample_rate
+    config = ExchangeConfig(environment=BOATHOUSE)
+    tol = int(0.05 * fs)
+
+    present = []
+    for _ in range(num_trials):
+        tx = np.array([0.0, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
+        rx = np.array([distance_m, 0.0, 1.0 + rng.uniform(-0.2, 0.2)])
+        mic1, _mic2, _guard, true_idx = simulate_reception(preamble, tx, rx, config, rng)
+        present.append((mic1, true_idx))
+    absent = [
+        make_noise(int(0.6 * fs), BOATHOUSE.noise, rng, fs) for _ in range(num_trials)
+    ]
+
+    ours_fn = 0
+    for stream, true_idx in present:
+        det = detect_preamble(stream, preamble, DetectionConfig())
+        if det is None or abs(det.start_index - true_idx) > tol:
+            ours_fn += 1
+    ours_fp = 0
+    for stream in absent:
+        if detect_preamble(stream, preamble, DetectionConfig()) is not None:
+            ours_fp += 1
+    fmcw_fn = {float(th): 0 for th in thresholds_db}
+    fmcw_fp = {float(th): 0 for th in thresholds_db}
+    for th in thresholds_db:
+        for stream, true_idx in present:
+            hit = detect_power_threshold(stream, threshold_db=th)
+            if hit is None or abs(hit - true_idx) > tol:
+                fmcw_fn[float(th)] += 1
+        for stream in absent:
+            if detect_power_threshold(stream, threshold_db=th) is not None:
+                fmcw_fp[float(th)] += 1
+    return {
+        "num_trials": num_trials,
+        "thresholds_db": [float(th) for th in thresholds_db],
+        "ours_fp": ours_fp,
+        "ours_fn": ours_fn,
+        "fmcw_fp": fmcw_fp,
+        "fmcw_fn": fmcw_fn,
+    }
+
+
+def snr_measurement_legacy(
+    rng: np.random.Generator,
+    distances_m: Sequence[float] = (10.0, 20.0, 28.0),
+    num_symbols: int = 8,
+    depth_m: float = 1.0,
+    backend: str = "batch",
+    precision: str = "float64",
+):
+    """Fig. 22 per distance: one ``apply_channel`` and noise draw each."""
+    from repro.experiments.fig22_snr import SnrProfile
+
+    ofdm = OfdmConfig()
+    bins = band_bins(ofdm)
+    base = ofdm_symbol_from_zc(ofdm, add_cp=False)
+    base_bins_fft = np.fft.fft(base)[bins]
+    fs = ofdm.sample_rate
+    sound_speed = BOATHOUSE.sound_speed(depth_m)
+    wave = np.tile(base, num_symbols + 2)
+
+    profiles = []
+    for distance in distances_m:
+        tx = np.array([0.0, 0.0, depth_m])
+        rx = np.array([float(distance), 0.0, depth_m])
+        taps = image_method_taps(
+            tx,
+            rx,
+            BOATHOUSE.water_depth_m,
+            sound_speed,
+            max_order=BOATHOUSE.max_image_order,
+            surface_coeff=BOATHOUSE.surface_coeff,
+            bottom_coeff=BOATHOUSE.bottom_coeff,
+        )
+        received = apply_channel(wave, taps, fs)
+        received = received + make_noise(received.size, BOATHOUSE.noise, rng, fs)
+        first_arrival = int(taps[0].delay_s * fs)
+        estimates = []
+        for k in range(1, num_symbols + 1):
+            start = first_arrival + k * ofdm.n_fft
+            symbol = received[start : start + ofdm.n_fft]
+            if symbol.size < ofdm.n_fft:
+                break
+            estimates.append(np.fft.fft(symbol)[bins] / base_bins_fft)
+        h = np.vstack(estimates)
+        signal_power = np.abs(h.mean(axis=0)) ** 2
+        noise_power = h.var(axis=0) + 1e-15
+        profiles.append(
+            SnrProfile(
+                distance_m=float(distance),
+                frequencies_hz=bins * ofdm.bin_spacing_hz,
+                snr_db=10.0 * np.log10(signal_power / noise_power),
+            )
+        )
+    return profiles
+
+
+#: ``(module, attribute, oracle)`` swaps that turn every waveform figure
+#: entry into its per-exchange reference.
+_WAVEFORM_ORACLES = (
+    ("repro.experiments.fig11_ranging", "BatchOneWay", LegacyOneWay),
+    ("repro.experiments.fig11_ranging", "_ablation_errors_batch", ablation_errors_legacy),
+    ("repro.experiments.fig12_baselines", "BatchOneWay", LegacyOneWay),
+    ("repro.experiments.fig12_baselines", "_detection_counts", detection_counts_legacy),
+    ("repro.experiments.fig13_depth", "BatchOneWay", LegacyOneWay),
+    ("repro.experiments.fig14_orientation", "BatchOneWay", LegacyOneWay),
+    ("repro.experiments.fig15_motion", "BatchOneWay", LegacyOneWay),
+    ("repro.experiments.fig22_snr", "run_snr_measurement", snr_measurement_legacy),
+)
+
+
+@contextlib.contextmanager
+def legacy_waveform() -> Iterator[None]:
+    """Run the waveform figure entries on the per-exchange oracles.
+
+    Inside the block, a figure entry called with ``backend="batch"``
+    computes what the original per-exchange backend computed.
+    """
+    with contextlib.ExitStack() as stack:
+        for module, attribute, oracle in _WAVEFORM_ORACLES:
+            stack.enter_context(mock.patch(f"{module}.{attribute}", oracle))
+        yield
+
+
+# ---------------------------------------------------------------------------
+# Protocol round
+# ---------------------------------------------------------------------------
+
+
+def legacy_protocol_round(
+    d: np.ndarray,
+    conn: np.ndarray,
+    sound_speed: float,
+    clocks: List[DeviceClock],
+    depths: np.ndarray,
+    noise: Dict[Tuple[int, int], float],
+    delta0_s: float,
+    delta1_s: float,
+):
+    """The original straight-line round: fixed-point slot assignment."""
+    from repro.protocol.round import RoundOutcome
+
+    n = d.shape[0]
+    global_tx: Dict[int, float] = {0: 0.0}
+    sync_ref: Dict[int, int] = {0: 0}
+    missed: List[int] = []
+
+    def first_arrival(i: int) -> Optional[Tuple[float, int]]:
+        """Earliest (global) arrival at device i from known transmitters."""
+        best: Optional[Tuple[float, int]] = None
+        for j, t_j in global_tx.items():
+            if j == i or not conn[i, j]:
+                continue
+            t_arr = t_j + d[i, j] / sound_speed + noise[(i, j)]
+            if best is None or t_arr < best[0]:
+                best = (t_arr, j)
+        return best
+
+    # Recompute until every reachable device has a stable transmit time
+    # (a newly known transmission can only move a first arrival earlier).
+    pending = set(range(1, n))
+    for _ in range(n + 2):
+        changed = False
+        for i in sorted(pending):
+            arrival = first_arrival(i)
+            if arrival is None:
+                continue
+            t_arr_global, ref = arrival
+            local_arrival = clocks[i].local_time(t_arr_global)
+            tx_local, deferred = infer_transmit_slot(
+                i, ref, local_arrival, n, delta0_s, delta1_s
+            )
+            tx_global = clocks[i].global_time(tx_local)
+            if i not in global_tx or not np.isclose(global_tx[i], tx_global):
+                global_tx[i] = tx_global
+                sync_ref[i] = ref
+                if deferred and i not in missed:
+                    missed.append(i)
+                changed = True
+        if not changed:
+            break
+
+    silent = [i for i in range(1, n) if i not in global_tx]
+    # Ascending ids, like the DES (the fixed point may discover
+    # deferrals in any order across passes).
+    missed.sort()
+
+    reports: Dict[int, TimestampReport] = {}
+    last_event = 0.0
+    beacons: List[Beacon] = []
+    for i, t_i in sorted(global_tx.items()):
+        beacons.append(
+            Beacon(
+                sender_id=i,
+                sync_ref_id=sync_ref[i],
+                tx_local_time_s=clocks[i].local_time(t_i),
+            )
+        )
+    for i in range(n):
+        if i not in global_tx:
+            continue
+        receptions: Dict[int, float] = {}
+        for j, t_j in global_tx.items():
+            if j == i or not conn[i, j]:
+                continue
+            t_arr = t_j + d[i, j] / sound_speed + noise[(i, j)]
+            receptions[j] = clocks[i].local_time(t_arr)
+            last_event = max(last_event, t_arr)
+        reports[i] = TimestampReport(
+            device_id=i,
+            depth_m=float(depths[i]),
+            own_tx_local_s=clocks[i].local_time(global_tx[i]),
+            receptions=receptions,
+        )
+
+    return RoundOutcome(
+        reports=reports,
+        beacons=beacons,
+        global_tx_times=global_tx,
+        missed_slot_ids=missed,
+        silent_ids=silent,
+        duration_s=last_event,
+    )
+
+
+@contextlib.contextmanager
+def legacy_round() -> Iterator[None]:
+    """Run ``run_protocol_round`` (and so ``NetworkSimulator``) on the
+    fixed-point oracle instead of the DES.
+
+    Fails if the block ran no round through the oracle, so a parity
+    test cannot silently compare the DES with itself.
+    """
+    calls = []
+
+    def oracle(*args):
+        calls.append(args)
+        return legacy_protocol_round(*args)
+
+    with mock.patch("repro.simulate.des.round_adapter.des_protocol_round", oracle):
+        yield
+    assert calls, "no protocol round reached the fixed-point oracle"

@@ -1,6 +1,6 @@
 """Regenerate the parity-epoch baseline artifact (one-command reset).
 
-The batch-vs-legacy waveform parity contract is *bit-identity*, so any
+The batch-vs-oracle waveform parity contract is *bit-identity*, so any
 fix that legitimately changes bits — like the epoch-2 FIR right-sizing —
 must reset what "the bits" are.  Instead of hand-edited constants, the
 pinned quantities live in a committed, regenerable artifact keyed by a
@@ -9,16 +9,18 @@ pinned quantities live in a committed, regenerable artifact keyed by a
 * ``tests/baselines/parity_epoch<N>.json`` holds stream digests, one-way
   measurement values and per-figure measured outputs, all produced by
   the **batch** backend (which ``tests/test_batch_parity.py`` separately
-  proves bit-identical to legacy at runtime);
+  proves bit-identical at runtime to the scalar API and to the frozen
+  per-exchange figure paths of ``tests/legacy_oracles.py``);
 * bumping the bits = bump :data:`PARITY_EPOCH`, run this script, commit
   the new artifact and delete the old epoch's file — one command instead
-  of a constant hunt;
+  of a constant hunt (the oracles move with it: a deliberate bit change
+  in the batch path lands in ``tests/legacy_oracles.py`` too);
 * CI regenerates the artifact into a temporary directory and diffs it
-  against the committed file (``--check``), so silent bit drift in
-  either backend fails the build with a "run the regen script" message.
+  against the committed file (``--check``), so silent bit drift in the
+  batch backend fails the build with a "run the regen script" message.
 
 The absolute digests pin the bits of the *pinned build platform*.  On a
-different BLAS/CPU/library build the legacy-vs-batch runtime parity
+different BLAS/CPU/library build the oracle-vs-batch runtime parity
 still holds while absolute bits may differ; set
 ``REPRO_PARITY_PIN_SKIP=1`` to run the parity suite without the
 absolute-baseline pins there (CI never sets it).
@@ -31,8 +33,8 @@ Usage::
 
 Epoch history:
 
-* **epoch 1** (PR 3/4): legacy over-length FIRs
-  (``wave.size + ceil(max_delay*fs) + 2``) in the parity backends.
+* **epoch 1**: over-length FIRs (``wave.size + ceil(max_delay*fs) + 2``)
+  in the parity backends.
 * **epoch 2** (PR 5): FIRs right-sized to the tap span via the shared
   ``channel.render.fir_length_for`` contract in *all* backends; every
   channel convolution's transform shrinks, re-rounding the streams.
@@ -56,7 +58,7 @@ BASELINE_DIR = Path(__file__).resolve().parent / "baselines"
 
 #: Campaign entries with a waveform backend switch, with cheap params —
 #: shared with tests/test_batch_parity.py so the pinned figures and the
-#: runtime legacy-vs-batch comparison cover the same workloads.
+#: runtime oracle-vs-batch comparison cover the same workloads.
 BACKEND_EXPERIMENTS = {
     "fig11": dict(scale=1.0, num_exchanges=3, ablation_exchanges=2),
     "fig12": dict(scale=1.0, num_trials=3, num_exchanges=2),

@@ -28,6 +28,14 @@ class TestCheckBackend:
         with pytest.raises(ValueError, match="unknown backend"):
             engine.check_backend("turbo")
 
+    def test_registry_is_batch_and_fast(self):
+        # The per-exchange reference lives in tests/legacy_oracles.py,
+        # not in the registry.
+        assert tuple(engine.WAVEFORM_BACKENDS) == ("batch", "fast")
+        for backend in ("legacy", ["batch"]):
+            with pytest.raises(ValueError, match="unknown backend"):
+                engine.check_backend(backend, precision="float64")
+
     def test_capability_flags_enforced(self):
         assert engine.check_backend("fast", "fig11") == "fast"
         for name in ("fig6", "tables", "fig18"):
@@ -43,8 +51,6 @@ class TestCheckBackend:
         assert engine.check_backend("batch", precision="float64") == "batch"
         with pytest.raises(ValueError, match="does not support precision"):
             engine.check_backend("batch", precision="float32")
-        with pytest.raises(ValueError, match="does not support precision"):
-            engine.check_backend("legacy", precision="float32")
         with pytest.raises(ValueError, match="unknown precision"):
             engine.check_backend("fast", precision="float16")
 
@@ -63,6 +69,27 @@ class TestRunnerCliBackend:
     def test_unknown_backend_exits_2(self, capsys):
         assert main(["fig11", "--backend", "turbo"]) == 2
         assert "unknown backend" in capsys.readouterr().out
+
+    def test_legacy_backend_exits_2_naming_the_backends(self, capsys):
+        calls = engine.unit_call_count()
+        assert main(["fig11", "--backend", "legacy"]) == 2
+        out = capsys.readouterr().out
+        assert "unknown backend 'legacy'" in out and "batch, fast" in out
+        assert engine.unit_call_count() == calls
+
+    @pytest.mark.parametrize("values", ["legacy", "turbo,batch", "batch,legacy"])
+    def test_bad_swept_backend_exits_2_before_any_unit(self, values, capsys):
+        calls = engine.unit_call_count()
+        assert main(["fig22", "--scale", "0.05", "--sweep", f"backend={values}"]) == 2
+        assert "unknown backend" in capsys.readouterr().out
+        assert engine.unit_call_count() == calls
+
+    def test_swept_backend_checked_against_campaign_precision(self, capsys):
+        # --precision float32 folds into every unit; the swept batch
+        # point cannot carry it.
+        argv = ["fig22", "--backend", "fast", "--precision", "float32"]
+        assert main([*argv, "--sweep", "backend=fast,batch"]) == 2
+        assert "does not support precision" in capsys.readouterr().out
 
     def test_fast_on_unsupporting_spec_exits_2(self, capsys):
         assert main(["fig6", "--backend", "fast"]) == 2
@@ -178,11 +205,36 @@ class TestBatchOneWayDispatch:
         with pytest.raises(ValueError, match="unknown precision"):
             BatchOneWay(make_preamble(), backend="fast", precision="half")
 
-    def test_entry_level_unknown_backend_errors_in_campaign(self):
-        # An in-entry backend error surfaces as a failed result, not a
-        # crashed campaign.
-        results = engine.run_campaign(
-            ["fig22"], scale=0.5, sweep={"backend": ["warp"]}
+    def test_swept_unknown_backend_rejected_before_any_unit(self):
+        # A swept backend is validated with the rest of the plan, so a
+        # bad sweep point fails the campaign up front instead of
+        # running the good points and erroring the bad one.
+        calls = engine.unit_call_count()
+        with pytest.raises(ValueError, match="unknown backend 'warp'"):
+            engine.run_campaign(
+                ["fig22"], scale=0.5, sweep={"backend": ["batch", "warp"]}
+            )
+        with pytest.raises(ValueError, match="unknown backend 'warp'"):
+            engine.plan_units(["fig22"], sweep={"backend": ["warp"]})
+        assert engine.unit_call_count() == calls
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"backend": "turbo"}, "unknown backend 'turbo'"),
+            ({"precision": "float32"}, "backend 'batch' does not support precision"),
+            ({"nonsense": 1}, "has no parameter 'nonsense'"),
+            ({"pipeline": 0}, "has no parameter 'pipeline'"),
+        ],
+    )
+    def test_run_unit_validates_explicit_params(self, params, message):
+        calls = engine.unit_call_count()
+        with pytest.raises(ValueError, match=message):
+            engine.run_unit("fig22", params=params, scale=0.5)
+        assert engine.unit_call_count() == calls
+
+    def test_explicit_precision_with_explicit_fast_backend_passes(self):
+        engine.check_units(
+            [("fig22", "default", {"backend": "fast", "precision": "float32"})]
         )
-        assert all(r.status == "error" for r in results)
-        assert "unknown backend" in results[0].error
+        engine.check_units([("fig18", "dock", {"num_layouts": 2})])

@@ -1,18 +1,21 @@
-"""Batch-vs-legacy waveform backend parity (the PR-3 adapter contract).
+"""Batch-vs-oracle waveform parity (the batch adapter contract).
 
 The batch backend consumes the experiment's random stream in exactly
-the legacy order and performs every floating-point operation with the
-same rounding, so rendered streams, ranging errors and figure outputs
-are **bit-identical** to the per-exchange path on fixed seeds — the
-same contract the DES backend pinned at the timestamp level in
-``tests/test_des_parity.py``, extended down to the waveform level.
+the scalar per-exchange order and performs every floating-point
+operation with the same rounding, so rendered streams, ranging errors
+and figure outputs are **bit-identical** to the per-exchange path on
+fixed seeds — the same contract the DES round is pinned to at the
+timestamp level in ``tests/test_des_parity.py``, extended down to the
+waveform level.  Streams and one-way measurements compare against the
+public scalar API (``simulate_reception``, ``one_way_range``); figure
+outputs compare against the frozen per-exchange figure paths of
+``tests/legacy_oracles.py``, swapped in by patching module attributes.
 
-Since PR 5 the *absolute* bits are additionally pinned against the
-committed **parity-epoch baseline**
-(``tests/baselines/parity_epoch<N>.json``, regenerated by
-``tests/regen_parity_baselines.py``): the runtime legacy-vs-batch
-comparison proves the two backends agree, and the epoch artifact proves
-neither drifted silently.  A deliberate bit change (like the epoch-2
+The *absolute* bits are additionally pinned against the committed
+**parity-epoch baseline** (``tests/baselines/parity_epoch<N>.json``,
+regenerated by ``tests/regen_parity_baselines.py``): the runtime
+oracle-vs-batch comparison proves the two agree, and the epoch artifact
+proves neither drifted silently.  A deliberate bit change (like the epoch-2
 FIR right-sizing) is a one-command baseline reset, not a hand edit.
 
 Also pins the trial-chunking determinism contract: with
@@ -26,6 +29,7 @@ import os
 import numpy as np
 import pytest
 
+from legacy_oracles import legacy_waveform
 from regen_parity_baselines import (
     BACKEND_EXPERIMENTS,
     PARITY_EPOCH,
@@ -34,7 +38,7 @@ from regen_parity_baselines import (
     stream_digest,
 )
 from repro.channel.environment import DOCK
-from repro.experiments import engine
+from repro.experiments import engine, fig22_snr
 from repro.signals.preamble import make_preamble
 from repro.simulate.batch_exchange import BatchExchangeRenderer, BatchOneWay
 from repro.simulate.waveform_sim import (
@@ -54,7 +58,7 @@ def epoch_baseline():
     """The committed epoch artifact, or ``None`` when pins are off.
 
     The absolute digests pin the exact bits of the pinned build
-    platform; on a different BLAS/CPU/library build the legacy-vs-batch
+    platform; on a different BLAS/CPU/library build the oracle-vs-batch
     *runtime* parity contract still holds while the absolute bits may
     legitimately differ.  ``REPRO_PARITY_PIN_SKIP=1`` keeps every
     runtime parity assertion and disables only the absolute-baseline
@@ -188,22 +192,31 @@ class TestOneWayParity:
 
 class TestExperimentBackendParity:
     @pytest.mark.parametrize("name", sorted(BACKEND_EXPERIMENTS))
-    def test_measured_outputs_bit_identical_and_pinned(self, name, epoch_baseline):
+    def test_measured_outputs_bit_identical_and_pinned(
+        self, name, epoch_baseline, monkeypatch
+    ):
         params = BACKEND_EXPERIMENTS[name]
-        spec = engine.get_spec(name)
-        entry = spec.resolve_entry()
-        outputs = {}
-        for backend in ("legacy", "batch"):
-            rng = engine.experiment_rng(name)
-            outputs[backend] = entry(rng, backend=backend, **params)
+        entry = engine.get_spec(name).resolve_entry()
+        outputs = {"batch": entry(engine.experiment_rng(name), **params)}
+
+        def batched(*args, **kwargs):
+            raise AssertionError("the oracle run reached the batch engine")
+
+        with legacy_waveform():
+            # The oracle run must not fall through to batched rendering,
+            # or this comparison would pit batch against itself.
+            monkeypatch.setattr(BatchExchangeRenderer, "render_plans", batched)
+            monkeypatch.setattr(fig22_snr, "apply_channel_batch", batched)
+            outputs["legacy"] = entry(engine.experiment_rng(name), **params)
+            monkeypatch.undo()
         legacy = engine.jsonify(outputs["legacy"].measured)
         batch = engine.jsonify(outputs["batch"].measured)
         # Exact equality, including every float bit (json round-trip
         # keeps repr-exact decimal forms).
         assert json.dumps(legacy, sort_keys=True) == json.dumps(batch, sort_keys=True)
         assert outputs["legacy"].report == outputs["batch"].report
-        # Both backends match the committed epoch baseline: a bit change
-        # that moves legacy and batch *together* still fails here until
+        # Batch matches the committed epoch baseline too: a bit change
+        # that moves oracle and batch *together* still fails here until
         # the baseline is deliberately regenerated.
         if epoch_baseline is not None:
             pinned = epoch_baseline["figures"][name]

@@ -1,8 +1,10 @@
-"""DES-vs-legacy parity: the adapter contract of DESIGN.md §4.
+"""DES-vs-oracle parity: the adapter contract of DESIGN.md §4.
 
-``run_protocol_round`` defaults to the discrete-event backend; these
-tests pin it to the original fixed-point loop on fixed seeds — down to
-float equality for the timestamp reports, which is far inside the
+``run_protocol_round`` runs on the discrete-event engine; these tests
+pin it to the original fixed-point loop (the frozen
+``legacy_protocol_round`` oracle of ``tests/legacy_oracles.py``,
+swapped in for the DES by :func:`legacy_round`) on fixed seeds — down
+to float equality for the timestamp reports, which is far inside the
 uplink's clock quantization (2 samples at 44.1 kHz ≈ 45 µs).
 """
 
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from legacy_oracles import legacy_round
 from repro.devices.clock import DeviceClock
 from repro.geometry.topology import pairwise_distance_matrix
 from repro.protocol.round import run_protocol_round
@@ -40,19 +43,20 @@ def _random_setup(seed, n=5, max_range=None):
 
 
 def _both_backends(d, conn, clocks, seed, **kwargs):
-    outcomes = {}
-    for backend in ("legacy", "des"):
-        outcomes[backend] = run_protocol_round(
+    def round_():
+        return run_protocol_round(
             d,
             conn,
             1_480.0,
             clocks=clocks,
             arrival_noise=_calibrated_noise,
             rng=np.random.default_rng(seed),
-            backend=backend,
             **kwargs,
         )
-    return outcomes["legacy"], outcomes["des"]
+
+    with legacy_round():
+        legacy = round_()
+    return legacy, round_()
 
 
 def _assert_outcomes_match(legacy, des, tol=CLOCK_QUANTUM_S):
@@ -113,12 +117,15 @@ class TestProtocolRoundParity:
                 b.tx_local_time_s, abs=CLOCK_QUANTUM_S
             )
 
-    def test_unknown_backend_rejected(self):
-        from repro.errors import ProtocolError
-
+    def test_round_has_no_backend_knob(self):
+        """The DES is the only production round; the fixed point is
+        reachable from the tests alone."""
         d, conn, clocks = _random_setup(1, n=3)
-        with pytest.raises(ProtocolError):
-            run_protocol_round(d, conn, 1_480.0, backend="quantum")
+        with pytest.raises(TypeError):
+            run_protocol_round(d, conn, 1_480.0, backend="des")
+        scenario = testbed_scenario("dock", num_devices=4, rng=np.random.default_rng(1))
+        with pytest.raises(TypeError):
+            NetworkSimulator(scenario, backend="des")
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -140,8 +147,7 @@ class TestNetworkSimulatorParity:
         """The DES backend leaves every figure-experiment number in
         place: a full NetworkSimulator round (uplink quantisation,
         flip vote, localization) is bit-identical."""
-        results = {}
-        for backend in ("legacy", "des"):
+        def round_():
             scenario = testbed_scenario(
                 "dock", num_devices=5, rng=np.random.default_rng(2023)
             )
@@ -149,27 +155,31 @@ class TestNetworkSimulatorParity:
                 scenario,
                 error_model=RangingErrorModel(),
                 rng=np.random.default_rng(99),
-                backend=backend,
             )
-            results[backend] = sim.run_round()
-        legacy, des = results["legacy"], results["des"]
+            return sim.run_round()
+
+        with legacy_round():
+            legacy = round_()
+        des = round_()
         assert np.array_equal(legacy.distances, des.distances)
         assert np.array_equal(legacy.weights, des.weights)
         assert np.array_equal(legacy.errors_2d, des.errors_2d)
         assert legacy.flip_correct == des.flip_correct
 
     def test_many_rounds_consume_rng_identically(self):
-        """Round k's randomness is unaffected by the backend of rounds
+        """Round k's randomness is unaffected by which round ran rounds
         0..k-1 (the pre-draw keeps the stream aligned)."""
-        errors = {}
-        for backend in ("legacy", "des"):
+
+        def errors_2d():
             scenario = testbed_scenario(
                 "boathouse", num_devices=5, rng=np.random.default_rng(7)
             )
-            sim = NetworkSimulator(
-                scenario, rng=np.random.default_rng(17), backend=backend
-            )
-            errors[backend] = [r.errors_2d for r in sim.run_many(4)]
+            sim = NetworkSimulator(scenario, rng=np.random.default_rng(17))
+            return [r.errors_2d for r in sim.run_many(4)]
+
+        errors = {"des": errors_2d()}
+        with legacy_round():
+            errors["legacy"] = errors_2d()
         assert len(errors["legacy"]) == len(errors["des"])
         for a, b in zip(errors["legacy"], errors["des"]):
             assert np.array_equal(a, b)

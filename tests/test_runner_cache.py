@@ -10,7 +10,7 @@ mid-campaign.
 import json
 import re
 
-from repro.experiments import engine, runner
+from repro.experiments import engine, fig22_snr, runner
 from repro.service.cachekey import UnitRequest
 from repro.service.compute import cached_unit
 from repro.service.store import CacheStore
@@ -100,15 +100,17 @@ def test_cached_run_with_sweep_addresses_units(tmp_path, capsys):
     assert engine.unit_call_count() == calls
 
 
-def test_failed_unit_not_cached(tmp_path):
+def test_failed_unit_not_cached(tmp_path, monkeypatch):
     store = CacheStore(tmp_path / "cache")
     store.ensure_writable()
-    # A param the entry does not accept makes the unit complete with
-    # status="error" (the engine catches the TypeError); that body must
-    # be served but never stored.
-    request = UnitRequest(
-        experiment="fig22", params={"no_such_kwarg": 1}, scale=0.1
-    )
+    # An entry that raises makes the unit complete with status="error"
+    # (the engine catches the exception); that body must be served but
+    # never stored.
+    def exploding(*args, **kwargs):
+        raise RuntimeError("kernel exploded")
+
+    monkeypatch.setattr(fig22_snr, "run_snr_measurement", exploding)
+    request = UnitRequest(experiment="fig22", scale=0.1)
     key, body, hit = cached_unit(store, request)
     assert not hit
     assert json.loads(body)["result"]["status"] == "error"

@@ -89,6 +89,28 @@ def test_bad_request_bodies(served):
     )
     assert response.status == 400
     assert "'backend' field" in response.json()["error"]
+    # The per-exchange reference is a test oracle, not a served backend.
+    response = client.request(
+        "POST", "/campaign", {"experiment": "fig22", "backend": "legacy"}
+    )
+    assert response.status == 400
+    assert "unknown backend 'legacy' (choose from batch, fast)" in response.json()["error"]
+    # Params are checked against the experiment's entry before compute:
+    # a bad backend or precision in params, or a key the entry does not
+    # take, is a client error, not a failed unit.
+    calls = engine.unit_call_count()
+    for params, message in (
+        ({"backend": "turbo"}, "unknown backend 'turbo'"),
+        ({"backend": "legacy"}, "unknown backend 'legacy'"),
+        ({"precision": "float32"}, "backend 'batch' does not support precision"),
+        ({"nonsense": 1}, "has no parameter 'nonsense'"),
+    ):
+        response = client.request(
+            "POST", "/campaign", {"experiment": "fig22", "params": params}
+        )
+        assert response.status == 400, params
+        assert message in response.json()["error"]
+    assert engine.unit_call_count() == calls
 
 
 def test_result_endpoint(served):

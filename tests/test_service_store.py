@@ -295,9 +295,12 @@ def _same_tick_change(root, key, pad, write):
 
     Another process can write within the mtime tick the index last saw,
     which leaves the directory mtime unchanged.  That is only possible
-    while the shard's mtime is within a tick of "now", and so within the
-    racy window of the newest shard mtime; elsewhere the change keeps
-    its new mtime.
+    while the shard's mtime is within a tick of "now" (a tick of up to
+    :data:`RACY_WINDOW_S` here); elsewhere the change keeps its new
+    mtime.  "Now" is the wall clock, not the newest shard mtime: once
+    every shard has been aged, the newest mtime lies in the past too,
+    and restoring an aged shard's mtime would model a write the
+    filesystem cannot produce.
     """
     shard = root / key[:2]
     if not shard.is_dir():
@@ -308,11 +311,7 @@ def _same_tick_change(root, key, pad, write):
         _write_as_outsider(path, _body(pad))
     elif path.exists():
         path.unlink()
-    newest = max(
-        [before.st_mtime_ns]
-        + [d.stat().st_mtime_ns for d in root.glob("??") if d.name != shard.name]
-    )
-    if newest - before.st_mtime_ns < RACY_WINDOW_S * 1e9:
+    if time.time_ns() - before.st_mtime_ns < RACY_WINDOW_S * 1e9:
         os.utime(shard, ns=(before.st_atime_ns, before.st_mtime_ns))
 
 
