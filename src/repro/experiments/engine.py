@@ -564,24 +564,19 @@ def check_units(
     """Validate (experiment, variant, params) units before any compute.
 
     Each unit's folded keywords (:func:`_unit_kwargs`) must all be
-    parameters of the experiment's entry (any key, for an entry taking
-    ``**kwargs``), and a folded ``backend`` or ``precision`` — set by
-    explicit params, a sweep point or the request — must pass
-    :func:`check_backend`, the entry's own default standing in for the
-    one not set.  Raises ``ValueError``.
+    parameters of the experiment's entry, and a folded ``backend`` or
+    ``precision`` — set by explicit params, a sweep point or the
+    request — must pass :func:`check_backend`, the entry's own default
+    standing in for the one not set.  Raises ``ValueError``.
     """
     for name, variant, params in units:
         kwargs = _unit_kwargs(name, variant, params, backend, precision)
         if not kwargs:
             continue
         entry = inspect.signature(get_spec(name).resolve_entry()).parameters
-        named = [k for k, p in entry.items() if p.kind is not p.VAR_KEYWORD]
-        takes_any = len(named) < len(entry)
-        unknown = sorted(
-            k for k in kwargs if k in _ENGINE_KWARGS or not (k in named or takes_any)
-        )
+        unknown = sorted(k for k in kwargs if k in _ENGINE_KWARGS or k not in entry)
         if unknown:
-            accepted = [k for k in named if k not in _ENGINE_KWARGS]
+            accepted = [k for k in entry if k not in _ENGINE_KWARGS]
             raise ValueError(
                 f"experiment {name!r} has no parameter "
                 f"{', '.join(map(repr, unknown))} "
