@@ -1,19 +1,19 @@
-"""CI summarizer/gate over the invariant analyzer's JSON report.
+"""CI step-summary renderer for the invariant analyzer's JSON report.
 
 Usage::
 
-    PYTHONPATH=src python -m repro.analysis --check --format json \
-        > analysis.json || true
+    status=0
+    PYTHONPATH=src python -m repro.analysis --format json \
+        > analysis.json || status=$?
     python benchmarks/check_analysis.py --input analysis.json \
         [--summary "$GITHUB_STEP_SUMMARY"]
+    exit "$status"
 
-Renders a per-rule markdown table (scanned files, new findings,
-baselined exceptions, pragma suppressions, stale baseline entries) and
-re-derives the ``--check`` verdict from the artifact: exit 1 when the
-report carries new findings, stale baseline entries, or parse errors;
-exit 0 otherwise.  Splitting the run from the gate this way lets the CI
-job always publish the table — the analyzer's exit code alone would
-skip the summary exactly when someone needs to read it.
+Renders a per-rule markdown table (scanned files, new findings, pragma
+suppressions) and lists the findings and parse errors.  It holds no
+pass/fail rule of its own: the analyzer's exit status is the verdict,
+and the headline only restates what the report carries.  Exit 0 once
+the table is rendered, 2 on an unreadable or foreign-schema report.
 """
 
 from __future__ import annotations
@@ -24,39 +24,31 @@ import sys
 from collections import Counter
 from typing import Dict, List
 
-
 def _count_by_rule(rows: List[Dict]) -> Counter:
     return Counter(str(row.get("rule", "?")) for row in rows)
 
 
 def summarize(report: Dict) -> str:
-    """Markdown summary of one ``repro-analysis-report/1`` document."""
+    """Markdown summary of one ``repro-analysis-report/2`` document."""
     findings = report.get("findings", [])
-    baselined = report.get("baselined", [])
     suppressed = report.get("suppressed", [])
-    stale = report.get("stale_baseline", [])
     parse_errors = report.get("parse_errors", [])
 
     new_by_rule = _count_by_rule(findings)
-    base_by_rule = _count_by_rule(baselined)
     supp_by_rule = _count_by_rule(suppressed)
     rules = sorted(set(report.get("rules", [])) | set(new_by_rule) | set(supp_by_rule))
 
     lines = ["## Invariant lint", ""]
-    verdict = "clean" if not (findings or stale or parse_errors) else "FAILING"
+    verdict = "clean" if not (findings or parse_errors) else "FAILING"
     lines.append(
         f"**{verdict}** — {report.get('files_scanned', '?')} files, "
-        f"{len(findings)} new finding(s), {len(baselined)} baselined, "
-        f"{len(suppressed)} pragma-suppressed, {len(stale)} stale baseline entr(ies)."
+        f"{len(findings)} new finding(s), {len(suppressed)} pragma-suppressed."
     )
     lines.append("")
-    lines.append("| rule | new | baselined | suppressed |")
-    lines.append("| --- | ---: | ---: | ---: |")
+    lines.append("| rule | new | suppressed |")
+    lines.append("| --- | ---: | ---: |")
     for rule in rules:
-        lines.append(
-            f"| {rule} | {new_by_rule.get(rule, 0)} | "
-            f"{base_by_rule.get(rule, 0)} | {supp_by_rule.get(rule, 0)} |"
-        )
+        lines.append(f"| {rule} | {new_by_rule.get(rule, 0)} | {supp_by_rule.get(rule, 0)} |")
     if findings:
         lines.append("")
         lines.append("### New findings")
@@ -64,14 +56,6 @@ def summarize(report: Dict) -> str:
             lines.append(
                 f"- `{row.get('path')}:{row.get('line')}` **{row.get('rule')}** "
                 f"{row.get('message')}"
-            )
-    if stale:
-        lines.append("")
-        lines.append("### Stale baseline entries (remove them)")
-        for row in stale:
-            lines.append(
-                f"- `{row.get('path')}:{row.get('line')}` {row.get('rule')} "
-                f"`{row.get('snippet')}`"
             )
     if parse_errors:
         lines.append("")
@@ -94,7 +78,7 @@ def main(argv=None) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         report = json.load(fh)
     schema = report.get("schema")
-    if schema != "repro-analysis-report/1":
+    if schema != "repro-analysis-report/2":
         print(f"error: unexpected report schema {schema!r}", file=sys.stderr)
         return 2
 
@@ -103,11 +87,7 @@ def main(argv=None) -> int:
     if args.summary:
         with open(args.summary, "a", encoding="utf-8") as fh:
             fh.write(text)
-
-    failing = bool(
-        report.get("findings") or report.get("stale_baseline") or report.get("parse_errors")
-    )
-    return 1 if failing else 0
+    return 0
 
 
 if __name__ == "__main__":

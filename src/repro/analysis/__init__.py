@@ -15,10 +15,10 @@ Nothing in Python stops a new call site from violating any of these; the
 failure only surfaces (if at all) as a parity-test mismatch far from the
 offending line.  This package turns the contracts into an AST lint
 engine (stdlib ``ast``, no new dependencies) with a rule registry,
-inline suppression pragmas (``# repro: allow[RULE] reason``), a
-committed JSON baseline for grandfathered findings, and a CLI::
+inline suppression pragmas (``# repro: allow[RULE] reason``) as the one
+way to excuse a finding, and a CLI whose exit status is the verdict::
 
-    PYTHONPATH=src python -m repro.analysis --check
+    PYTHONPATH=src python -m repro.analysis
 
 Rule catalog (see DESIGN.md §12 for the full contract rationale):
 

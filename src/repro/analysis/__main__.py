@@ -3,21 +3,14 @@
 Usage::
 
     PYTHONPATH=src python -m repro.analysis [paths...]
-        [--check] [--format text|json] [--baseline FILE]
-        [--write-baseline] [--rules XP001,RNG001] [--root DIR]
+        [--format text|json] [--rules XP001,RNG001] [--root DIR]
         [--list-rules]
 
-Exit codes (pinned by tests/test_analysis.py):
+Exit codes (pinned by tests/test_analysis.py) are the only verdict:
 
-* ``0`` — clean: no unbaselined findings (and, under ``--check``, no
-  stale baseline entries),
-* ``1`` — violations: new findings, or ``--check`` baseline drift,
-* ``2`` — usage error: unknown rule id, missing path/baseline file.
-
-``--check`` is the CI mode: in addition to failing on new findings it
-fails when a baseline entry no longer matches any finding (the
-grandfathered code is gone, so the exception must go too — the same
-polarity as ``check_regression.py``'s missing-rows rule).
+* ``0`` — clean: no findings outside a reasoned pragma,
+* ``1`` — violations: findings or parse errors,
+* ``2`` — usage error: unknown option or rule id, missing path.
 """
 
 from __future__ import annotations
@@ -28,7 +21,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import DEFAULT_BASELINE_RELPATH, Baseline
 from repro.analysis.core import all_rules
 from repro.analysis.engine import AnalysisReport, analyze_paths
 
@@ -64,27 +56,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="repo root for relative reporting (default: auto-detected)",
     )
     parser.add_argument(
-        "--check",
-        action="store_true",
-        help="CI mode: also fail on stale baseline entries (drift)",
-    )
-    parser.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline JSON (default: tests/baselines/analysis_baseline.json "
-        "under the root, when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -99,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_text(report: AnalysisReport, match, check: bool) -> None:
+def _print_text(report: AnalysisReport) -> None:
     for finding in report.findings:
         print(f"{finding.location}: {finding.rule} {finding.message}")
         print(f"    {finding.snippet}")
@@ -114,32 +89,17 @@ def _print_text(report: AnalysisReport, match, check: bool) -> None:
         by_rule = report.suppressed_by_rule()
         detail = ", ".join(f"{rule}={n}" for rule, n in sorted(by_rule.items()))
         print(f"{len(report.suppressed)} suppressed by pragma [{detail}]")
-    if match is not None:
-        if match.baselined:
-            print(f"{len(match.baselined)} finding(s) covered by the baseline")
-        for entry in match.stale:
-            print(
-                f"stale baseline entry: {entry.path}:{entry.line} {entry.rule} "
-                f"({entry.snippet!r} no longer found)"
-            )
-        if match.stale and check:
-            print(
-                "baseline drift: remove the stale entries (or rerun with "
-                "--write-baseline)"
-            )
     for error in report.parse_errors:
         print(f"parse error: {error}", file=sys.stderr)
 
 
-def _as_json(report: AnalysisReport, match, new_findings) -> dict:
+def _as_json(report: AnalysisReport) -> dict:
     return {
-        "schema": "repro-analysis-report/1",
+        "schema": "repro-analysis-report/2",
         "files_scanned": report.files_scanned,
         "rules": report.rules,
         "counts": report.counts_by_rule(),
-        "findings": [f.to_dict() for f in new_findings],
-        "baselined": [f.to_dict() for f in match.baselined] if match else [],
-        "stale_baseline": [e.to_dict() for e in match.stale] if match else [],
+        "findings": [f.to_dict() for f in report.findings],
         "suppressed": [f.to_dict() for f in report.suppressed],
         "parse_errors": report.parse_errors,
     }
@@ -174,54 +134,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
 
-    baseline_path = args.baseline
-    if baseline_path is None:
-        default_path = root / DEFAULT_BASELINE_RELPATH
-        baseline_path = default_path if default_path.exists() else None
-    elif not baseline_path.is_absolute():
-        baseline_path = root / baseline_path
-
     report = analyze_paths(paths, root=root, rules=rules)
-
-    if args.write_baseline:
-        target = baseline_path or (root / DEFAULT_BASELINE_RELPATH)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        Baseline.from_findings(report.findings).save(target)
-        print(f"wrote {len(report.findings)} baseline entr(ies) to {target}")
-        return EXIT_CLEAN
-
-    if baseline_path is not None:
-        try:
-            baseline = Baseline.load(baseline_path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"error: cannot load baseline {baseline_path}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        baseline = Baseline.empty()
-    match = baseline.match(report.findings)
-
     if args.format == "json":
-        # Findings already covered by the baseline are reported separately:
-        # the gate below only considers the new ones.
-        doc = _as_json(report, match, match.new)
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(_as_json(report), indent=2, sort_keys=True))
     else:
-        filtered = AnalysisReport(
-            findings=match.new,
-            suppressed=report.suppressed,
-            files_scanned=report.files_scanned,
-            parse_errors=report.parse_errors,
-            rules=report.rules,
-        )
-        _print_text(filtered, match, args.check)
-
-    if report.parse_errors:
-        return EXIT_FINDINGS
-    if match.new:
-        return EXIT_FINDINGS
-    if args.check and match.stale:
-        return EXIT_FINDINGS
-    return EXIT_CLEAN
+        _print_text(report)
+    return EXIT_FINDINGS if report.findings or report.parse_errors else EXIT_CLEAN
 
 
 if __name__ == "__main__":

@@ -127,8 +127,8 @@ class ModuleContext:
 class Rule:
     """Base class: one contract, one id, one ``check`` over a module."""
 
-    #: Stable identifier, e.g. ``"XP001"``.  Findings, pragmas and the
-    #: baseline all refer to rules by this id.
+    #: Stable identifier, e.g. ``"XP001"``.  Findings, pragmas and
+    #: ``--rules`` all refer to rules by this id.
     id: str = ""
     #: One-line statement of the contract the rule protects.
     contract: str = ""

@@ -7,8 +7,8 @@ Findings whose line carries a covering pragma are split out as
 *suppressed* — still visible in reports (with their reasons) but not
 gate failures.
 
-Paths are reported repo-root-relative with forward slashes so the
-committed baseline is stable across checkouts and platforms.
+Paths are reported repo-root-relative with forward slashes so reports
+are stable across checkouts and platforms.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def build_context(
 
 @dataclass
 class AnalysisReport:
-    """Everything one analysis run produced, pre-baseline."""
+    """Everything one analysis run produced."""
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)

@@ -50,25 +50,15 @@ from typing import (
 
 import numpy as np
 
-from repro.signals.xp import PRECISIONS, get_context
+from repro.signals.xp import (
+    PRECISIONS,  # noqa: F401  (an engine name its callers use)
+    WAVEFORM_BACKENDS,
+    check_waveform_backend,
+    get_context,
+)
 
 #: Default campaign seed (the paper's publication year, as in the seed repo).
 DEFAULT_BASE_SEED = 2023
-
-#: The waveform-backend registry every engine plugs into, mapping each
-#: backend to the working precisions it supports.  ``batch`` is the
-#: bit-parity reference pipeline, pinned to the per-exchange oracles in
-#: tests/legacy_oracles.py and to the parity-epoch baselines; ``fast``
-#: is the non-parity engine validated statistically
-#: (tests/test_fast_equivalence.py).  Only ``fast`` supports the
-#: float32 tier: ``batch`` *is* the float64 reference, so ``(backend,
-#: precision)`` is validated as a pair by :func:`check_backend`.
-#: Experiments declare which backends they support via
-#: ``ExperimentSpec.backends``.
-WAVEFORM_BACKENDS: Dict[str, Tuple[str, ...]] = {
-    "batch": ("float64",),
-    "fast": PRECISIONS,
-}
 
 #: Canonical experiment order: defines both registry import order and the
 #: ``SeedSequence.spawn`` fan-out, so it must only ever be appended to.
@@ -323,29 +313,13 @@ def check_backend(
 ) -> str:
     """Validate a waveform ``(backend, precision)`` pair.
 
-    With ``spec`` (an experiment name), additionally checks the
-    experiment's declared capability flags, so e.g. ``fast`` on an
-    experiment without a fast path fails loudly instead of silently
-    running another engine.  ``precision`` (when given) must be a
-    registered precision *and* one the backend supports: the bit-parity
-    backends are float64-only, so e.g. ``("batch", "float32")`` is
-    rejected up front, exactly like an unknown backend name.
+    The pair itself goes through the waveform-backend table
+    (:func:`repro.signals.xp.check_waveform_backend`).  With ``spec`` (an
+    experiment name), additionally checks the experiment's declared
+    capability flags, so e.g. ``fast`` on an experiment without a fast
+    path fails loudly instead of silently running another engine.
     """
-    if not isinstance(backend, str) or backend not in WAVEFORM_BACKENDS:
-        raise ValueError(
-            f"unknown backend {backend!r} (choose from {', '.join(WAVEFORM_BACKENDS)})"
-        )
-    if precision is not None:
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {precision!r} "
-                f"(choose from {', '.join(PRECISIONS)})"
-            )
-        if precision not in WAVEFORM_BACKENDS[backend]:
-            raise ValueError(
-                f"backend {backend!r} does not support precision {precision!r} "
-                f"(supported: {', '.join(WAVEFORM_BACKENDS[backend])})"
-            )
+    check_waveform_backend(backend, precision)
     if spec is not None:
         supported = get_spec(spec).backends
         if backend not in supported:

@@ -34,17 +34,6 @@ from repro.experiments.engine import (
     write_campaign_json,
 )
 
-def __getattr__(name: str) -> Any:
-    """Lazy registry view kept for backwards compatibility (name -> spec).
-
-    Resolving ``EXPERIMENTS`` imports all experiment modules, so it is
-    deferred until first use — ``--help`` and argparse-error paths stay
-    cheap.
-    """
-    if name == "EXPERIMENTS":
-        return engine.registry()
-    raise AttributeError(name)
-
 
 def _parse_sweep(entries: Optional[List[str]]) -> Dict[str, List[Any]]:
     """``["site=dock,boathouse"]`` -> ``{"site": ["dock", "boathouse"]}``."""

@@ -10,7 +10,9 @@ The facade resolves two things as one immutable :class:`ArrayContext`:
 * the FFT bindings for that precision.
 
 It also holds the kernels' one working-set budget, :data:`BLOCK_BYTES`,
-which :func:`row_blocks` splits a batch's row axis under.
+which :func:`row_blocks` splits a batch's row axis under, and the one
+table of which waveform backend runs which precision,
+:data:`WAVEFORM_BACKENDS`, with its check :func:`check_waveform_backend`.
 
 Arrays are always numpy; the kernels call ``np.`` directly.
 
@@ -27,13 +29,15 @@ accepts ``workers=`` for threaded stacked transforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
     "PRECISIONS",
     "DEFAULT_PRECISION",
+    "WAVEFORM_BACKENDS",
+    "check_waveform_backend",
     "ArrayContext",
     "get_context",
     "precision_of",
@@ -47,6 +51,45 @@ __all__ = [
 PRECISIONS: Tuple[str, ...] = ("float64", "float32")
 
 DEFAULT_PRECISION = "float64"
+
+#: The waveform-backend registry every engine plugs into, mapping each
+#: backend to the working precisions it supports.  ``batch`` is the
+#: bit-parity reference pipeline, pinned to the per-exchange oracles in
+#: tests/legacy_oracles.py and to the parity-epoch baselines; ``fast``
+#: is the non-parity engine validated statistically
+#: (tests/test_fast_equivalence.py).  Only ``fast`` supports the
+#: float32 tier: ``batch`` *is* the float64 reference, so ``(backend,
+#: precision)`` is validated as a pair by :func:`check_waveform_backend`.
+WAVEFORM_BACKENDS: Dict[str, Tuple[str, ...]] = {
+    "batch": ("float64",),
+    "fast": PRECISIONS,
+}
+
+
+def check_waveform_backend(backend: str, precision: Optional[str] = None) -> str:
+    """Validate a waveform ``(backend, precision)`` pair; return ``backend``.
+
+    ``precision`` (when given) must be a registered precision *and* one
+    the backend supports, so e.g. ``("batch", "float32")`` is rejected
+    exactly like an unknown backend name.  The campaign engine and the
+    batched exchange both validate through here, with one message.
+    """
+    if not isinstance(backend, str) or backend not in WAVEFORM_BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r} (choose from {', '.join(WAVEFORM_BACKENDS)})"
+        )
+    if precision is not None:
+        if precision not in PRECISIONS:
+            raise ValueError(
+                f"unknown precision {precision!r} "
+                f"(choose from {', '.join(PRECISIONS)})"
+            )
+        if precision not in WAVEFORM_BACKENDS[backend]:
+            raise ValueError(
+                f"backend {backend!r} does not support precision {precision!r} "
+                f"(supported: {', '.join(WAVEFORM_BACKENDS[backend])})"
+            )
+    return backend
 
 _REAL_DTYPES = {"float64": np.dtype(np.float64), "float32": np.dtype(np.float32)}
 _COMPLEX_DTYPES = {"float64": np.dtype(np.complex128), "float32": np.dtype(np.complex64)}

@@ -42,7 +42,7 @@ from repro.channel.noise import (
 from repro.channel.occlusion import occlusion_gain_array
 from repro.channel.render import CachedWaveform, apply_channel_batch, fir_length_for
 from repro.signals.batchcorr import env_int, env_str, fft_workers
-from repro.signals.xp import PRECISIONS, get_context
+from repro.signals.xp import check_waveform_backend, get_context
 from repro.simulate.waveform_sim import (
     ExchangeConfig,
     RangingMeasurement,
@@ -531,20 +531,7 @@ class BatchOneWay:
     ):
         from repro.ranging.batch import BatchArrivalEstimator
 
-        if backend not in ("batch", "fast"):
-            raise ValueError(
-                f"unknown waveform backend {backend!r} (use 'batch' or 'fast')"
-            )
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"unknown precision {precision!r} "
-                f"(choose from {', '.join(PRECISIONS)})"
-            )
-        if precision != "float64" and backend != "fast":
-            raise ValueError(
-                f"backend {backend!r} does not support precision {precision!r} "
-                f"(supported: float64)"
-            )
+        check_waveform_backend(backend, precision)
         self.preamble = preamble
         self.backend = backend
         self.precision = precision

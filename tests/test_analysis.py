@@ -2,7 +2,7 @@
 
 Each rule gets positive (fires) and negative (stays quiet) coverage on
 synthetic modules via :func:`repro.analysis.engine.analyze_source`; the
-CLI's exit-code contract (0 clean / 1 findings or drift / 2 usage) is
+CLI's exit-code contract (0 clean / 1 findings / 2 usage) is
 pinned both in-process and through ``python -m repro.analysis``; and a
 meta-test keeps the analyzer green on the committed tree — the lint gate
 tests itself.
@@ -22,7 +22,6 @@ import pytest
 
 from repro.analysis import analyze_source, all_rules, get_rule
 from repro.analysis.__main__ import main as cli_main
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -341,57 +340,6 @@ def test_pragma_accepts_a_rule_list():
 
 
 # ---------------------------------------------------------------------------
-# baseline round-trip and drift
-# ---------------------------------------------------------------------------
-
-VIOLATION = "import time\nstamp = time.time()\n"
-
-
-def test_baseline_round_trip(tmp_path):
-    findings = findings_of(VIOLATION)
-    assert rule_ids(findings) == ["DET001"]
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings).save(path)
-    match = Baseline.load(path).match(findings)
-    assert match.new == [] and match.stale == []
-    assert len(match.baselined) == 1
-
-
-def test_baseline_matches_on_snippet_not_line_number(tmp_path):
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(findings_of(VIOLATION)).save(path)
-    shifted = "import time\n# an unrelated edit above the site\nstamp = time.time()\n"
-    match = Baseline.load(path).match(findings_of(shifted))
-    assert match.new == [] and match.stale == []
-
-
-def test_baseline_reports_new_and_stale_entries():
-    baseline = Baseline(
-        [BaselineEntry(rule="DET001", path="<memory>", line=9, snippet="gone = time.time()")]
-    )
-    match = baseline.match(findings_of(VIOLATION))
-    assert len(match.new) == 1
-    assert len(match.stale) == 1
-
-
-def test_baseline_duplicate_lines_are_a_multiset():
-    two = "import time\na = time.time()\nb = 1\na = time.time()\n"
-    findings = findings_of(two)
-    assert len(findings) == 2
-    # Snippets are identical; one entry only covers one of the two sites.
-    baseline = Baseline.from_findings(findings[:1])
-    match = baseline.match(findings)
-    assert len(match.baselined) == 1 and len(match.new) == 1
-
-
-def test_baseline_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"schema": "other/9", "findings": []}))
-    with pytest.raises(ValueError):
-        Baseline.load(path)
-
-
-# ---------------------------------------------------------------------------
 # CLI exit codes and formats
 # ---------------------------------------------------------------------------
 
@@ -409,7 +357,7 @@ def test_cli_exit_0_on_clean_tree(tmp_path, capsys):
     pkg = tmp_path / "src" / "repro"
     pkg.mkdir(parents=True)
     (pkg / "clean.py").write_text("x = 1\n")
-    assert cli_main(["--root", str(tmp_path), "--check"]) == 0
+    assert cli_main(["--root", str(tmp_path)]) == 0
     assert "0 finding(s)" in capsys.readouterr().out
 
 
@@ -433,6 +381,17 @@ def test_cli_exit_2_on_missing_path(tmp_path, capsys):
     assert "no such path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("retired", [["--check"], ["--baseline", "b.json"], ["--write-baseline"]])
+def test_cli_retired_baseline_options_are_usage_errors(retired, tmp_path, capsys):
+    # A command copied from an old doc must fail loudly, not lint with
+    # the option silently ignored.
+    write_violation_tree(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--root", str(tmp_path), *retired])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_rules_filter_skips_other_contracts(tmp_path, capsys):
     write_violation_tree(tmp_path)
     assert cli_main(["--root", str(tmp_path), "--rules", "XP001,RNG001"]) == 0
@@ -443,31 +402,13 @@ def test_cli_json_report_schema(tmp_path, capsys):
     write_violation_tree(tmp_path)
     assert cli_main(["--root", str(tmp_path), "--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["schema"] == "repro-analysis-report/1"
+    assert doc["schema"] == "repro-analysis-report/2"
     assert doc["counts"]["DET001"] == 1
     finding = doc["findings"][0]
     assert finding["rule"] == "DET001"
     assert finding["path"] == "src/repro/experiments/engine.py"
     assert finding["line"] == 3
-
-
-def test_cli_write_baseline_then_check_is_clean(tmp_path, capsys):
-    write_violation_tree(tmp_path)
-    baseline = tmp_path / "tests" / "baselines" / "analysis_baseline.json"
-    assert cli_main(["--root", str(tmp_path), "--write-baseline"]) == 0
-    assert baseline.exists()
-    assert cli_main(["--root", str(tmp_path), "--check"]) == 0
-    capsys.readouterr()
-
-
-def test_cli_check_fails_on_stale_baseline(tmp_path, capsys):
-    target = write_violation_tree(tmp_path)
-    assert cli_main(["--root", str(tmp_path), "--write-baseline"]) == 0
-    target.write_text("import time\n\nSTAMP = time.perf_counter()\n")
-    # Plain run tolerates the stale entry; --check (CI) fails on drift.
-    assert cli_main(["--root", str(tmp_path)]) == 0
-    assert cli_main(["--root", str(tmp_path), "--check"]) == 1
-    assert "stale baseline entry" in capsys.readouterr().out
+    assert "baselined" not in doc and "stale_baseline" not in doc
 
 
 def test_cli_list_rules(capsys):
@@ -489,7 +430,7 @@ def test_module_name_resolution():
 
 
 def test_analyzer_is_clean_on_the_committed_tree():
-    assert cli_main(["--root", str(REPO_ROOT), "--check"]) == 0
+    assert cli_main(["--root", str(REPO_ROOT)]) == 0
 
 
 def _cli_env():
@@ -500,7 +441,7 @@ def _cli_env():
 
 def test_module_entry_point_clean_then_seeded_violation(tmp_path):
     clean = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "--check", "--root", str(REPO_ROOT)],
+        [sys.executable, "-m", "repro.analysis", "--root", str(REPO_ROOT)],
         capture_output=True,
         text=True,
         env=_cli_env(),
@@ -515,7 +456,7 @@ def test_module_entry_point_clean_then_seeded_violation(tmp_path):
     engine_py.write_text(engine_py.read_text() + "\n_SEEDED_STAMP = time.time()\n")
     seeded_line = len(engine_py.read_text().splitlines())
     seeded = subprocess.run(
-        [sys.executable, "-m", "repro.analysis", "--check", "--root", str(tmp_path)],
+        [sys.executable, "-m", "repro.analysis", "--root", str(tmp_path)],
         capture_output=True,
         text=True,
         env=_cli_env(),
@@ -547,41 +488,37 @@ def run_cli_json(tmp_path, capsys) -> dict:
     return json.loads(capsys.readouterr().out)
 
 
-def test_check_analysis_gates_on_findings(check_analysis, tmp_path, capsys):
+def test_check_analysis_renders_findings(check_analysis, tmp_path, capsys):
     report = run_cli_json(tmp_path, capsys)
     artifact = tmp_path / "analysis.json"
     summary = tmp_path / "summary.md"
     artifact.write_text(json.dumps(report))
-    assert check_analysis.main(["--input", str(artifact), "--summary", str(summary)]) == 1
+    # The renderer holds no verdict: it exits 0 once the table is written,
+    # and CI takes pass/fail from the analyzer's own exit status.
+    assert check_analysis.main(["--input", str(artifact), "--summary", str(summary)]) == 0
     text = summary.read_text()
     assert "FAILING" in text
-    assert "DET001" in text
+    assert "| rule | new | suppressed |" in text
+    assert "| DET001 | 1 | 0 |" in text
     assert "src/repro/experiments/engine.py:3" in text
 
 
-def test_check_analysis_clean_report_exits_0(check_analysis, tmp_path, capsys):
+def test_check_analysis_renders_clean_report(check_analysis, tmp_path, capsys):
     report = run_cli_json(tmp_path, capsys)
     report["findings"] = []
+    report["suppressed"] = [{"rule": "DTYPE001", "path": "src/k.py", "line": 2}]
     artifact = tmp_path / "analysis.json"
     artifact.write_text(json.dumps(report))
     assert check_analysis.main(["--input", str(artifact)]) == 0
-    assert "**clean**" in capsys.readouterr().out
-
-
-def test_check_analysis_fails_on_stale_entries(check_analysis, tmp_path, capsys):
-    report = run_cli_json(tmp_path, capsys)
-    report["findings"] = []
-    report["stale_baseline"] = [
-        {"rule": "DET001", "path": "src/gone.py", "line": 9, "snippet": "time.time()"}
-    ]
-    artifact = tmp_path / "analysis.json"
-    artifact.write_text(json.dumps(report))
-    assert check_analysis.main(["--input", str(artifact)]) == 1
-    assert "Stale baseline" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "**clean**" in out
+    assert "0 new finding(s), 1 pragma-suppressed" in out
+    assert "| DTYPE001 | 0 | 1 |" in out
 
 
 def test_check_analysis_rejects_unknown_schema(check_analysis, tmp_path, capsys):
     artifact = tmp_path / "analysis.json"
-    artifact.write_text(json.dumps({"schema": "other/1"}))
+    # A schema-1 report still carries baseline fields; refuse it.
+    artifact.write_text(json.dumps({"schema": "repro-analysis-report/1"}))
     assert check_analysis.main(["--input", str(artifact)]) == 2
     capsys.readouterr()

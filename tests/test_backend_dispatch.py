@@ -16,6 +16,7 @@ import pytest
 from repro.experiments import engine
 from repro.experiments.runner import main
 from repro.signals.preamble import make_preamble
+from repro.signals.xp import PRECISIONS
 from repro.simulate.batch_exchange import BatchOneWay
 
 
@@ -194,10 +195,40 @@ class TestArtifactProvenance:
         assert entry["params"]["precision"] == "float32"
 
 
+def _verdict(check):
+    try:
+        check()
+    except ValueError as exc:
+        return str(exc)
+    return "ok"
+
+
+#: Every known (backend, precision) pair, plus an unknown backend, a
+#: non-string backend and an unknown precision.
+_PAIRS = [(b, p) for b in engine.WAVEFORM_BACKENDS for p in PRECISIONS] + [
+    ("turbo", "float64"),
+    (["batch"], "float64"),
+    ("fast", "float16"),
+]
+
+
 class TestBatchOneWayDispatch:
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown waveform backend"):
+        with pytest.raises(ValueError, match="unknown backend 'legacy'"):
             BatchOneWay(make_preamble(), backend="legacy")
+
+    @pytest.mark.parametrize("backend, precision", _PAIRS)
+    def test_agrees_with_engine_check_backend(self, backend, precision):
+        # One backend/precision table: the batched exchange and the
+        # campaign engine accept and reject alike, with one message.
+        preamble = make_preamble()
+        by_engine = _verdict(lambda: engine.check_backend(backend, precision=precision))
+        by_exchange = _verdict(
+            lambda: BatchOneWay(preamble, backend=backend, pipeline=0, precision=precision)
+        )
+        assert by_exchange == by_engine
+        known = backend in ("batch", "fast") and precision in PRECISIONS
+        assert (by_engine == "ok") == (known and (backend, precision) != ("batch", "float32"))
 
     def test_float32_requires_fast_backend(self):
         with pytest.raises(ValueError, match="does not support precision"):

@@ -99,7 +99,7 @@ class TestFig20Smoke:
 
 class TestRunnerRegistry:
     def test_all_experiments_registered(self):
-        from repro.experiments.runner import EXPERIMENTS
+        from repro.experiments import engine
 
         expected = {
             "fig6",
@@ -117,7 +117,7 @@ class TestRunnerRegistry:
             # Beyond-paper extension: large-fleet DES campaigns.
             "fleet",
         }
-        assert set(EXPERIMENTS) == expected
+        assert set(engine.registry()) == expected
 
     def test_unknown_experiment_rejected(self):
         from repro.experiments.runner import main

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.service.cachekey import UnitRequest
 from repro.service.client import ServiceClient
@@ -317,6 +317,20 @@ def _same_tick_change(root, key, pad, write):
 
 @settings(max_examples=120, deadline=None)
 @given(caps=st.tuples(st.integers(1, 500), st.integers(1, 500)), ops=st.lists(_op, max_size=40))
+# Every shard aged, then a same-tick change: judged against the newest
+# shard mtime instead of the wall clock, this restored an aged shard's
+# mtime, a write no filesystem can produce.
+@example(
+    caps=(500, 500),
+    ops=[
+        ("put", 0, 0, 0),
+        ("put", 0, 4, 0),
+        ("age", 4, 2),
+        ("evict", 0),
+        ("age", 0, 2),
+        ("same_tick", 4, 0, False),
+    ],
+)
 def test_index_evicts_exactly_what_the_full_walk_evicts(caps, ops):
     with tempfile.TemporaryDirectory() as scratch:
         root = Path(scratch) / "cache"
