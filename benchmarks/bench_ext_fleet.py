@@ -54,7 +54,6 @@ def test_ext_fleet_1k_vec(benchmark, rng, report, spec):
         leave_prob=0.05,
         join_prob=0.5,
         mobility_fraction=0.15,
-        fleet_backend="vec",
         resync_interval_rounds=2,
         drift_wander_ppm=2.0,
     )
@@ -77,7 +76,7 @@ def test_ext_fleet_1k_vec(benchmark, rng, report, spec):
     benchmark.pedantic(
         lambda: run_fleet_campaign(
             np.random.default_rng(23),
-            FleetConfig(num_devices=1000, num_rounds=1, fleet_backend="vec"),
+            FleetConfig(num_devices=1000, num_rounds=1),
         ),
         rounds=2,
         iterations=1,

@@ -1,4 +1,4 @@
-"""CI fleet-scale smoke: the fleet1k registry variant on the vec engine.
+"""CI fleet-scale smoke: the fleet1k registry variant.
 
 Usage::
 
@@ -6,9 +6,8 @@ Usage::
         --scale 0.5 --budget-s 120 --json fleet-smoke.json
 
 Runs the ``fleet1k`` variant exactly as the campaign registry defines
-it (1000 nodes, churn + mobility + oscillator wander on
-``fleet_backend="vec"``), at ``--scale``-reduced rounds, and fails
-(exit 1) when:
+it (1000 nodes, churn + mobility + oscillator wander), at
+``--scale``-reduced rounds, and fails (exit 1) when:
 
 * the run exceeds the ``--budget-s`` wall-clock budget — the vec
   engine's whole point is that 1k nodes are interactive, so a blown

@@ -52,15 +52,17 @@ BACKENDS = (
 
 
 def _oracle(label: str):
-    """The per-exchange oracle context for the ``legacy`` column."""
-    if label != "legacy":
+    """The test-oracle context of a reference column: the per-exchange
+    waveform paths for ``legacy``, the per-event fleet round for
+    ``event``; production columns run unpatched."""
+    if label not in ("legacy", "event"):
         return contextlib.nullcontext()
     tests_dir = str(Path(__file__).resolve().parent.parent / "tests")
     if tests_dir not in sys.path:
         sys.path.insert(0, tests_dir)
-    from legacy_oracles import legacy_waveform
+    from legacy_oracles import event_fleet, legacy_waveform
 
-    return legacy_waveform()
+    return legacy_waveform() if label == "legacy" else event_fleet()
 
 
 def _time_call(fn, repeats: int = 1) -> float:
@@ -216,25 +218,29 @@ def bench_service(
 
 
 def bench_fleet(scale: float) -> Dict[str, object]:
-    """Fleet-engine A/B: the event backend vs the vectorized engine.
+    """Fleet-engine A/B: the per-event round oracle vs the vec engine.
 
     ``fleet1k`` times an identical 1000-node churn+mobility campaign on
-    both backends (same seed; the summaries must be byte-identical —
-    recorded as ``parity``) and reports ``speedup_vec``, the column
-    ``check_regression.py`` gates.  ``fleet10k`` is the scale row: a
-    10k-node churn+mobility campaign with oscillator wander and 2-round
-    resync on the vec engine only (the event backend needs tens of
-    minutes per round at this size), recording wall clock plus the
-    energy and clock-drift stats from the summary.
+    both (same seed; the summaries must be byte-identical — recorded as
+    ``parity``) and reports ``speedup_vec``, the column
+    ``check_regression.py`` gates.  The ``event`` column runs the
+    per-event round of ``tests/legacy_oracles.py`` patched into the
+    campaign loop.  ``fleet10k`` is the scale row: a 10k-node
+    churn+mobility campaign with oscillator wander and 2-round resync
+    on the vec engine only (the per-event round needs tens of minutes
+    per round at this size), recording wall clock plus the energy and
+    clock-drift stats from the summary.
     """
     from repro.simulate.des.fleet import FleetConfig, run_fleet_campaign
 
-    def _run(backend: str, **kwargs):
-        config = FleetConfig(fleet_backend=backend, **kwargs)
+    def _run(label: str, **kwargs):
+        config = FleetConfig(**kwargs)
         rng = np.random.default_rng(2023)
-        start = time.perf_counter()
-        result = run_fleet_campaign(rng, config)
-        return result.summary(), time.perf_counter() - start
+        with _oracle(label):
+            start = time.perf_counter()
+            result = run_fleet_campaign(rng, config)
+            elapsed = time.perf_counter() - start
+        return result.summary(), elapsed
 
     out: Dict[str, object] = {}
     try:
@@ -479,7 +485,7 @@ def main(argv=None) -> int:
                 f"(x{svc['speedup_warm']:.0f} faster)"
             )
     if not args.skip_fleet:
-        print("timing fleet engines (event vs vec) ...", flush=True)
+        print("timing fleet engines (event oracle vs vec) ...", flush=True)
         doc["fleet"] = bench_fleet(args.scale)
         fleet = doc["fleet"]
         if "error" in fleet:

@@ -4,11 +4,13 @@ Run with::
 
     PYTHONPATH=src python examples/fleet.py
 
-Demonstrates the discrete-event simulation core (`repro.simulate.des`):
-a 100-node fleet round through the campaign engine, the beyond-paper
+Demonstrates the fleet campaigns of `repro.simulate.des`: the
+``fleet`` variants through the campaign engine, the beyond-paper
 scenario axes (churn, mobility, contention MAC), and direct use of
-``FleetConfig`` for custom scenarios. Uses a small ``scale`` so the
-tour finishes in seconds.
+``FleetConfig`` for custom scenarios. Every round runs on the
+vectorized fleet engine (`repro.simulate.des.fleetvec`), byte-identical
+to the per-event DES round kept as a test oracle. Uses a small
+``scale`` so the tour finishes quickly.
 """
 
 import numpy as np

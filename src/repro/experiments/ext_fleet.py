@@ -21,6 +21,7 @@ from typing import Any, Dict
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.experiments import engine
 from repro.protocol.slots import round_duration
 from repro.protocol.uplink import communication_latency_s
@@ -94,10 +95,9 @@ def format_fleet(summary: Dict[str, Any]) -> str:
             "contention",
             {"num_devices": 50, "mac": "contention"},
         ),
-        # Scale variants run on the vectorized engine (bit-identical to
-        # "event"; see DESIGN.md §10) with churn, mobility, oscillator
-        # wander and a 2-round resync interval, so energy and drift
-        # stats are exercised at fleet scale.
+        # Scale variants: 1k and 10k nodes with churn, mobility,
+        # oscillator wander and a 2-round resync interval, so energy
+        # and drift stats are exercised at fleet scale (DESIGN.md §10).
         engine.Variant(
             "fleet1k",
             {
@@ -106,7 +106,6 @@ def format_fleet(summary: Dict[str, Any]) -> str:
                 "leave_prob": 0.05,
                 "join_prob": 0.5,
                 "mobility_fraction": 0.15,
-                "fleet_backend": "vec",
                 "resync_interval_rounds": 2,
                 "drift_wander_ppm": 2.0,
             },
@@ -119,7 +118,6 @@ def format_fleet(summary: Dict[str, Any]) -> str:
                 "leave_prob": 0.05,
                 "join_prob": 0.5,
                 "mobility_fraction": 0.15,
-                "fleet_backend": "vec",
                 "resync_interval_rounds": 2,
                 "drift_wander_ppm": 2.0,
             },
@@ -130,7 +128,6 @@ def format_fleet(summary: Dict[str, Any]) -> str:
         "mac",
         "leave_prob",
         "mobility_fraction",
-        "fleet_backend",
     ),
 )
 def campaign(
@@ -144,12 +141,20 @@ def campaign(
     join_prob: float = 0.5,
     mobility_fraction: float = 0.0,
     relay: bool = True,
-    fleet_backend: str = "event",
+    fleet_backend: str = "vec",
     resync_interval_rounds: int = 1,
     drift_wander_ppm: float = 0.0,
     duty_cycle=None,
 ) -> engine.ExperimentOutput:
-    """One fleet variant through the DES campaign runner."""
+    """One fleet variant through the DES campaign runner.
+
+    ``fleet_backend`` is accepted for requests that still name the
+    engine; ``"vec"``, the only fleet round, is its one legal value.
+    """
+    if fleet_backend != "vec":
+        raise ConfigurationError(
+            f"unknown fleet backend {fleet_backend!r} (the only one is 'vec')"
+        )
     config = FleetConfig(
         num_devices=num_devices,
         num_rounds=engine.scaled(num_rounds, scale),
@@ -158,7 +163,6 @@ def campaign(
         join_prob=join_prob,
         mobility_fraction=mobility_fraction,
         relay=relay,
-        fleet_backend=fleet_backend,
         resync_interval_rounds=resync_interval_rounds,
         drift_wander_ppm=drift_wander_ppm,
         duty_cycle=duty_cycle,

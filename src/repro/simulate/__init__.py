@@ -26,7 +26,6 @@ from repro.simulate.des import (
     AcousticMedium,
     DesNode,
     TdmaMac,
-    ContentionMac,
     EnergyAccount,
     EnergyModel,
     FleetConfig,
@@ -57,7 +56,6 @@ __all__ = [
     "AcousticMedium",
     "DesNode",
     "TdmaMac",
-    "ContentionMac",
     "EnergyAccount",
     "EnergyModel",
     "FleetConfig",

@@ -5,13 +5,16 @@ heapq event loop with stable ``(time, seq)`` tie-breaking, per-node
 processes driven by each device's local clock, propagation-delay-aware
 acoustic delivery with directional loss and collision modelling,
 per-node energy accounting, and pluggable MAC policies (the paper's
-TDMA slots, plus contention/backoff for beyond-paper fleets).
+TDMA slots).
 
 ``repro.protocol.round.run_protocol_round`` runs on top of this engine
 (bit-compatible on fixed seeds with the fixed-point round kept as a
-test oracle), and
-:mod:`repro.simulate.des.fleet` uses the extra headroom for 50-200
-node campaigns with churn, two-hop relay, and mobility-during-round.
+test oracle). :mod:`repro.simulate.des.fleet` runs 50-10k node
+campaigns with churn, two-hop relay, mobility-during-round and a
+contention MAC; each round runs on the struct-of-arrays engine of
+:mod:`repro.simulate.des.fleetvec`, pinned bit for bit to a per-event
+round on this DES that is kept as a test oracle
+(``tests/legacy_oracles.py``).
 """
 
 from repro.simulate.des.core import Event, Simulator
@@ -22,7 +25,7 @@ from repro.simulate.des.fleet import (
     FleetRoundStats,
     run_fleet_campaign,
 )
-from repro.simulate.des.mac import ContentionMac, MacPolicy, TdmaMac
+from repro.simulate.des.mac import MacPolicy, TdmaMac
 from repro.simulate.des.medium import AcousticMedium, Arrival
 from repro.simulate.des.node import DesNode
 
@@ -36,7 +39,6 @@ __all__ = [
     "DesNode",
     "MacPolicy",
     "TdmaMac",
-    "ContentionMac",
     "FleetConfig",
     "FleetResult",
     "FleetRoundStats",

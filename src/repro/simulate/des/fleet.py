@@ -1,12 +1,19 @@
 """Large-fleet DES campaigns: churn, multi-hop relay, mobility, contention.
 
 This is the beyond-paper workload the DES exists for (DESIGN.md §5):
-fleets of 50-200 devices spanning several acoustic ranges, nodes
+fleets of 50-10k devices spanning several acoustic ranges, nodes
 joining and leaving between rounds, a two-hop uplink relay for devices
 the leader cannot hear (:mod:`repro.protocol.relay`), devices moving
 *during* a round (propagation delays are evaluated at transmit time
 against the trajectory), per-node energy accounting, and a choice of
 MAC policy (the paper's TDMA or random-access contention).
+
+The campaign loop here owns everything between rounds (scenario,
+churn, drift and duty-cycle columns, relay planning); each round runs
+on the struct-of-arrays engine
+:func:`repro.simulate.des.fleetvec.run_fleet_round_vec` (DESIGN.md
+§10), pinned bit for bit to the per-event round kept as a test oracle
+in ``tests/legacy_oracles.py``.
 
 Determinism contract: every random draw — link loss, detection noise,
 churn, backoff — comes from the single generator passed to
@@ -18,21 +25,17 @@ serial-vs-parallel ``--json`` artifacts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.constants import MAX_RANGE_M, T_PACKET_S
-from repro.devices.clock import DeviceClock
 from repro.errors import ConfigurationError
 from repro.protocol.messages import TimestampReport
 from repro.protocol.relay import plan_relays, relay_uplink_latency_s
 from repro.protocol.slots import round_duration
-from repro.simulate.des.core import Simulator
-from repro.simulate.des.energy import EnergyAccount, EnergyModel
-from repro.simulate.des.mac import ContentionMac, TdmaMac
-from repro.simulate.des.medium import AcousticMedium
-from repro.simulate.des.node import DesNode
+from repro.simulate.des.fleetvec import run_fleet_round_vec
 from repro.simulate.mobility import LinearBackForthTrajectory
 from repro.simulate.network_sim import RangingErrorModel
 from repro.simulate.scenario import Scenario, fleet_scenario
@@ -61,7 +64,9 @@ class FleetConfig:
     error_model:
         The calibrated detection-error / packet-loss model shared with
         :class:`~repro.simulate.network_sim.NetworkSimulator`
-        (DESIGN.md §2) — the single source of the noise constants.
+        (DESIGN.md §2) — the single source of the noise constants. The
+        round inlines its draws, so a subclass is rejected rather than
+        silently ignored.
     leave_prob / join_prob:
         Per-round churn: chance an active non-leader leaves, and a
         departed device rejoins, between rounds.
@@ -70,11 +75,6 @@ class FleetConfig:
     mobility_fraction / speed_range_mps / amplitude_range_m:
         Fraction of non-leader devices swimming back and forth during
         rounds, and their kinematics.
-    fleet_backend:
-        ``"event"`` (per-node objects on the event loop, the parity
-        reference) or ``"vec"`` (struct-of-arrays engine in
-        :mod:`repro.simulate.des.fleetvec`; bit-identical summaries,
-        built for 1k-10k-node fleets).
     resync_interval_rounds:
         Clock-drift bookkeeping: devices whose report reached the
         leader re-zero their accumulated offset every this-many rounds
@@ -106,24 +106,30 @@ class FleetConfig:
     mobility_fraction: float = 0.0
     speed_range_mps: Tuple[float, float] = (0.15, 0.5)
     amplitude_range_m: Tuple[float, float] = (2.0, 6.0)
-    fleet_backend: str = "event"
     resync_interval_rounds: int = 1
     drift_wander_ppm: float = 0.0
     duty_cycle: Optional[float] = None
 
     def __post_init__(self):
+        # Every bad setup fails here, naming the field, before the
+        # campaign draws from its generator.
+        for name in ("num_devices", "num_rounds", "resync_interval_rounds"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.num_devices < 2:
-            raise ConfigurationError("fleet needs at least 2 devices")
+            raise ConfigurationError("num_devices must be >= 2")
         if self.num_rounds < 1:
-            raise ConfigurationError("fleet campaign needs at least 1 round")
+            raise ConfigurationError("num_rounds must be >= 1")
         if self.mac not in ("tdma", "contention"):
             raise ConfigurationError(f"unknown MAC policy {self.mac!r}")
-        if self.fleet_backend not in ("event", "vec"):
+        if type(self.error_model) is not RangingErrorModel:
             raise ConfigurationError(
-                f"unknown fleet backend {self.fleet_backend!r}"
+                "error_model must be a RangingErrorModel (the fleet round "
+                f"inlines its draws), got {type(self.error_model).__name__}"
             )
-        # Both engines must reject the same configurations with the same
-        # error, before either draws from the shared generator.
         for name in ("max_range_m", "contention_window_s"):
             if not getattr(self, name) > 0.0:
                 raise ConfigurationError(f"{name} must be positive")
@@ -142,7 +148,7 @@ class FleetConfig:
                 raise ConfigurationError(f"{name} must be in [0, 1]")
         if self.resync_interval_rounds < 1:
             raise ConfigurationError("resync_interval_rounds must be >= 1")
-        if self.drift_wander_ppm < 0.0:
+        if not self.drift_wander_ppm >= 0.0:
             raise ConfigurationError("drift_wander_ppm must be non-negative")
         if self.duty_cycle is not None and not 0.0 < self.duty_cycle <= 1.0:
             raise ConfigurationError("duty_cycle must be in (0, 1]")
@@ -306,10 +312,11 @@ def _finish_round(
     energies,
     duration: float,
 ) -> Tuple[FleetRoundStats, float]:
-    """Round post-processing shared by the event and vec backends:
-    uplink/relay planning and the stats row. Both backends hand over
-    the same report dicts and per-node aggregates, so everything from
-    here on is backend-independent by construction."""
+    """Round post-processing: uplink/relay planning and the stats row.
+
+    The vec round and the per-event test oracle both end here with the
+    same report dicts and per-node aggregates, so everything from here
+    on is engine-independent by construction."""
     transmitted = sorted(reports)
     silent_count = len(active) - len(transmitted)
 
@@ -366,106 +373,6 @@ def _finish_round(
     return stats, duration + uplink_latency
 
 
-def _run_fleet_round(
-    scenario: Scenario,
-    active: List[int],
-    trajectories: Dict[int, LinearBackForthTrajectory],
-    campaign_time_s: float,
-    config: FleetConfig,
-    rng: np.random.Generator,
-    may_transmit: Optional[np.ndarray] = None,
-    epoch_eff: Optional[np.ndarray] = None,
-) -> Tuple[FleetRoundStats, Dict[int, TimestampReport], float, Dict[int, float]]:
-    """One DES round over the currently active devices."""
-    sound_speed = scenario.sound_speed()
-    sim = Simulator()
-
-    def position_of(device_id: int, t_s: float) -> np.ndarray:
-        trajectory = trajectories.get(device_id)
-        if trajectory is None:
-            return scenario.devices[device_id].position
-        return trajectory.position(campaign_time_s + t_s)
-
-    def distance_fn(rx: int, tx: int, t_s: float) -> float:
-        # Squared-difference reduction, NOT np.linalg.norm: the BLAS dot
-        # behind the 1-D norm contracts with FMA and disagrees with any
-        # batched row norm in the last bit, while this formulation is
-        # bit-identical to the vec backend's vectorized distance rows
-        # (and to Scenario.true_distances / PositionDistances entries).
-        diff = position_of(rx, t_s) - position_of(tx, t_s)
-        return float(np.sqrt((diff**2).sum()))
-
-    error_model = config.error_model
-    medium = AcousticMedium(
-        sim,
-        sound_speed,
-        distance_fn=distance_fn,
-        connectivity_fn=lambda rx, tx, dist: dist <= config.max_range_m,
-        loss_fn=lambda rx, tx: bool(rng.random() < error_model.loss_prob),
-        delay_noise_fn=lambda rx, tx, dist: error_model.detection_error_m(
-            dist, False, rng
-        )
-        / sound_speed,
-    )
-    if config.mac == "tdma":
-        mac = TdmaMac(
-            scenario.num_devices, packet_duration_s=config.packet_duration_s
-        )
-    else:
-        mac = ContentionMac(
-            rng,
-            window_s=config.contention_window_s,
-            packet_duration_s=config.packet_duration_s,
-        )
-    nodes: Dict[int, DesNode] = {}
-    for device_id in active:
-        device = scenario.devices[device_id]
-        if epoch_eff is not None:
-            device.clock = DeviceClock(
-                skew_ppm=device.clock.skew_ppm,
-                epoch_s=float(epoch_eff[device_id]),
-            )
-        nodes[device_id] = DesNode(
-            device,
-            sim,
-            medium,
-            mac,
-            energy=EnergyAccount(EnergyModel.from_device_model(device.model)),
-            may_transmit=(
-                True if may_transmit is None else bool(may_transmit[device_id])
-            ),
-        )
-    duration = sim.run()
-    for node in nodes.values():
-        node.energy.settle_idle(duration)
-
-    reports = {
-        device_id: node.report(scenario.devices[device_id].depth_m)
-        for device_id, node in nodes.items()
-        if node.own_tx_local_s is not None
-    }
-    tx_times = {
-        device_id: float(node.tx_time_global_s)
-        for device_id, node in nodes.items()
-        if node.tx_time_global_s is not None
-    }
-    energies = [node.energy.total_joules for _, node in sorted(nodes.items())]
-    stats, elapsed = _finish_round(
-        scenario,
-        config,
-        active,
-        reports,
-        leader_heard=set(nodes[0].received),
-        missed_slots=sum(1 for n_ in nodes.values() if n_.missed_slot),
-        collisions=sum(n_.collisions for n_ in nodes.values()),
-        tx_attempts=sum(n_.tx_attempts for n_ in nodes.values()),
-        gave_up=getattr(mac, "gave_up", 0),
-        energies=energies,
-        duration=duration,
-    )
-    return stats, reports, elapsed, tx_times
-
-
 def run_fleet_campaign(
     rng: np.random.Generator, config: Optional[FleetConfig] = None
 ) -> FleetResult:
@@ -480,16 +387,10 @@ def run_fleet_campaign(
     trajectories = _build_trajectories(scenario, config, rng)
     result = FleetResult(config=config)
 
-    if config.fleet_backend == "vec":
-        from repro.simulate.des.fleetvec import run_fleet_round_vec
-
-        round_fn = run_fleet_round_vec
-    else:
-        round_fn = _run_fleet_round
-
     num = config.num_devices
     # Clock-drift and duty-cycle state live as campaign-level columns
-    # (one entry per device id), shared verbatim by both backends.
+    # (one entry per device id); the round sees them as epoch/mask
+    # arguments.
     skew_ppm = np.array([d.clock.skew_ppm for d in scenario.devices])
     epoch0 = np.array([d.clock.epoch_s for d in scenario.devices])
     rates = 1.0 + skew_ppm * 1e-6
@@ -531,7 +432,7 @@ def run_fleet_campaign(
         else:
             may_transmit = None
         epoch_eff = epoch0 - offsets / rates if drift_applies else None
-        stats, reports, elapsed, tx_times = round_fn(
+        stats, reports, elapsed, tx_times = run_fleet_round_vec(
             scenario,
             active_ids,
             trajectories,

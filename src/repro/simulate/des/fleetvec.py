@@ -1,8 +1,11 @@
-"""Vectorized fleet-scale DES backend (DESIGN.md §10).
+"""The fleet round engine (DESIGN.md §10).
 
-``run_fleet_round_vec`` replays exactly the round the event backend
-(:mod:`repro.simulate.des.fleet`) would run — same churn, same medium,
-same MACs, same reports — but holds all per-node state in
+``run_fleet_round_vec`` runs every round of
+:func:`repro.simulate.des.fleet.run_fleet_campaign`. It replays exactly
+the round a per-event DES (one :class:`~repro.simulate.des.node.DesNode`
+per device on the generic event loop) would run — same medium, same
+MACs, same reports; that per-event round is kept as the parity oracle
+in ``tests/legacy_oracles.py`` — but holds all per-node state in
 struct-of-arrays form and coalesces the per-packet event storm into a
 handful of *batch* heap entries:
 
@@ -23,7 +26,7 @@ allows ("hazard splitting"): entries strictly below the heap head's
 back keyed by its first pending entry. Within a slice all receivers
 are distinct (a broadcast delivers at most once per node), so
 slice-internal coalescing cannot affect node state or the RNG draw
-sequence, and the event backend's schedule is reproduced bit for bit;
+sequence, and the per-event schedule is reproduced bit for bit;
 the only legal divergence is the ``seq`` tie-breaker of events whose
 float times collide exactly, which no finite-noise configuration
 produces. MAC pushes made *during* a slice always land ≥ DELTA0_S
@@ -53,7 +56,6 @@ from repro.simulate.mobility import (
     linear_back_forth_positions,
     normalize_directions,
 )
-from repro.simulate.network_sim import RangingErrorModel
 
 # Heap entry kinds (never compared: the (time, seq) prefix is unique).
 _TX = 0
@@ -93,9 +95,10 @@ def run_fleet_round_vec(
 ) -> Tuple[object, Dict[int, TimestampReport], float, Dict[int, float]]:
     """One fleet round on the struct-of-arrays engine.
 
-    Drop-in for ``fleet._run_fleet_round`` (same signature, same return
-    shape, bit-identical results); the campaign loop dispatches here
-    when ``config.fleet_backend == "vec"``.
+    Returns ``(stats, reports, elapsed_s, tx_times)``: the round's
+    :class:`~repro.simulate.des.fleet.FleetRoundStats`, the report of
+    every device that transmitted, the round's DES time plus uplink
+    latency, and each transmitter's first global transmit time.
     """
     from repro.simulate.des.fleet import _finish_round
 
@@ -108,13 +111,9 @@ def run_fleet_round_vec(
     max_range = float(config.max_range_m)
     is_tdma = config.mac == "tdma"
     window_s = float(config.contention_window_s)
-    max_attempts = 4  # ContentionMac default
-    # The detection-noise draws can be inlined (skipping one Python call
-    # per candidate) only for the stock error model; a subclass with its
-    # own detection_error_m falls back to calling it.
-    stock_noise = (
-        type(error_model).detection_error_m is RangingErrorModel.detection_error_m
-    )
+    max_attempts = 4  # contention tries before a device gives up
+    # RangingErrorModel.detection_error_m is inlined per candidate below;
+    # FleetConfig admits no subclass that could override it.
     base_std = float(error_model.base_std_m)
     std_per_m = float(error_model.std_per_m)
     outlier_prob = float(error_model.outlier_prob)
@@ -199,7 +198,8 @@ def run_fleet_round_vec(
         seq += 1
 
     # ------------------------------------------------------------------
-    # Handlers (mirroring DesNode/AcousticMedium/TdmaMac/ContentionMac)
+    # Handlers (mirroring DesNode/AcousticMedium/TdmaMac and the
+    # oracle's ContentionMac in tests/legacy_oracles.py)
     # ------------------------------------------------------------------
 
     def broadcast(sender: int, t_tx: float, t_event: float) -> None:
@@ -225,28 +225,16 @@ def run_fleet_round_vec(
         base_arrivals = (t_tx + cand_dists / sound_speed).tolist()
         recvs: List[int] = []
         arrivals: List[float] = []
-        if stock_noise:
-            for r, sigma, base_arrival in zip(
-                idx.tolist(), sigmas, base_arrivals
-            ):
-                if rng_random() < loss_prob:
-                    continue
-                # Inlined RangingErrorModel.detection_error_m (same rng
-                # stream: normal(0, s) == s * standard_normal()).
-                err = sigma * rng_standard_normal()
-                if rng_random() < outlier_prob:
-                    err += rng_uniform(outlier_lo, outlier_hi)
-                recvs.append(r)
-                arrivals.append(base_arrival + err / sound_speed)
-        else:
-            for r, d, base_arrival in zip(
-                idx.tolist(), cand_dists.tolist(), base_arrivals
-            ):
-                if rng_random() < loss_prob:
-                    continue
-                err = error_model.detection_error_m(d, False, rng)
-                recvs.append(r)
-                arrivals.append(base_arrival + err / sound_speed)
+        for r, sigma, base_arrival in zip(idx.tolist(), sigmas, base_arrivals):
+            if rng_random() < loss_prob:
+                continue
+            # Inlined RangingErrorModel.detection_error_m (same rng
+            # stream: normal(0, s) == s * standard_normal()).
+            err = sigma * rng_standard_normal()
+            if rng_random() < outlier_prob:
+                err += rng_uniform(outlier_lo, outlier_hi)
+            recvs.append(r)
+            arrivals.append(base_arrival + err / sound_speed)
         n = len(recvs)
         if not n:
             return
@@ -287,7 +275,8 @@ def run_fleet_round_vec(
         broadcast(i, t_tx, t_event)
 
     def attempt(i: int, k: int, t_event: float) -> None:
-        """ContentionMac._attempt: carrier sense, backoff or transmit."""
+        """The contention MAC's attempt: carrier sense, then a backoff
+        from a doubled window or the transmission."""
         nonlocal gave_up
         if t_event < rx_busy_until[i] or t_event < tx_busy_until[i]:
             if k >= max_attempts:

@@ -1,9 +1,10 @@
 """Frozen reference implementations the production paths are pinned to.
 
-Production runs one waveform engine per parity contract (``batch``)
-and one protocol round (the DES).  The straight-line twins they were
-derived from live here, frozen, as test oracles — the way
-``_frozen_smacof`` pins SMACOF in ``tests/test_smacof.py``:
+Production runs one waveform engine per parity contract (``batch``),
+one protocol round (the DES) and one fleet round (``fleetvec``).  The
+simpler twins they were derived from live here, frozen, as test
+oracles — the way ``_frozen_smacof`` pins SMACOF in
+``tests/test_smacof.py``:
 
 * **Per-exchange waveform paths.**  :class:`LegacyOneWay` has
   :class:`~repro.simulate.batch_exchange.BatchOneWay`'s ``add``/``run``
@@ -17,14 +18,19 @@ derived from live here, frozen, as test oracles — the way
 * **The fixed-point protocol round.**  :func:`legacy_protocol_round`
   takes the same pre-drawn inputs as
   :func:`repro.simulate.des.round_adapter.des_protocol_round`.
+* **The per-event fleet round.**  :func:`event_fleet_round` runs a
+  fleet round with one ``DesNode`` per device on the generic event
+  loop (with :class:`ContentionMac`, the per-event contention policy)
+  and has :func:`~repro.simulate.des.fleetvec.run_fleet_round_vec`'s
+  signature and results.
 
-Nothing in ``src/`` knows these exist: :func:`legacy_waveform` and
-:func:`legacy_round` swap them in by patching module attributes for
-the duration of a ``with`` block, and the parity tests
-(``tests/test_batch_parity.py``, ``tests/test_des_parity.py``) compare
-the patched run against the unpatched one bit for bit.
-``benchmarks/run_benchmarks.py`` times its ``legacy`` column the same
-way.
+Nothing in ``src/`` knows these exist: :func:`legacy_waveform`,
+:func:`legacy_round` and :func:`event_fleet` swap them in by patching
+module attributes for the duration of a ``with`` block, and the parity
+tests (``tests/test_batch_parity.py``, ``tests/test_des_parity.py``,
+``tests/test_fleetvec_parity.py``) compare the patched run against the
+unpatched one bit for bit.  ``benchmarks/run_benchmarks.py`` times its
+waveform ``legacy`` and fleet ``event`` columns the same way.
 """
 
 from __future__ import annotations
@@ -39,7 +45,9 @@ from repro.channel.environment import BOATHOUSE, DOCK
 from repro.channel.multipath import image_method_taps
 from repro.channel.noise import make_noise
 from repro.channel.render import apply_channel
+from repro.constants import DELTA0_S, T_PACKET_S
 from repro.devices.clock import DeviceClock
+from repro.errors import ConfigurationError
 from repro.protocol.messages import Beacon, TimestampReport
 from repro.protocol.sync import infer_transmit_slot
 from repro.ranging.detector import (
@@ -51,6 +59,14 @@ from repro.ranging.estimator import estimate_direct_path, single_mic_direct_path
 from repro.signals.channel_est import channel_impulse_response, ls_channel_estimate
 from repro.signals.ofdm import OfdmConfig, band_bins, ofdm_symbol_from_zc
 from repro.signals.preamble import Preamble, make_preamble
+from repro.simulate.des.core import Simulator
+from repro.simulate.des.energy import EnergyAccount, EnergyModel
+from repro.simulate.des.fleet import FleetConfig, FleetRoundStats, _finish_round
+from repro.simulate.des.mac import TdmaMac
+from repro.simulate.des.medium import AcousticMedium, Arrival
+from repro.simulate.des.node import DesNode
+from repro.simulate.mobility import LinearBackForthTrajectory
+from repro.simulate.scenario import Scenario
 from repro.simulate.waveform_sim import (
     ExchangeConfig,
     RangingMeasurement,
@@ -383,3 +399,202 @@ def legacy_round() -> Iterator[None]:
     with mock.patch("repro.simulate.des.round_adapter.des_protocol_round", oracle):
         yield
     assert calls, "no protocol round reached the fixed-point oracle"
+
+
+# ---------------------------------------------------------------------------
+# Fleet round
+# ---------------------------------------------------------------------------
+
+
+class ContentionMac:
+    """Random-access with binary-exponential backoff (beyond paper).
+
+    After hearing the leader's kickoff, a device waits the processing
+    margin plus a uniform backoff in ``[0, window_s)``; if the channel
+    is busy at fire time it re-draws from a doubled window, giving up
+    after ``max_attempts`` tries. A gave-up device keeps listening but
+    counts as silent for the round: with no transmission of its own it
+    has no ``own_tx`` timestamp, so it cannot be ranged and produces
+    no report.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        window_s: float = 4.0,
+        delta0_s: float = DELTA0_S,
+        packet_duration_s: float = T_PACKET_S,
+        max_attempts: int = 4,
+    ):
+        if window_s <= 0:
+            raise ConfigurationError("contention window must be positive")
+        if max_attempts < 1:
+            raise ConfigurationError("need at least one transmit attempt")
+        self.rng = rng
+        self.window_s = window_s
+        self.delta0_s = delta0_s
+        self.packet_duration_s = packet_duration_s
+        self.max_attempts = max_attempts
+        self.gave_up = 0
+
+    def start(self, node: DesNode) -> None:
+        if node.device_id == 0:
+            node.sim.at(0.0, self._leader_tx, node, label="tx[0]")
+
+    def _leader_tx(self, node: DesNode) -> None:
+        node.transmit(
+            Beacon(sender_id=0, sync_ref_id=0, tx_local_time_s=node.clock.local_time(0.0)),
+            duration_s=self.packet_duration_s,
+            tx_time_s=0.0,
+        )
+
+    def on_receive(self, node: DesNode, arrival: Arrival) -> None:
+        if node.device_id == 0 or node.sync_ref is not None:
+            return
+        if not node.may_transmit:
+            return  # duty-cycle budget exhausted: no backoff draw either
+        node.sync_ref = arrival.sender_id
+        backoff = self.delta0_s + float(self.rng.uniform(0.0, self.window_s))
+        node.sim.after(backoff, self._attempt, node, 1, label=f"cca[{node.device_id}]")
+
+    def _attempt(self, node: DesNode, attempt: int) -> None:
+        if node.rx_busy or node.tx_busy:
+            # Carrier busy: binary exponential backoff.
+            if attempt >= self.max_attempts:
+                self.gave_up += 1
+                return
+            window = self.window_s * (2.0**attempt)
+            backoff = float(self.rng.uniform(0.0, window))
+            node.sim.after(
+                backoff, self._attempt, node, attempt + 1, label=f"cca[{node.device_id}]"
+            )
+            return
+        node.transmit(
+            Beacon(
+                sender_id=node.device_id,
+                sync_ref_id=node.sync_ref if node.sync_ref is not None else 0,
+                tx_local_time_s=node.clock.local_time(node.sim.now),
+            ),
+            duration_s=self.packet_duration_s,
+        )
+
+
+def event_fleet_round(
+    scenario: Scenario,
+    active: List[int],
+    trajectories: Dict[int, LinearBackForthTrajectory],
+    campaign_time_s: float,
+    config: FleetConfig,
+    rng: np.random.Generator,
+    may_transmit: Optional[np.ndarray] = None,
+    epoch_eff: Optional[np.ndarray] = None,
+) -> Tuple[FleetRoundStats, Dict[int, TimestampReport], float, Dict[int, float]]:
+    """One fleet round with one :class:`DesNode` per device on the
+    generic event loop; same arguments and results as
+    :func:`~repro.simulate.des.fleetvec.run_fleet_round_vec`."""
+    sound_speed = scenario.sound_speed()
+    sim = Simulator()
+
+    def position_of(device_id: int, t_s: float) -> np.ndarray:
+        trajectory = trajectories.get(device_id)
+        if trajectory is None:
+            return scenario.devices[device_id].position
+        return trajectory.position(campaign_time_s + t_s)
+
+    def distance_fn(rx: int, tx: int, t_s: float) -> float:
+        # Squared-difference reduction, NOT np.linalg.norm: the BLAS dot
+        # behind the 1-D norm contracts with FMA and disagrees with any
+        # batched row norm in the last bit, while this formulation is
+        # bit-identical to the vec engine's vectorized distance rows
+        # (and to Scenario.true_distances / PositionDistances entries).
+        diff = position_of(rx, t_s) - position_of(tx, t_s)
+        return float(np.sqrt((diff**2).sum()))
+
+    error_model = config.error_model
+    medium = AcousticMedium(
+        sim,
+        sound_speed,
+        distance_fn=distance_fn,
+        connectivity_fn=lambda rx, tx, dist: dist <= config.max_range_m,
+        loss_fn=lambda rx, tx: bool(rng.random() < error_model.loss_prob),
+        delay_noise_fn=lambda rx, tx, dist: error_model.detection_error_m(
+            dist, False, rng
+        )
+        / sound_speed,
+    )
+    if config.mac == "tdma":
+        mac = TdmaMac(
+            scenario.num_devices, packet_duration_s=config.packet_duration_s
+        )
+    else:
+        mac = ContentionMac(
+            rng,
+            window_s=config.contention_window_s,
+            packet_duration_s=config.packet_duration_s,
+        )
+    nodes: Dict[int, DesNode] = {}
+    for device_id in active:
+        device = scenario.devices[device_id]
+        if epoch_eff is not None:
+            device.clock = DeviceClock(
+                skew_ppm=device.clock.skew_ppm,
+                epoch_s=float(epoch_eff[device_id]),
+            )
+        nodes[device_id] = DesNode(
+            device,
+            sim,
+            medium,
+            mac,
+            energy=EnergyAccount(EnergyModel.from_device_model(device.model)),
+            may_transmit=(
+                True if may_transmit is None else bool(may_transmit[device_id])
+            ),
+        )
+    duration = sim.run()
+    for node in nodes.values():
+        node.energy.settle_idle(duration)
+
+    reports = {
+        device_id: node.report(scenario.devices[device_id].depth_m)
+        for device_id, node in nodes.items()
+        if node.own_tx_local_s is not None
+    }
+    tx_times = {
+        device_id: float(node.tx_time_global_s)
+        for device_id, node in nodes.items()
+        if node.tx_time_global_s is not None
+    }
+    energies = [node.energy.total_joules for _, node in sorted(nodes.items())]
+    stats, elapsed = _finish_round(
+        scenario,
+        config,
+        active,
+        reports,
+        leader_heard=set(nodes[0].received),
+        missed_slots=sum(1 for n_ in nodes.values() if n_.missed_slot),
+        collisions=sum(n_.collisions for n_ in nodes.values()),
+        tx_attempts=sum(n_.tx_attempts for n_ in nodes.values()),
+        gave_up=getattr(mac, "gave_up", 0),
+        energies=energies,
+        duration=duration,
+    )
+    return stats, reports, elapsed, tx_times
+
+
+@contextlib.contextmanager
+def event_fleet() -> Iterator[None]:
+    """Run ``run_fleet_campaign`` (and so the ``fleet`` experiment) on
+    the per-event round oracle instead of the vectorized engine.
+
+    Fails if the block ran no round through the oracle, so a parity
+    test cannot silently compare the vec engine with itself.
+    """
+    calls = []
+
+    def oracle(*args, **kwargs):
+        calls.append(args)
+        return event_fleet_round(*args, **kwargs)
+
+    with mock.patch("repro.simulate.des.fleet.run_fleet_round_vec", oracle):
+        yield
+    assert calls, "no fleet round reached the per-event oracle"

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ConfigurationError
 from repro.simulate.des.core import Simulator
 from repro.simulate.des.energy import EnergyAccount, EnergyModel
-from repro.simulate.des.mac import ContentionMac, TdmaMac
+from repro.simulate.des.mac import TdmaMac
 from repro.simulate.des.medium import AcousticMedium
 from repro.simulate.des.node import DesNode
 
@@ -308,10 +308,3 @@ class TestMacValidation:
     def test_tdma_needs_two_devices(self):
         with pytest.raises(ConfigurationError):
             TdmaMac(1)
-
-    def test_contention_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigurationError):
-            ContentionMac(rng, window_s=0.0)
-        with pytest.raises(ConfigurationError):
-            ContentionMac(rng, max_attempts=0)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from legacy_oracles import event_fleet
 from repro.errors import ConfigurationError
-from repro.experiments.engine import campaign_to_json, get_spec, run_campaign
+from repro.experiments.engine import campaign_to_json, get_spec, run_campaign, run_unit
 from repro.protocol.slots import round_duration
 from repro.simulate.des.fleet import FleetConfig, run_fleet_campaign
 from repro.simulate.scenario import fleet_scenario
@@ -78,7 +79,6 @@ class TestFleetConfig:
         with pytest.raises(ConfigurationError):
             FleetConfig(join_prob=-0.1)
 
-    @pytest.mark.parametrize("backend", ["event", "vec"])
     @pytest.mark.parametrize(
         "field, kw",
         [
@@ -94,19 +94,47 @@ class TestFleetConfig:
             ("amplitude_range_m", dict(mobility_fraction=0.5, amplitude_range_m=(0.0, 0.0))),
             ("amplitude_range_m", dict(amplitude_range_m=(-1.0, 2.0))),
             ("max_range_m", dict(max_range_m=float("nan"))),
+            ("num_devices", dict(num_devices=20.5)),
+            ("num_devices", dict(num_devices=20.0)),
+            ("num_rounds", dict(num_rounds=1.5)),
+            ("resync_interval_rounds", dict(resync_interval_rounds=1.5)),
+            ("resync_interval_rounds", dict(resync_interval_rounds=True)),
+            ("drift_wander_ppm", dict(drift_wander_ppm=float("nan"))),
+            ("drift_wander_ppm", dict(drift_wander_ppm=-1.0)),
         ],
     )
-    def test_physically_invalid_parameters_rejected_by_both_backends(self, backend, field, kw):
-        """The engines are drop-ins for each other, so a bad setup must
-        fail the same way on both: a ConfigurationError naming the field,
-        never a numpy ValueError, a ZeroDivisionError or a silent run."""
+    def test_physically_invalid_parameters_rejected(self, field, kw):
+        """A bad setup fails before the campaign draws anything: a
+        ConfigurationError naming the field, never a numpy TypeError, a
+        ZeroDivisionError or a silent run."""
         with pytest.raises(ConfigurationError, match=field):
             run_fleet_campaign(
                 np.random.default_rng(1),
-                FleetConfig(num_devices=20, num_rounds=1, fleet_backend=backend, **kw),
+                FleetConfig(**{"num_devices": 20, "num_rounds": 1, **kw}),
             )
 
-    def test_boundary_parameters_run_identically_on_both_backends(self):
+    def test_error_model_subclass_rejected(self):
+        """The round inlines RangingErrorModel's draws, so an override of
+        ``detection_error_m`` would be silently ignored: refuse it."""
+        from repro.simulate.network_sim import RangingErrorModel
+
+        class Noisier(RangingErrorModel):
+            def detection_error_m(self, distance_m, occluded, rng):
+                return 2.0 * super().detection_error_m(distance_m, occluded, rng)
+
+        with pytest.raises(ConfigurationError, match="error_model"):
+            FleetConfig(error_model=Noisier())
+        FleetConfig(error_model=RangingErrorModel(loss_prob=0.1))
+
+    def test_fractional_fleet_size_fails_the_unit_naming_the_field(self):
+        """A sweep or service request with ``num_devices=20.5`` comes
+        back as an error unit carrying the ConfigurationError."""
+        result = run_unit("fleet", "fleet50", {"num_devices": 20.5}, base_seed=1, scale=0.25)
+        assert result.status == "error"
+        assert "ConfigurationError" in result.error
+        assert "num_devices must be an integer" in result.error
+
+    def test_boundary_parameters_run_identically_on_oracle_and_vec(self):
         kw = dict(
             num_devices=20,
             num_rounds=1,
@@ -115,11 +143,13 @@ class TestFleetConfig:
             speed_range_mps=(0.3, 0.3),
             amplitude_range_m=(4.0, 4.0),
         )
-        summaries = [
-            run_fleet_campaign(np.random.default_rng(1), FleetConfig(fleet_backend=b, **kw)).summary()
-            for b in ("event", "vec")
-        ]
-        assert summaries[0] == summaries[1]
+
+        def summary():
+            return run_fleet_campaign(np.random.default_rng(1), FleetConfig(**kw)).summary()
+
+        with event_fleet():
+            oracle = summary()
+        assert oracle == summary()
 
     def test_error_model_shared_with_network_sim(self):
         from repro.simulate.network_sim import RangingErrorModel
@@ -243,9 +273,10 @@ class TestUplinkBookkeepingRegression:
 
     ``_finish_round`` marks everything without a report as "direct"
     with one boolean mask instead of the former per-round
-    ``set(range(N)) - set(active)`` churn; these snapshots (event
-    backend, seed 4242) pin the surrounding metrics byte-for-byte so
-    the mask can never drift from the set semantics it replaced.
+    ``set(range(N)) - set(active)`` churn; these snapshots (seed 4242,
+    taken on the per-event round, which the vec engine matches bit for
+    bit) pin the surrounding metrics byte-for-byte so the mask can
+    never drift from the set semantics it replaced.
     """
 
     def _summary(self, **kw):

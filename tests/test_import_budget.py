@@ -33,7 +33,7 @@ cachekey.code_version()
 for result in (
     engine.run_unit("fig18", base_seed=7, scale=0.1),
     engine.run_unit(
-        "fleet", "budget", {"num_devices": 40, "num_rounds": 1, "fleet_backend": "vec"}, base_seed=7
+        "fleet", "budget", {"num_devices": 40, "num_rounds": 1}, base_seed=7
     ),
 ):
     assert result.status == "ok", result.error
