@@ -9,9 +9,10 @@ Two fidelities on one substrate (see DESIGN.md):
   with a waveform-calibrated ranging-error model; used by the network
   localization experiments.
 
-The timestamp-level rounds execute on :mod:`repro.simulate.des`, the
-deterministic discrete-event engine, which also powers the large-fleet
-/ churn / multi-hop campaigns beyond the paper's 5-device testbeds.
+The timestamp-level round is one first-arrival event loop
+(:mod:`repro.protocol.round`); :mod:`repro.simulate.des` runs the
+large-fleet / churn / multi-hop campaigns beyond the paper's 5-device
+testbeds.
 """
 
 from repro.simulate.scenario import (
@@ -22,11 +23,6 @@ from repro.simulate.scenario import (
     PointingModel,
 )
 from repro.simulate.des import (
-    Simulator,
-    AcousticMedium,
-    DesNode,
-    TdmaMac,
-    EnergyAccount,
     EnergyModel,
     FleetConfig,
     FleetResult,
@@ -52,11 +48,6 @@ __all__ = [
     "analytical_scenario",
     "fleet_scenario",
     "PointingModel",
-    "Simulator",
-    "AcousticMedium",
-    "DesNode",
-    "TdmaMac",
-    "EnergyAccount",
     "EnergyModel",
     "FleetConfig",
     "FleetResult",

@@ -1,29 +1,18 @@
-"""Per-node energy accounting for DES runs (DESIGN.md section 3.4).
+"""Per-node energy of fleet rounds (DESIGN.md §3.2, §10).
 
-Every node owns an :class:`EnergyAccount` driven by a four-state power
-model (idle listening, active reception, transmission, sleep). The
-power levels default to the hardware profile already carried by
-:class:`~repro.devices.models.DeviceModel` — the same numbers the
+A four-state power model (idle listening, active reception,
+transmission, sleep) priced from the hardware profile already carried
+by :class:`~repro.devices.models.DeviceModel` — the same numbers the
 paper's battery-life table uses — so fleet campaigns can report joules
-per round and projected battery life per device without a separate
-calibration.
+per round without a separate calibration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict
+from dataclasses import dataclass
 
 from repro.devices.models import DeviceModel
 from repro.errors import ConfigurationError
-
-#: Energy-accounting states.
-IDLE = "idle"
-RX = "rx"
-TX = "tx"
-SLEEP = "sleep"
-
-_STATES = (IDLE, RX, TX, SLEEP)
 
 
 @dataclass(frozen=True)
@@ -54,53 +43,6 @@ class EnergyModel:
             sleep_w=model.idle_power_w * 0.04,
         )
 
-    def power_w(self, state: str) -> float:
-        if state not in _STATES:
-            raise ConfigurationError(f"unknown energy state {state!r}")
-        return getattr(self, f"{state}_w")
-
-
-@dataclass
-class EnergyAccount:
-    """Accumulated per-state time and energy of one node.
-
-    The node charges intervals explicitly (``charge(TX, t_packet)``)
-    for packet airtime and settles the remaining round time as idle (or
-    sleep) via :meth:`settle_idle`.
-    """
-
-    model: EnergyModel = field(default_factory=EnergyModel)
-    seconds: Dict[str, float] = field(
-        default_factory=lambda: {s: 0.0 for s in _STATES}
-    )
-
-    def charge(self, state: str, duration_s: float) -> None:
-        """Account ``duration_s`` spent in ``state``."""
-        if duration_s < 0:
-            raise ConfigurationError("cannot charge a negative duration")
-        self.model.power_w(state)  # validates the state name
-        self.seconds[state] += duration_s
-
-    def settle_idle(self, total_s: float, asleep: bool = False) -> None:
-        """Charge the unaccounted remainder of a ``total_s`` window.
-
-        TX/RX airtime already charged is subtracted; whatever is left
-        was spent listening (or sleeping for duty-cycled nodes).
-        """
-        busy = self.seconds[TX] + self.seconds[RX]
-        remainder = max(0.0, total_s - busy)
-        self.charge(SLEEP if asleep else IDLE, remainder)
-
-    @property
-    def total_joules(self) -> float:
-        return sum(
-            self.model.power_w(state) * seconds
-            for state, seconds in self.seconds.items()
-        )
-
-    def joules(self, state: str) -> float:
-        return self.model.power_w(state) * self.seconds[state]
-
 
 def total_joules_arrays(
     model: EnergyModel,
@@ -109,12 +51,11 @@ def total_joules_arrays(
     tx_s,
     sleep_s=0.0,
 ):
-    """Vectorized :attr:`EnergyAccount.total_joules` over node arrays.
+    """Joules per node from per-state seconds over node arrays.
 
-    Sums the per-state energies in the same state order (idle, rx, tx,
-    sleep) and association as the scalar property, so an array backend
-    charging the identical per-node second totals reports bit-identical
-    joules.
+    Sums the per-state energies in a fixed state order (idle, rx, tx,
+    sleep) and association; the per-event fleet oracle's scalar account
+    sums the same way, so equal second totals give bit-identical joules.
     """
     return (
         model.idle_w * idle_s

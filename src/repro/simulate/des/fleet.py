@@ -1,8 +1,8 @@
-"""Large-fleet DES campaigns: churn, multi-hop relay, mobility, contention.
+"""Large-fleet campaigns: churn, multi-hop relay, mobility, contention.
 
-This is the beyond-paper workload the DES exists for (DESIGN.md §5):
-fleets of 50-10k devices spanning several acoustic ranges, nodes
-joining and leaving between rounds, a two-hop uplink relay for devices
+The beyond-paper workload (DESIGN.md §5): fleets of 50-10k devices
+spanning several acoustic ranges, nodes joining and leaving between
+rounds (never mid-round), a two-hop uplink relay for devices
 the leader cannot hear (:mod:`repro.protocol.relay`), devices moving
 *during* a round (propagation delays are evaluated at transmit time
 against the trajectory), per-node energy accounting, and a choice of
@@ -12,8 +12,8 @@ The campaign loop here owns everything between rounds (scenario,
 churn, drift and duty-cycle columns, relay planning); each round runs
 on the struct-of-arrays engine
 :func:`repro.simulate.des.fleetvec.run_fleet_round_vec` (DESIGN.md
-§10), pinned bit for bit to the per-event round kept as a test oracle
-in ``tests/legacy_oracles.py``.
+§10), pinned bit for bit to a per-event round on a generic event
+simulator, kept as a test oracle in ``tests/legacy_oracles.py``.
 
 Determinism contract: every random draw — link loss, detection noise,
 churn, backoff — comes from the single generator passed to

@@ -2,10 +2,10 @@
 
 ``run_fleet_round_vec`` runs every round of
 :func:`repro.simulate.des.fleet.run_fleet_campaign`. It replays exactly
-the round a per-event DES (one :class:`~repro.simulate.des.node.DesNode`
-per device on the generic event loop) would run — same medium, same
-MACs, same reports; that per-event round is kept as the parity oracle
-in ``tests/legacy_oracles.py`` — but holds all per-node state in
+the round a per-event DES (one node object per device on a generic
+event loop) would run — same medium, same MACs, same reports; that
+per-event round is kept as the parity oracle in
+``tests/legacy_oracles.py`` — but holds all per-node state in
 struct-of-arrays form and coalesces the per-packet event storm into a
 handful of *batch* heap entries:
 
@@ -198,8 +198,8 @@ def run_fleet_round_vec(
         seq += 1
 
     # ------------------------------------------------------------------
-    # Handlers (mirroring DesNode/AcousticMedium/TdmaMac and the
-    # oracle's ContentionMac in tests/legacy_oracles.py)
+    # Handlers (mirroring the oracle's node, medium and MACs in
+    # tests/des_oracle.py and tests/legacy_oracles.py)
     # ------------------------------------------------------------------
 
     def broadcast(sender: int, t_tx: float, t_event: float) -> None:
@@ -258,7 +258,7 @@ def run_fleet_round_vec(
         )
 
     def transmit(i: int, t_tx: float, t_event: float) -> None:
-        """DesNode.transmit: stamp, occupy the channel, corrupt an
+        """The node's transmit: stamp, occupy the channel, corrupt an
         in-progress reception (half-duplex), charge TX energy."""
         tx_attempts[i] += 1
         if isnan(tx_time[i]):
@@ -328,7 +328,7 @@ def run_fleet_round_vec(
         return j
 
     def process_deliver(batch: _Batch) -> float:
-        """DesNode.deliver over one slice of a broadcast, entry by entry
+        """The node's deliver over one slice of a broadcast, entry by entry
         in the event engine's exact order (receivers within a slice are
         distinct, so the per-entry state machine is independent)."""
         nonlocal seq
@@ -389,7 +389,7 @@ def run_fleet_round_vec(
         return batch.times[j1 - 1]
 
     def process_complete(batch: _Batch) -> float:
-        """DesNode._complete over one slice: RX energy burns either way;
+        """The node's packet completion over one slice: RX energy burns either way;
         uncorrupted windows accept and (maybe) trigger the MAC."""
         j0 = batch.cursor
         j1 = slice_end(batch)
@@ -451,8 +451,8 @@ def run_fleet_round_vec(
         )
         gg = np.array(rec_arrivals)
         local = (gg - epoch[rr]) * rate[rr]
-        # Per receiver, senders ascending — the order DesNode.report
-        # emits. A duplicate (receiver, sender) pair cannot occur (every
+        # Per receiver, senders ascending — the order a node's
+        # report emits. A duplicate (receiver, sender) pair cannot occur (every
         # device transmits at most once per round under both MACs).
         order = np.lexsort((ss, rr))
         rr = rr[order]

@@ -12,12 +12,12 @@ The error-model defaults are calibrated against
 DESIGN.md section 2: the waveform pipeline's per-detection error grows
 roughly linearly with range).
 
-The protocol round itself executes on the discrete-event engine
-(:mod:`repro.simulate.des`) — this class is a thin adapter that draws
-the per-round error realisations and feeds the resulting reports to
-the localization pipeline. The DES round is pinned bit for bit to the
-original straight-line round, kept as a test oracle (DESIGN.md
-section 4).
+The protocol round itself is the first-arrival event loop of
+:func:`repro.protocol.round.run_protocol_round` — this class is a thin
+adapter that draws the per-round error realisations and feeds the
+resulting reports to the localization pipeline. The round is pinned
+bit for bit to two test oracles, the original straight-line round and
+a round on a generic per-event simulator (DESIGN.md section 4).
 """
 
 from __future__ import annotations

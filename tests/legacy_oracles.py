@@ -1,9 +1,10 @@
 """Frozen reference implementations the production paths are pinned to.
 
 Production runs one waveform engine per parity contract (``batch``),
-one protocol round (the DES) and one fleet round (``fleetvec``).  The
-simpler twins they were derived from live here, frozen, as test
-oracles — the way ``_frozen_smacof`` pins SMACOF in
+one protocol round (the first-arrival loop of
+``repro.protocol.round``) and one fleet round (``fleetvec``).  The
+simpler or more general twins they were derived from live here,
+frozen, as test oracles — the way ``_frozen_smacof`` pins SMACOF in
 ``tests/test_smacof.py``:
 
 * **Per-exchange waveform paths.**  :class:`LegacyOneWay` has
@@ -15,22 +16,26 @@ oracles — the way ``_frozen_smacof`` pins SMACOF in
   figure paths that never went through ``BatchOneWay`` (fig11's
   microphone ablation, fig12's detection study, fig22's SNR sweep) are
   frozen copies of their original per-exchange branches.
-* **The fixed-point protocol round.**  :func:`legacy_protocol_round`
-  takes the same pre-drawn inputs as
-  :func:`repro.simulate.des.round_adapter.des_protocol_round`.
+* **Two protocol rounds.**  :func:`legacy_protocol_round` is the
+  original straight-line fixed point; :func:`des_protocol_round` runs
+  the round on the generic per-event simulator of
+  ``tests/des_oracle.py``.  Both take the pre-drawn inputs of
+  ``repro.protocol.round._first_arrival_round``.
 * **The per-event fleet round.**  :func:`event_fleet_round` runs a
-  fleet round with one ``DesNode`` per device on the generic event
-  loop (with :class:`ContentionMac`, the per-event contention policy)
-  and has :func:`~repro.simulate.des.fleetvec.run_fleet_round_vec`'s
+  fleet round with one ``DesNode`` per device on the same simulator
+  (with :class:`ContentionMac`, the per-event contention policy) and
+  has :func:`~repro.simulate.des.fleetvec.run_fleet_round_vec`'s
   signature and results.
 
 Nothing in ``src/`` knows these exist: :func:`legacy_waveform`,
-:func:`legacy_round` and :func:`event_fleet` swap them in by patching
-module attributes for the duration of a ``with`` block, and the parity
-tests (``tests/test_batch_parity.py``, ``tests/test_des_parity.py``,
-``tests/test_fleetvec_parity.py``) compare the patched run against the
-unpatched one bit for bit.  ``benchmarks/run_benchmarks.py`` times its
-waveform ``legacy`` and fleet ``event`` columns the same way.
+:func:`legacy_round`, :func:`des_round` and :func:`event_fleet` swap
+them in through :func:`swap_oracles`, which patches module attributes
+for the duration of a ``with`` block and fails if no call reached an
+oracle.  The parity tests (``tests/test_batch_parity.py``,
+``tests/test_des_parity.py``, ``tests/test_fleetvec_parity.py``)
+compare the patched run against the unpatched one bit for bit.
+``benchmarks/run_benchmarks.py`` times its waveform ``legacy`` and
+fleet ``event`` columns the same way.
 """
 
 from __future__ import annotations
@@ -41,12 +46,14 @@ from unittest import mock
 
 import numpy as np
 
+from des_oracle import AcousticMedium, Arrival, DesNode, EnergyAccount, Simulator, TdmaMac
 from repro.channel.environment import BOATHOUSE, DOCK
 from repro.channel.multipath import image_method_taps
 from repro.channel.noise import make_noise
 from repro.channel.render import apply_channel
 from repro.constants import DELTA0_S, T_PACKET_S
 from repro.devices.clock import DeviceClock
+from repro.devices.device import Device
 from repro.errors import ConfigurationError
 from repro.protocol.messages import Beacon, TimestampReport
 from repro.protocol.sync import infer_transmit_slot
@@ -59,12 +66,8 @@ from repro.ranging.estimator import estimate_direct_path, single_mic_direct_path
 from repro.signals.channel_est import channel_impulse_response, ls_channel_estimate
 from repro.signals.ofdm import OfdmConfig, band_bins, ofdm_symbol_from_zc
 from repro.signals.preamble import Preamble, make_preamble
-from repro.simulate.des.core import Simulator
-from repro.simulate.des.energy import EnergyAccount, EnergyModel
+from repro.simulate.des.energy import EnergyModel
 from repro.simulate.des.fleet import FleetConfig, FleetRoundStats, _finish_round
-from repro.simulate.des.mac import TdmaMac
-from repro.simulate.des.medium import AcousticMedium, Arrival
-from repro.simulate.des.node import DesNode
 from repro.simulate.mobility import LinearBackForthTrajectory
 from repro.simulate.scenario import Scenario
 from repro.simulate.waveform_sim import (
@@ -76,6 +79,30 @@ from repro.simulate.waveform_sim import (
 
 #: Taps treated as negative delays by the fine stage (fig11's margin).
 _WRAP_MARGIN = 96
+
+
+@contextlib.contextmanager
+def swap_oracles(swaps: Sequence[Tuple[str, object]], unreached: str) -> Iterator[None]:
+    """Patch each ``(dotted target, oracle)`` for a ``with`` block.
+
+    Every call to a swapped-in oracle is counted, and the block fails
+    with the ``unreached`` message if none was made, so a parity test
+    cannot silently compare production with itself.
+    """
+    calls = []
+
+    def counted(oracle):
+        def call(*args, **kwargs):
+            calls.append(oracle)
+            return oracle(*args, **kwargs)
+
+        return call
+
+    with contextlib.ExitStack() as stack:
+        for target, oracle in swaps:
+            stack.enter_context(mock.patch(target, counted(oracle)))
+        yield
+    assert calls, unreached
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +295,16 @@ _WAVEFORM_ORACLES = (
 )
 
 
-@contextlib.contextmanager
-def legacy_waveform() -> Iterator[None]:
+def legacy_waveform():
     """Run the waveform figure entries on the per-exchange oracles.
 
     Inside the block, a figure entry called with ``backend="batch"``
     computes what the original per-exchange backend computed.
     """
-    with contextlib.ExitStack() as stack:
-        for module, attribute, oracle in _WAVEFORM_ORACLES:
-            stack.enter_context(mock.patch(f"{module}.{attribute}", oracle))
-        yield
+    return swap_oracles(
+        [(f"{module}.{attribute}", oracle) for module, attribute, oracle in _WAVEFORM_ORACLES],
+        "no waveform figure path reached a per-exchange oracle",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -382,23 +408,83 @@ def legacy_protocol_round(
     )
 
 
-@contextlib.contextmanager
-def legacy_round() -> Iterator[None]:
+def des_protocol_round(
+    d: np.ndarray,
+    conn: np.ndarray,
+    sound_speed: float,
+    clocks: List[DeviceClock],
+    depths: np.ndarray,
+    noise: Dict[Tuple[int, int], float],
+    delta0_s: float,
+    delta1_s: float,
+):
+    """The round on the per-event simulator: one :class:`DesNode` per
+    device, a zero-airtime :class:`TdmaMac`, and a medium that adds the
+    pre-drawn noise."""
+    from repro.protocol.round import RoundOutcome
+
+    n = d.shape[0]
+    sim = Simulator()
+    medium = AcousticMedium(
+        sim,
+        sound_speed,
+        distance_fn=lambda rx, tx, t: d[rx, tx],
+        connectivity_fn=lambda rx, tx, dist: bool(conn[rx, tx]),
+        delay_noise_fn=lambda rx, tx, dist: noise[(rx, tx)],
+    )
+    mac = TdmaMac(n, delta0_s, delta1_s)
+    devices = [Device(device_id=i, position=np.zeros(3), clock=clocks[i]) for i in range(n)]
+    nodes = [DesNode(device, sim, medium, mac) for device in devices]
+    sim.run()
+
+    global_tx = {
+        node.device_id: node.tx_time_global_s
+        for node in nodes
+        if node.tx_time_global_s is not None
+    }
+    reports: Dict[int, TimestampReport] = {}
+    last_event = 0.0
+    for i in global_tx:
+        for global_arrival, _local in nodes[i].received.values():
+            last_event = max(last_event, global_arrival)
+        reports[i] = nodes[i].report(float(depths[i]))
+    return RoundOutcome(
+        reports=reports,
+        beacons=[
+            Beacon(
+                sender_id=i,
+                sync_ref_id=nodes[i].sync_ref if nodes[i].sync_ref is not None else 0,
+                tx_local_time_s=clocks[i].local_time(t_i),
+            )
+            for i, t_i in global_tx.items()
+        ],
+        global_tx_times=global_tx,
+        missed_slot_ids=[i for i in global_tx if nodes[i].missed_slot],
+        silent_ids=[i for i in range(1, n) if i not in global_tx],
+        duration_s=last_event,
+    )
+
+
+#: The production round loop both round oracles replace.
+_ROUND_LOOP = "repro.protocol.round._first_arrival_round"
+
+
+def legacy_round():
     """Run ``run_protocol_round`` (and so ``NetworkSimulator``) on the
-    fixed-point oracle instead of the DES.
+    fixed-point oracle instead of the first-arrival loop."""
+    return swap_oracles(
+        [(_ROUND_LOOP, legacy_protocol_round)],
+        "no protocol round reached the fixed-point oracle",
+    )
 
-    Fails if the block ran no round through the oracle, so a parity
-    test cannot silently compare the DES with itself.
-    """
-    calls = []
 
-    def oracle(*args):
-        calls.append(args)
-        return legacy_protocol_round(*args)
-
-    with mock.patch("repro.simulate.des.round_adapter.des_protocol_round", oracle):
-        yield
-    assert calls, "no protocol round reached the fixed-point oracle"
+def des_round():
+    """Run ``run_protocol_round`` (and so ``NetworkSimulator``) on the
+    per-event DES round oracle instead of the first-arrival loop."""
+    return swap_oracles(
+        [(_ROUND_LOOP, des_protocol_round)],
+        "no protocol round reached the DES round oracle",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +525,7 @@ class ContentionMac:
 
     def start(self, node: DesNode) -> None:
         if node.device_id == 0:
-            node.sim.at(0.0, self._leader_tx, node, label="tx[0]")
-
-    def _leader_tx(self, node: DesNode) -> None:
-        node.transmit(
-            Beacon(sender_id=0, sync_ref_id=0, tx_local_time_s=node.clock.local_time(0.0)),
-            duration_s=self.packet_duration_s,
-            tx_time_s=0.0,
-        )
+            node.sim.at(0.0, node.transmit, self.packet_duration_s, 0.0)
 
     def on_receive(self, node: DesNode, arrival: Arrival) -> None:
         if node.device_id == 0 or node.sync_ref is not None:
@@ -455,7 +534,7 @@ class ContentionMac:
             return  # duty-cycle budget exhausted: no backoff draw either
         node.sync_ref = arrival.sender_id
         backoff = self.delta0_s + float(self.rng.uniform(0.0, self.window_s))
-        node.sim.after(backoff, self._attempt, node, 1, label=f"cca[{node.device_id}]")
+        node.sim.after(backoff, self._attempt, node, 1)
 
     def _attempt(self, node: DesNode, attempt: int) -> None:
         if node.rx_busy or node.tx_busy:
@@ -465,18 +544,9 @@ class ContentionMac:
                 return
             window = self.window_s * (2.0**attempt)
             backoff = float(self.rng.uniform(0.0, window))
-            node.sim.after(
-                backoff, self._attempt, node, attempt + 1, label=f"cca[{node.device_id}]"
-            )
+            node.sim.after(backoff, self._attempt, node, attempt + 1)
             return
-        node.transmit(
-            Beacon(
-                sender_id=node.device_id,
-                sync_ref_id=node.sync_ref if node.sync_ref is not None else 0,
-                tx_local_time_s=node.clock.local_time(node.sim.now),
-            ),
-            duration_s=self.packet_duration_s,
-        )
+        node.transmit(self.packet_duration_s)
 
 
 def event_fleet_round(
@@ -581,20 +651,10 @@ def event_fleet_round(
     return stats, reports, elapsed, tx_times
 
 
-@contextlib.contextmanager
-def event_fleet() -> Iterator[None]:
+def event_fleet():
     """Run ``run_fleet_campaign`` (and so the ``fleet`` experiment) on
-    the per-event round oracle instead of the vectorized engine.
-
-    Fails if the block ran no round through the oracle, so a parity
-    test cannot silently compare the vec engine with itself.
-    """
-    calls = []
-
-    def oracle(*args, **kwargs):
-        calls.append(args)
-        return event_fleet_round(*args, **kwargs)
-
-    with mock.patch("repro.simulate.des.fleet.run_fleet_round_vec", oracle):
-        yield
-    assert calls, "no fleet round reached the per-event oracle"
+    the per-event round oracle instead of the vectorized engine."""
+    return swap_oracles(
+        [("repro.simulate.des.fleet.run_fleet_round_vec", event_fleet_round)],
+        "no fleet round reached the per-event oracle",
+    )

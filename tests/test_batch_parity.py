@@ -4,9 +4,9 @@ The batch backend consumes the experiment's random stream in exactly
 the scalar per-exchange order and performs every floating-point
 operation with the same rounding, so rendered streams, ranging errors
 and figure outputs are **bit-identical** to the per-exchange path on
-fixed seeds — the same contract the DES round is pinned to at the
-timestamp level in ``tests/test_des_parity.py``, extended down to the
-waveform level.  Streams and one-way measurements compare against the
+fixed seeds — the same contract the protocol round is pinned to at
+the timestamp level in ``tests/test_des_parity.py``, extended down to
+the waveform level.  Streams and one-way measurements compare against the
 public scalar API (``simulate_reception``, ``one_way_range``); figure
 outputs compare against the frozen per-exchange figure paths of
 ``tests/legacy_oracles.py``, swapped in by patching module attributes.
@@ -223,6 +223,12 @@ class TestExperimentBackendParity:
             assert json.dumps(batch, sort_keys=True) == json.dumps(
                 pinned, sort_keys=True
             )
+
+    def test_legacy_waveform_fails_when_no_path_reaches_an_oracle(self):
+        """A block that runs no figure path cannot pass as parity."""
+        with pytest.raises(AssertionError, match="per-exchange oracle"):
+            with legacy_waveform():
+                pass
 
     def test_unknown_backend_rejected(self):
         from repro.experiments.fig11_ranging import run_ranging_sweep

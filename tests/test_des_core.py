@@ -1,21 +1,19 @@
-"""Property-style invariant tests for the DES core, medium and nodes.
+"""Invariant tests for the per-event simulator the round oracles share.
 
-The determinism contract (DESIGN.md §3.1) is what the campaign engine's
-byte-identical artifacts rest on, so it is pinned here property-style:
-random schedules drawn from seeded generators must satisfy the ordering
-invariants on every draw.
+The oracles in ``tests/legacy_oracles.py`` are only as trustworthy as
+the engine under them (``tests/des_oracle.py``, DESIGN.md §3), so its
+ordering contract is pinned here property-style: random schedules drawn
+from seeded generators must satisfy the ordering invariants on every
+draw.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from des_oracle import AcousticMedium, DesNode, EnergyAccount, Simulator, TdmaMac
 from repro.errors import ConfigurationError
-from repro.simulate.des.core import Simulator
-from repro.simulate.des.energy import EnergyAccount, EnergyModel
-from repro.simulate.des.mac import TdmaMac
-from repro.simulate.des.medium import AcousticMedium
-from repro.simulate.des.node import DesNode
+from repro.simulate.des.energy import EnergyModel
 
 
 class TestEventOrdering:
@@ -89,67 +87,24 @@ class TestEventOrdering:
             sim.run(max_events=50)
 
 
-class TestCancellation:
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000))
-    def test_cancelled_events_never_fire(self, seed):
-        rng = np.random.default_rng(seed)
-        sim = Simulator()
-        fired = []
-        events = [
-            sim.at(float(t), lambda k=k: fired.append(k))
-            for k, t in enumerate(rng.uniform(0.0, 50.0, size=30))
-        ]
-        doomed = set(rng.choice(30, size=10, replace=False).tolist())
-        for k in doomed:
-            sim.cancel(events[k])
-        sim.run()
-        assert doomed.isdisjoint(fired)
-        assert len(fired) == 20
-
-    def test_cancel_is_idempotent_and_safe_after_firing(self):
-        sim = Simulator()
-        fired = []
-        event = sim.at(1.0, lambda: fired.append("a"))
-        sim.cancel(event)
-        sim.cancel(event)  # double-cancel
-        survivor = sim.at(2.0, lambda: fired.append("b"))
-        sim.run()
-        sim.cancel(survivor)  # cancel after firing: no effect
-        assert fired == ["b"]
-        assert sim.pending == 0
-
-    def test_cancellation_preserves_remaining_order(self):
-        sim = Simulator()
-        fired = []
-        sim.at(1.0, lambda: fired.append("first"))
-        middle = sim.at(1.0, lambda: fired.append("middle"))
-        sim.at(1.0, lambda: fired.append("last"))
-        sim.cancel(middle)
-        sim.run()
-        assert fired == ["first", "last"]
-
-
 class TestTraceDeterminism:
     def _random_workload(self, seed):
         """A workload whose randomness all flows from one generator,
-        including draws made inside event callbacks."""
+        including draws made inside event callbacks; returns the
+        ``(time, tag)`` of every fired event."""
         rng = np.random.default_rng(seed)
-        sim = Simulator(trace=True)
+        sim = Simulator()
+        trace = []
 
-        def burst(remaining):
+        def burst(tag, remaining):
+            trace.append((sim.now, tag))
             if remaining > 0:
-                sim.after(
-                    float(rng.exponential(0.5)),
-                    burst,
-                    remaining - 1,
-                    label=f"burst{remaining}",
-                )
+                sim.after(float(rng.exponential(0.5)), burst, f"{tag}.", remaining - 1)
 
         for k in range(10):
-            sim.at(float(rng.uniform(0, 5)), burst, int(rng.integers(1, 4)), label=f"seed{k}")
+            sim.at(float(rng.uniform(0, 5)), burst, f"seed{k}", int(rng.integers(1, 4)))
         sim.run()
-        return sim.trace
+        return trace
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -158,16 +113,6 @@ class TestTraceDeterminism:
 
     def test_different_seeds_diverge(self):
         assert self._random_workload(1) != self._random_workload(2)
-
-    def test_run_until_horizon(self):
-        sim = Simulator()
-        fired = []
-        sim.at(1.0, lambda: fired.append(1))
-        sim.at(3.0, lambda: fired.append(3))
-        assert sim.run(until_s=2.0) == 2.0
-        assert fired == [1]
-        sim.run()
-        assert fired == [1, 3]
 
 
 class _Probe:
@@ -204,7 +149,7 @@ class TestMediumAndCollisions:
     def test_propagation_delay_applied(self):
         mac = _Probe()
         sim, medium, a, b = self._pair(mac, distance=1500.0)
-        sim.at(0.0, a.transmit, "hello")
+        sim.at(0.0, a.transmit)
         sim.run()
         assert mac.accepted == [(1, 0)]
         assert b.received[0][0] == pytest.approx(1.0)  # 1500 m at 1500 m/s
@@ -220,10 +165,9 @@ class TestMediumAndCollisions:
         )
         mac = _Probe()
         nodes = [_make_node(i, sim, medium, mac) for i in range(4)]
-        sim.at(0.0, nodes[0].transmit, "x")
+        sim.at(0.0, nodes[0].transmit)
         sim.run()
         assert sorted(mac.accepted) == [(1, 0)]  # 2 out of range, 3 lost
-        assert medium.packets_dropped == 1
 
     def test_overlapping_packets_collide(self):
         """Two packets overlapping at a receiver corrupt each other."""
@@ -233,8 +177,8 @@ class TestMediumAndCollisions:
         receiver = _make_node(0, sim, medium, mac)
         tx1 = _make_node(1, sim, medium, mac)
         tx2 = _make_node(2, sim, medium, mac)
-        sim.at(0.0, tx1.transmit, "a", 0.3)
-        sim.at(0.1, tx2.transmit, "b", 0.3)  # overlaps packet "a" at 0
+        sim.at(0.0, tx1.transmit, 0.3)
+        sim.at(0.1, tx2.transmit, 0.3)  # overlaps tx1's packet at 0
         sim.run()
         assert receiver.collisions >= 1
         assert not any(rx == 0 for rx, _ in mac.accepted)
@@ -247,8 +191,8 @@ class TestMediumAndCollisions:
         a = _make_node(0, sim, medium, mac)
         b = _make_node(1, sim, medium, mac)
         # b's packet arrives at a at t=0.01 while a transmits 0..0.3.
-        sim.at(0.0, a.transmit, "mine", 0.3)
-        sim.at(0.0, b.transmit, "theirs", 0.3)
+        sim.at(0.0, a.transmit, 0.3)
+        sim.at(0.0, b.transmit, 0.3)
         sim.run()
         assert a.collisions == 1
         assert not any(rx == 0 for rx, _ in mac.accepted)
@@ -262,22 +206,11 @@ class TestMediumAndCollisions:
         receiver = _make_node(0, sim, medium, mac)
         tx1 = _make_node(1, sim, medium, mac)
         tx2 = _make_node(2, sim, medium, mac)
-        sim.at(0.0, tx1.transmit, "a", 0.3)
-        sim.at(1.0, tx2.transmit, "b", 0.3)
+        sim.at(0.0, tx1.transmit, 0.3)
+        sim.at(1.0, tx2.transmit, 0.3)
         sim.run()
         assert receiver.collisions == 0
         assert sorted(s for rx, s in mac.accepted if rx == 0) == [1, 2]
-
-    def test_leave_stops_delivery(self):
-        mac = _Probe()
-        sim, medium, a, b = self._pair(mac, distance=1500.0)
-        sim.at(0.0, a.transmit, "one")
-        sim.at(0.5, b.leave)
-        sim.run()
-        # The packet was in flight when b left; the listening flag
-        # suppresses it and b is gone from the medium for later sends.
-        assert mac.accepted == []
-        assert 1 not in medium.nodes
 
 
 class TestEnergyAccounting:
@@ -288,7 +221,6 @@ class TestEnergyAccounting:
         account.settle_idle(10.0)
         assert account.seconds["idle"] == pytest.approx(4.0)
         assert account.total_joules == pytest.approx(2 * 2.0 + 4 * 1.0 + 4 * 0.5)
-        assert account.joules("tx") == pytest.approx(4.0)
 
     def test_unknown_state_rejected(self):
         account = EnergyAccount()

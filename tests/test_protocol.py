@@ -197,11 +197,60 @@ class TestProtocolRound:
         off_diag = est[np.triu_indices(4, 1)] - d[np.triu_indices(4, 1)]
         assert np.allclose(np.abs(off_diag), 1.0, atol=0.2)
 
+    def test_acausal_arrival_clamps_the_event_not_the_timestamp(self):
+        """A detection error larger than the flight time puts an arrival
+        before its transmission: the event fires at "now", but the node
+        records, and infers its slot from, the exact noisy time."""
+        d = np.array([[0.0, 15.0], [15.0, 0.0]])
+
+        def noise(i, j, dist, r):
+            return -0.02 if (i, j) == (1, 0) else 0.0
+
+        outcome = run_protocol_round(
+            d, _full_connectivity(2), 1_500.0, arrival_noise=noise
+        )
+        heard = 0.0 + 15.0 / 1_500.0 + -0.02
+        assert heard < 0.0
+        assert outcome.reports[1].receptions == {0: heard}
+        assert outcome.global_tx_times == {0: 0.0, 1: heard + DELTA0_S}
+
+    def test_first_beacon_fixes_the_slot(self):
+        """Device 3 cannot hear the leader; it syncs to device 1's
+        beacon, which arrives first, and only timestamps device 2's."""
+        d = np.full((4, 4), 30.0)
+        np.fill_diagonal(d, 0.0)
+        conn = _full_connectivity(4)
+        conn[0, 3] = conn[3, 0] = False
+        outcome = run_protocol_round(d, conn, 1_500.0)
+        first = outcome.global_tx_times[1] + 30.0 / 1_500.0
+        assert outcome.beacons[3].sync_ref_id == 1
+        assert outcome.global_tx_times[3] == infer_transmit_slot(3, 1, first, 4)[0]
+        assert sorted(outcome.reports[3].receptions) == [1, 2]
+        assert outcome.missed_slot_ids == []
+
     def test_validation(self):
         with pytest.raises(ProtocolError):
             run_protocol_round(np.zeros((2, 3)), np.zeros((2, 3), bool), 1_500.0)
         with pytest.raises(ProtocolError):
             run_protocol_round(np.zeros((1, 1)), np.zeros((1, 1), bool), 1_500.0)
+        d = np.full((3, 3), 10.0)
+        np.fill_diagonal(d, 0.0)
+        conn = _full_connectivity(3)
+        # An empty clock list is a count mismatch, not "ideal clocks".
+        for clocks in ([], [DeviceClock()] * 2):
+            with pytest.raises(ProtocolError, match="clock"):
+                run_protocol_round(d, conn, 1_500.0, clocks=clocks)
+        for depths in ([1.0, 2.0], [1.0, 2.0, 3.0, 4.0], np.zeros((3, 1))):
+            with pytest.raises(ProtocolError, match="depth"):
+                run_protocol_round(d, conn, 1_500.0, depths=depths)
+        for bad in (np.nan, np.inf, -1.0):
+            d_bad = d.copy()
+            d_bad[1, 2] = bad
+            with pytest.raises(ProtocolError, match="distances"):
+                run_protocol_round(d_bad, conn, 1_500.0)
+        for speed in (0.0, -1_500.0, np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match="sound speed"):
+                run_protocol_round(d, conn, speed)
 
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(3, 7), seed=st.integers(0, 1_000))
