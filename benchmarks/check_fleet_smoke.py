@@ -18,8 +18,9 @@ it (1000 nodes, churn + mobility + oscillator wander), at
 * a basic sanity bound fails (every transmit-allowed device transmits,
   energy is positive, the drift model accrued offsets).
 
-The JSON artifact records the wall time, budget and summary for the CI
-run log.
+The JSON artifact records the wall time, budget, the process's peak
+resident set (``peak_rss_mb``, from ``ru_maxrss``; recorded, not gated)
+and summary for the CI run log.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def main(argv=None) -> int:
         **dict(variant.params),
     )
     wall = time.perf_counter() - start
+    peak_rss_mb = engine.peak_rss_mb()
     summary = output.measured
 
     failures = []
@@ -116,7 +118,10 @@ def main(argv=None) -> int:
             )
 
     print(output.report)
-    print(f"wall {wall:.1f}s / budget {args.budget_s:.0f}s")
+    print(
+        f"wall {wall:.1f}s / budget {args.budget_s:.0f}s, "
+        f"peak RSS {peak_rss_mb:.1f} MB"
+    )
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -127,6 +132,7 @@ def main(argv=None) -> int:
                     "scale": args.scale,
                     "budget_s": args.budget_s,
                     "wall_s": wall,
+                    "peak_rss_mb": peak_rss_mb,
                     "summary": summary,
                 },
                 fh,

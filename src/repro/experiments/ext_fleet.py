@@ -95,25 +95,13 @@ def format_fleet(summary: Dict[str, Any]) -> str:
             "contention",
             {"num_devices": 50, "mac": "contention"},
         ),
-        # Scale variants: 1k and 10k nodes with churn, mobility,
-        # oscillator wander and a 2-round resync interval, so energy
-        # and drift stats are exercised at fleet scale (DESIGN.md §10).
+        # Scale variant: 1k nodes with churn, mobility, oscillator
+        # wander and a 2-round resync interval, so energy and drift
+        # stats are exercised at fleet scale (DESIGN.md §10).
         engine.Variant(
             "fleet1k",
             {
                 "num_devices": 1000,
-                "num_rounds": 2,
-                "leave_prob": 0.05,
-                "join_prob": 0.5,
-                "mobility_fraction": 0.15,
-                "resync_interval_rounds": 2,
-                "drift_wander_ppm": 2.0,
-            },
-        ),
-        engine.Variant(
-            "fleet10k",
-            {
-                "num_devices": 10000,
                 "num_rounds": 2,
                 "leave_prob": 0.05,
                 "join_prob": 0.5,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -59,13 +59,16 @@ class TimestampReport:
     own_tx_local_s:
         ``T^i_i``: when it transmitted, in its own clock.
     receptions:
-        ``T^i_j`` per heard sender ``j``.
+        ``T^i_j`` per heard sender ``j``. Fleet rounds fill it with a
+        read-only view into the round's shared reception table
+        (:class:`repro.simulate.des.fleetvec.ReceptionView`), senders
+        ascending.
     """
 
     device_id: int
     depth_m: float
     own_tx_local_s: float
-    receptions: Dict[int, float] = field(default_factory=dict)
+    receptions: Mapping[int, float] = field(default_factory=dict)
 
     def heard(self, sender_id: int) -> bool:
         """Whether this device timestamped ``sender_id``'s packet."""

@@ -272,29 +272,21 @@ def _build_trajectories(
 
 
 class PositionDistances:
-    """Lazy pairwise-distance view over an ``(N, 3)`` position array.
+    """Lazy distance rows over an ``(N, 3)`` position array.
 
-    Drop-in for the dense ``Scenario.true_distances()`` matrix where
-    only ``distances[r, s]`` lookups are needed (relay planning): each
-    entry is computed on demand with the same squared-difference
-    reduction the matrix uses, so the values are bit-identical — but a
-    10k-node fleet no longer materialises an 800 MB array.
+    Relay planning takes ``row`` in place of the dense
+    ``Scenario.true_distances()`` matrix: each row is computed on
+    demand with the same squared-difference reduction the matrix uses,
+    so the values are bit-identical — but a 10k-node fleet no longer
+    materialises an 800 MB array.
     """
 
     def __init__(self, positions: np.ndarray):
         self._pts = np.asarray(positions, dtype=float)
 
-    def __getitem__(self, key: Tuple[int, int]) -> float:
-        r, s = key
-        diff = self._pts[r] - self._pts[s]
-        return float(np.sqrt((diff**2).sum()))
-
     def row(self, source: int, ids) -> list:
-        """Distances from ``source`` to each id, as one vectorized row.
-
-        The per-row reduction is bit-identical to ``self[id, source]``,
-        so relay planning can rank a candidate list in one call.
-        """
+        """Distances from ``source`` to each id, as one vectorized row,
+        so relay planning can rank a candidate list in one call."""
         diff = self._pts[ids] - self._pts[source]
         return np.sqrt((diff**2).sum(axis=1)).tolist()
 
@@ -315,7 +307,7 @@ def _finish_round(
     """Round post-processing: uplink/relay planning and the stats row.
 
     The vec round and the per-event test oracle both end here with the
-    same report dicts and per-node aggregates, so everything from here
+    same report mappings and per-node aggregates, so everything from here
     on is engine-independent by construction."""
     transmitted = sorted(reports)
     silent_count = len(active) - len(transmitted)
@@ -465,4 +457,7 @@ def run_fleet_campaign(
             offsets[0] = 0.0
         result.rounds.append(stats)
         campaign_time += elapsed
+        # Release this round's reception table before the next round
+        # builds its own.
+        del reports, tx_times
     return result

@@ -37,14 +37,20 @@ Slices average a dozen-odd entries, far below the break-even size of
 numpy masking, so the per-entry state machine runs as plain Python
 loops over list columns; numpy appears only where a whole fleet is
 touched at once (distance rows, trajectory evaluation, the round-end
-report/energy assembly).
+report/energy assembly). Accepted receptions, the round's largest
+state, accumulate unboxed in ``array.array`` columns and end the round
+as one receiver-major reception table that every report reads through
+a :class:`ReceptionView`.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from bisect import bisect_left
+from collections.abc import ItemsView, Mapping
 from math import isnan
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -81,6 +87,85 @@ class _Batch:
         self.arrivals = arrivals
         self.sender = sender
         self.cursor = 0
+
+
+class ReceptionView(Mapping):
+    """One node's receptions in a round: a read-only ``{sender: local
+    time}`` mapping over rows ``start:stop`` of the round's reception
+    table, senders ascending.
+
+    All reports of a round share the table's two columns, so a
+    reception costs 16 bytes rather than a boxed dict entry."""
+
+    __slots__ = ("_senders", "_local", "_start", "_stop")
+
+    def __init__(self, senders: np.ndarray, local: np.ndarray, start: int, stop: int):
+        self._senders = senders
+        self._local = local
+        self._start = start
+        self._stop = stop
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._senders[self._start : self._stop].tolist())
+
+    def __getitem__(self, sender) -> float:
+        senders, stop = self._senders, self._stop
+        try:
+            j = bisect_left(senders, sender, self._start, stop)
+        except TypeError:  # not comparable with an integer id
+            raise KeyError(sender) from None
+        if j < stop and senders[j] == sender:
+            return float(self._local[j])
+        raise KeyError(sender)
+
+    def items(self) -> "_ReceptionItems":
+        return _ReceptionItems(self)
+
+    def __repr__(self) -> str:
+        return f"ReceptionView({dict(self.items())!r})"
+
+
+class _ReceptionItems(ItemsView):
+    """``ReceptionView.items()``: iterates both columns in one pass
+    instead of one bisect per sender."""
+
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[Tuple[int, float]]:
+        view = self._mapping
+        rows = slice(view._start, view._stop)
+        return zip(view._senders[rows].tolist(), view._local[rows].tolist())
+
+
+def _reception_table(
+    recvs: array,
+    arrivals: array,
+    run_senders: array,
+    run_lengths: array,
+    epoch: np.ndarray,
+    rate: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    """Sort a round's accepted receptions into receiver-major columns.
+
+    Returns ``(senders, local, bounds)``: receiver ``i``'s receptions
+    are rows ``bounds[i]:bounds[i + 1]``, senders ascending (the
+    order a node's report emits; a duplicate (receiver, sender) pair
+    cannot occur, since every device transmits at most once per round
+    under both MACs), with arrival times in the receiver's local clock.
+    """
+    rr = np.frombuffer(recvs, dtype=np.int64)
+    ss = np.repeat(
+        np.frombuffer(run_senders, dtype=np.int64),
+        np.frombuffer(run_lengths, dtype=np.int64),
+    )
+    local = (np.frombuffer(arrivals) - epoch[rr]) * rate[rr]
+    order = np.lexsort((ss, rr))
+    offsets = np.zeros(len(epoch) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rr, minlength=len(epoch)), out=offsets[1:])
+    return ss[order], local[order], offsets.tolist()
 
 
 def run_fleet_round_vec(
@@ -180,12 +265,14 @@ def run_fleet_round_vec(
         m_speeds = np.array([trajectories[i].speed_mps for i in mover_ids])
         mover_idx = np.array(mover_ids, dtype=np.int64)
 
-    # Accepted receptions: flat receiver/arrival columns, one
-    # (sender, run length) tuple per contiguous accepted run, merged
-    # into per-node reports once at round end.
-    rec_recvs: List[int] = []
-    rec_arrivals: List[float] = []
-    rec_senders: List[Tuple[int, int]] = []
+    # Accepted receptions: flat receiver/arrival columns plus one
+    # (sender, run length) pair per contiguous accepted run, unboxed
+    # (8 bytes an entry) and sorted into the reception table once at
+    # round end.
+    rec_recvs = array("q")
+    rec_arrivals = array("d")
+    run_senders = array("q")
+    run_lengths = array("q")
 
     heap: list = []
     seq = 0
@@ -349,7 +436,8 @@ def run_fleet_round_vec(
                 if pending_sync and sync_eligible[r]:
                     mac_react(r, sender, arrivals[j], times[j])
             if cnt:
-                rec_senders.append((sender, cnt))
+                run_senders.append(sender)
+                run_lengths.append(cnt)
         else:
             op_t: List[float] = []
             op_r: List[int] = []
@@ -409,7 +497,8 @@ def run_fleet_round_vec(
             if pending_sync and sync_eligible[r]:
                 mac_react(r, sender, arrivals[j], times[j])
         if cnt:
-            rec_senders.append((sender, cnt))
+            run_senders.append(sender)
+            run_lengths.append(cnt)
         batch.cursor = j1
         if j1 < len(batch.times):
             heapq.heappush(
@@ -443,28 +532,11 @@ def run_fleet_round_vec(
     # ------------------------------------------------------------------
     # Round wrap-up: reports, energy, shared post-processing
     # ------------------------------------------------------------------
-    receptions_by_node: Dict[int, Dict[int, float]] = {}
-    if rec_recvs:
-        rr = np.array(rec_recvs, dtype=np.int64)
-        ss = np.concatenate(
-            [np.full(n, s, dtype=np.int64) for s, n in rec_senders]
-        )
-        gg = np.array(rec_arrivals)
-        local = (gg - epoch[rr]) * rate[rr]
-        # Per receiver, senders ascending — the order a node's
-        # report emits. A duplicate (receiver, sender) pair cannot occur (every
-        # device transmits at most once per round under both MACs).
-        order = np.lexsort((ss, rr))
-        rr = rr[order]
-        ss = ss[order]
-        local = local[order]
-        bounds = np.flatnonzero(np.diff(rr)) + 1
-        starts = np.concatenate(([0], bounds))
-        ends = np.concatenate((bounds, [len(rr)]))
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            receptions_by_node[int(rr[a])] = dict(
-                zip(ss[a:b].tolist(), local[a:b].tolist())
-            )
+    senders, local, bounds = _reception_table(
+        rec_recvs, rec_arrivals, run_senders, run_lengths, epoch, rate
+    )
+    # The table holds its own copies; free the accumulation buffers.
+    del rec_recvs, rec_arrivals, run_senders, run_lengths
 
     reports: Dict[int, TimestampReport] = {}
     tx_times: Dict[int, float] = {}
@@ -475,7 +547,7 @@ def run_fleet_round_vec(
             device_id=i,
             depth_m=float(devices[i].depth_m),
             own_tx_local_s=float(own_tx_local[i]),
-            receptions=receptions_by_node.get(i, {}),
+            receptions=ReceptionView(senders, local, bounds[i], bounds[i + 1]),
         )
         tx_times[i] = tx_time[i]
 
@@ -496,7 +568,7 @@ def run_fleet_round_vec(
             tx_sec[grp],
         )
 
-    leader_heard = set(receptions_by_node.get(0, {}))
+    leader_heard = set(senders[bounds[0] : bounds[1]].tolist())
     stats, elapsed = _finish_round(
         scenario,
         config,

@@ -576,7 +576,7 @@ def event_fleet_round(
         # behind the 1-D norm contracts with FMA and disagrees with any
         # batched row norm in the last bit, while this formulation is
         # bit-identical to the vec engine's vectorized distance rows
-        # (and to Scenario.true_distances / PositionDistances entries).
+        # (and to Scenario.true_distances / PositionDistances rows).
         diff = position_of(rx, t_s) - position_of(tx, t_s)
         return float(np.sqrt((diff**2).sum()))
 

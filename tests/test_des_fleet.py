@@ -334,7 +334,6 @@ class TestFleetEngineWiring:
             "mobility",
             "contention",
             "fleet1k",
-            "fleet10k",
         ]
         assert spec.paper  # analytic model references
         assert spec.cost == "heavy"

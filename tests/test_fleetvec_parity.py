@@ -7,7 +7,9 @@ At fleet-summary granularity the two may diverge on nothing. These
 tests pin that contract byte-for-byte on the existing 50/100/200
 scenarios, through the campaign entry, and — via hypothesis — on
 randomized small fleets with churn and mobility, where the per-round
-report dicts (values *and* iteration order) must match exactly. The
+reception mappings (values *and* iteration order) must match exactly,
+and every vec report's read-only view must answer the mapping protocol
+as the oracle's dict does. The
 oracle side runs inside :func:`legacy_oracles.event_fleet`, which fails
 if no round reached the oracle.
 """
@@ -27,7 +29,7 @@ from repro.simulate.des.fleet import (
     _build_trajectories,
     run_fleet_campaign,
 )
-from repro.simulate.des.fleetvec import run_fleet_round_vec
+from repro.simulate.des.fleetvec import ReceptionView, run_fleet_round_vec
 from repro.simulate.scenario import fleet_scenario
 
 
@@ -162,7 +164,7 @@ class TestVecDeliveryOrderProperty:
     ):
         """Property: for random small fleets the vec engine produces the
         oracle's reports exactly — same devices, same reception
-        dicts (sender order included), same timestamps to the last bit,
+        mappings (sender order included), same timestamps to the last bit,
         same transmit times. Any delivery-order divergence would shift
         an RNG draw or a reception and break one of these."""
         config = FleetConfig(
@@ -211,3 +213,57 @@ class TestVecDeliveryOrderProperty:
         )
         oracle, vec = _oracle_and_vec(seed, **kw)
         assert oracle == vec
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        num_devices=st.integers(min_value=2, max_value=20),
+        mac=st.sampled_from(["tdma", "contention"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_reception_views_behave_like_the_oracle_dicts(
+        self, num_devices, mac, seed
+    ):
+        """Property: every vec report's reception view is a read-only
+        mapping equal to the oracle's dict, iterating senders in
+        ascending order, with dict-like ``len``, ``in``, ``get`` and
+        ``KeyError``."""
+        config = FleetConfig(num_devices=num_devices, num_rounds=1, mac=mac)
+        _, reports_e, _, _ = _one_round(event_fleet_round, seed, config)
+        _, reports_v, _, _ = _one_round(run_fleet_round_vec, seed, config)
+        absent = num_devices  # no such device id
+        for device_id, report_e in reports_e.items():
+            expected = report_e.receptions
+            view = reports_v[device_id].receptions
+            assert isinstance(view, ReceptionView)
+            assert dict(view) == expected
+            assert view == expected
+            assert list(view) == sorted(expected)
+            assert len(view) == len(expected)
+            for sender in range(num_devices + 1):
+                assert (sender in view) == (sender in expected)
+                assert view.get(sender) == expected.get(sender)
+            assert all(type(view[sender]) is float for sender in view)
+            assert "0" not in view
+            assert view.get(absent, "absent") == "absent"
+            with pytest.raises(KeyError):
+                view[absent]
+            with pytest.raises(TypeError):
+                view[absent] = 0.0
+
+
+class TestReceptionView:
+    def test_views_partition_one_table(self):
+        """Views over adjacent row ranges see only their own rows; an
+        empty range is an empty mapping."""
+        senders = np.array([1, 4, 7, 0, 2], dtype=np.int64)
+        local = np.array([0.5, 0.25, 0.75, 1.5, 2.5])
+        first = ReceptionView(senders, local, 0, 3)
+        second = ReceptionView(senders, local, 3, 5)
+        empty = ReceptionView(senders, local, 5, 5)
+        assert dict(first.items()) == {1: 0.5, 4: 0.25, 7: 0.75}
+        assert dict(second.items()) == {0: 1.5, 2: 2.5}
+        assert 3 not in first and 7 not in second and 1 not in second
+        assert second[2] == 2.5
+        assert len(empty) == 0 and list(empty) == [] and empty == {}
+        with pytest.raises(KeyError):
+            empty[0]
