@@ -3,7 +3,7 @@
 Usage::
 
     PYTHONPATH=src python benchmarks/check_fleet_smoke.py \
-        --scale 0.5 --budget-s 120 --json fleet-smoke.json
+        --scale 0.5 --budget-s 15 --json fleet-smoke.json
 
 Runs the ``fleet1k`` variant exactly as the campaign registry defines
 it (1000 nodes, churn + mobility + oscillator wander), at
@@ -69,8 +69,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--budget-s",
         type=float,
-        default=120.0,
-        help="wall-clock budget in seconds (default 120)",
+        default=15.0,
+        help="wall-clock budget in seconds (default 15)",
     )
     parser.add_argument(
         "--json", metavar="PATH", help="write the smoke artifact here"

@@ -14,7 +14,7 @@ over all divers excluding the leader. Four sweeps:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,8 @@ from repro.geometry.topology import (
     random_scenario_positions,
 )
 from repro.geometry.transforms import angle_of
-from repro.localization.pipeline import localize
+from repro.localization.ambiguity import mic_arrival_sign
+from repro.localization.pipeline import LocalizationInputs, LocalizationResult, localize_many
 
 #: Approximate series read off the paper's Fig. 6 (for shape comparison).
 PAPER_FIG6A = {0.0: 0.1, 0.5: 0.55, 1.0: 1.1, 1.5: 1.7, 2.0: 2.3}
@@ -44,15 +45,15 @@ class AnalyticalPoint:
     num_samples: int
 
 
-def _one_trial(
+def _draw_trial(
     num_devices: int,
     eps_1d: float,
     eps_h: float,
     eps_theta_deg: float,
     num_dropped_links: int,
     rng: np.random.Generator,
-) -> float:
-    """Mean 2D localization error (m) across divers for one random draw."""
+) -> Tuple[LocalizationInputs, np.ndarray]:
+    """One random draw: the localization inputs and the true 2D positions."""
     positions = random_scenario_positions(num_devices, rng)
     true_d = pairwise_distance_matrix(positions)
     n = num_devices
@@ -77,22 +78,23 @@ def _one_trial(
     perp = np.array([-axis[1], axis[0], 0.0])
     left = leader + 0.08 * perp
     right = leader - 0.08 * perp
-    from repro.localization.ambiguity import mic_arrival_sign
-
     signs = {
         i: mic_arrival_sign(left, right, positions[i]) for i in range(2, n)
     }
     signs = {i: s for i, s in signs.items() if s != 0}
 
-    result = localize(
+    inputs = LocalizationInputs(
         noisy_d,
         depths,
         pointing_azimuth_rad=pointing,
         arrival_signs=signs,
         weights=weights,
-        rng=rng,
     )
-    true_leader_frame = positions[:, :2] - positions[0, :2]
+    return inputs, positions[:, :2] - positions[0, :2]
+
+
+def _trial_error(true_leader_frame: np.ndarray, result: LocalizationResult) -> float:
+    """Mean 2D localization error (m) across divers for one draw."""
     errors = np.linalg.norm(result.positions2d - true_leader_frame, axis=1)
     return float(np.mean(errors[1:]))
 
@@ -105,9 +107,10 @@ def _sweep(
 ) -> List[AnalyticalPoint]:
     points = []
     for value in values:
-        errors = [
-            _one_trial(rng=rng, **make_kwargs(value)) for _ in range(num_samples)
-        ]
+        kwargs = make_kwargs(value)
+        errors = localize_many(
+            lambda _: _draw_trial(rng=rng, **kwargs), _trial_error, num_samples, rng
+        )
         points.append(
             AnalyticalPoint(
                 parameter=float(value),

@@ -25,7 +25,7 @@ from repro.constants import (
     OUTLIER_STRESS_THRESHOLD_M,
 )
 from repro.localization.rigidity import edges_from_weights, is_uniquely_realizable
-from repro.localization.smacof import smacof, smacof_batch
+from repro.localization.smacof import SmacofResult, smacof, smacof_batch
 
 Edge = Tuple[int, int]
 
@@ -89,8 +89,31 @@ def detect_outliers(
     else:
         w0 = np.array(weights, dtype=float, copy=True)
     rng = rng or np.random.default_rng(0)
-
     base = smacof(d, w0, dim=dim, rng=rng)
+    return search_outliers(
+        d, w0, base, stress_threshold, improvement_ratio, max_outliers, dim, rng
+    )
+
+
+def search_outliers(
+    distances: np.ndarray,
+    weights: np.ndarray,
+    base: SmacofResult,
+    stress_threshold: float = OUTLIER_STRESS_THRESHOLD_M,
+    improvement_ratio: float = OUTLIER_IMPROVEMENT_RATIO,
+    max_outliers: int = MAX_OUTLIER_LINKS,
+    dim: int = 2,
+    rng: np.random.Generator | None = None,
+) -> OutlierResult:
+    """Algorithm 1 after its base solve: the link-dropping levels.
+
+    ``base`` is the SMACOF solution of ``(distances, weights)``. Below
+    ``stress_threshold`` it is accepted as is and ``rng`` is not
+    touched; otherwise each level's subset solves draw their init
+    jitter from ``rng``, as :func:`detect_outliers` does.
+    """
+    d, w0 = distances, weights
+    n = d.shape[0]
     if base.normalized_stress < stress_threshold:
         return OutlierResult(
             positions=base.positions,
@@ -99,6 +122,7 @@ def detect_outliers(
             outliers_suspected=False,
             weights=w0,
         )
+    rng = rng or np.random.default_rng(0)
 
     links = edges_from_weights(w0)
     current_raw = base.stress

@@ -59,7 +59,8 @@ def _validate_inputs(distances: np.ndarray, weights: np.ndarray) -> None:
         raise ValueError("weights must match distances in shape")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    if not np.allclose(weights, np.swapaxes(weights, -1, -2)):
+    transposed = np.swapaxes(weights, -1, -2)
+    if not ((weights == transposed).all() or np.allclose(weights, transposed)):
         raise ValueError("weights must be symmetric")
     active = weights > 0
     if np.any(~np.isfinite(distances[active])):
@@ -160,6 +161,56 @@ def classical_mds(distances: np.ndarray, dim: int = 2) -> np.ndarray:
     return np.take_along_axis(eigvecs, order[..., None, :], axis=-1) * np.sqrt(vals)[..., None, :]
 
 
+def mds_init(distances: np.ndarray, weights: np.ndarray, dim: int = 2) -> np.ndarray:
+    """The default inits of a (K, N, N) stack, before their jitter.
+
+    Classical MDS of each shortest-path-completed distance matrix;
+    raises ``LocalizationError`` on a disconnected graph.
+    """
+    return classical_mds(_graph_complete_distances(distances, weights), dim=dim)
+
+
+def init_jitter(k: int, n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """The (K, N, dim) jitter added to K default (MDS) inits.
+
+    One ``rng.normal`` block in problem order, so problem k gets the
+    values K sequential one-problem draws would give it.
+    """
+    return rng.normal(0.0, 1e-6, size=(k, n, dim))
+
+
+def _connected(weights: np.ndarray) -> bool:
+    """Whether the links of one (N, N) weight matrix join all N nodes."""
+    upper = np.triu(weights, k=1) > 0
+    neighbours = (upper | upper.T).tolist()
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        node = frontier.pop()
+        for other, linked in enumerate(neighbours[node]):
+            if linked and other not in reached:
+                reached.add(other)
+                frontier.append(other)
+    return len(reached) == len(neighbours)
+
+
+def check_problem(distances: np.ndarray, weights: np.ndarray) -> None:
+    """Raise what :func:`smacof` raises on one (N, N) problem before its
+    first random draw, in the same order.
+
+    The graph completion of the default init raises on an unreachable
+    node, which :func:`_connected` finds without the completion:
+    validated link lengths are finite, so a connected graph's path sums
+    stay finite.
+    """
+    d, w = distances[None], weights[None]
+    _validate_inputs(d, w)
+    if d.shape[-1] < 3:
+        raise LocalizationError("need at least 3 nodes to embed in 2D")
+    if not _connected(weights):
+        raise LocalizationError("measurement graph is disconnected")
+
+
 def _guttman(
     x: np.ndarray,
     v_pinv: np.ndarray,
@@ -253,8 +304,7 @@ def smacof_batch(
     rng = rng or np.random.default_rng(0)
 
     if init is None:
-        x = classical_mds(_graph_complete_distances(d, w), dim=dim)
-        x = x + rng.normal(0.0, 1e-6, size=x.shape)
+        x = mds_init(d, w, dim) + init_jitter(k, n, dim, rng)
     else:
         x = np.array(init, dtype=float, copy=True)
         if x.shape != (k, n, dim):

@@ -27,7 +27,13 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.localization.pipeline import LocalizationResult, localize
+from repro.localization.ambiguity import flip_candidates
+from repro.localization.pipeline import (
+    LocalizationInputs,
+    LocalizationResult,
+    localize,
+    localize_many,
+)
 from repro.protocol.ranging_matrix import pairwise_distances_from_reports
 from repro.protocol.round import RoundOutcome, run_protocol_round
 from repro.protocol.uplink import (
@@ -177,10 +183,14 @@ class NetworkSimulator:
                     conn[i, j] = False
         return conn
 
-    def _arrival_noise(self, receiver: int, sender: int, distance: float, rng) -> float:
-        occluded = self.scenario.is_occluded(receiver, sender)
-        sound_speed = self.scenario.sound_speed()
-        return self.error_model.detection_error_m(distance, occluded, rng) / sound_speed
+    def _arrival_noise(self, sound_speed: float):
+        """The round's per-detection delay draw (seconds) at ``sound_speed``."""
+
+        def noise(receiver: int, sender: int, distance: float, rng) -> float:
+            occluded = self.scenario.is_occluded(receiver, sender)
+            return self.error_model.detection_error_m(distance, occluded, rng) / sound_speed
+
+        return noise
 
     def _sensor_depths(self) -> np.ndarray:
         return np.array(
@@ -220,14 +230,13 @@ class NetworkSimulator:
 
     # ------------------------------------------------------------------
 
-    def run_round(self, flip_voters: Optional[int] = None) -> RoundResult:
-        """Execute one full round and localize.
+    def _draw_round(
+        self, flip_voters: Optional[int] = None
+    ) -> Tuple[LocalizationInputs, "_DrawnRound"]:
+        """Everything a round draws before localization.
 
-        Parameters
-        ----------
-        flip_voters:
-            Limit the number of divers contributing flip votes (the
-            paper's 1-voter vs 3-voter study); ``None`` uses all.
+        Returns the localization inputs and what :meth:`_finish_round`
+        needs besides the localization result.
         """
         scenario = self.scenario
         n = scenario.num_devices
@@ -242,7 +251,7 @@ class NetworkSimulator:
             sound_speed,
             clocks=clocks,
             depths=scenario.depths,
-            arrival_noise=self._arrival_noise,
+            arrival_noise=self._arrival_noise(sound_speed),
             rng=self.rng,
         )
 
@@ -279,25 +288,33 @@ class NetworkSimulator:
         distances = np.where(nan_mask, 0.0, distances)
         weights = np.where(nan_mask, 0.0, weights)
 
-        result = localize(
+        inputs = LocalizationInputs(
             distances,
             measured_depths,
             pointing_azimuth_rad=pointing,
             arrival_signs=arrival_signs,
             weights=weights,
             stress_threshold=self.stress_threshold,
-            rng=self.rng,
         )
+        drawn = _DrawnRound(
+            distances=distances,
+            weights=weights,
+            true_positions_leader_frame=scenario.positions - scenario.positions[0],
+            link_distance_to_leader=true_d[0],
+            protocol=outcome,
+        )
+        return inputs, drawn
 
-        true_leader_frame = scenario.positions - scenario.positions[0]
+    @staticmethod
+    def _finish_round(drawn: "_DrawnRound", result: LocalizationResult) -> RoundResult:
+        """Score a localized round against the truth it was drawn from."""
+        true_leader_frame = drawn.true_positions_leader_frame
         errors = np.linalg.norm(
             result.positions2d - true_leader_frame[:, :2], axis=1
         )
         errors[0] = 0.0
 
         # Flip correctness: did the vote pick the candidate closer to truth?
-        from repro.localization.ambiguity import flip_candidates
-
         original, mirrored = flip_candidates(result.positions2d)
         err_orig = np.linalg.norm(original - true_leader_frame[:, :2], axis=1)[2:].sum()
         err_mirr = np.linalg.norm(mirrored - true_leader_frame[:, :2], axis=1)[2:].sum()
@@ -305,14 +322,26 @@ class NetworkSimulator:
 
         return RoundResult(
             result=result,
-            distances=distances,
-            weights=weights,
+            distances=drawn.distances,
+            weights=drawn.weights,
             true_positions_leader_frame=true_leader_frame,
             errors_2d=errors,
-            link_distance_to_leader=true_d[0],
+            link_distance_to_leader=drawn.link_distance_to_leader,
             flip_correct=flip_correct,
-            protocol=outcome,
+            protocol=drawn.protocol,
         )
+
+    def run_round(self, flip_voters: Optional[int] = None) -> RoundResult:
+        """Execute one full round and localize.
+
+        Parameters
+        ----------
+        flip_voters:
+            Limit the number of divers contributing flip votes (the
+            paper's 1-voter vs 3-voter study); ``None`` uses all.
+        """
+        inputs, drawn = self._draw_round(flip_voters)
+        return self._finish_round(drawn, localize(**vars(inputs), rng=self.rng))
 
     def run_many(
         self,
@@ -325,15 +354,26 @@ class NetworkSimulator:
         Rounds that cannot be localized — e.g. packet losses disconnect
         the measurement graph — are skipped when ``skip_failures`` is
         True (the real leader would simply re-run the protocol), so the
-        returned list may be shorter than ``num_rounds``.
+        returned list may be shorter than ``num_rounds``. The results
+        and the generator's final state are those of ``num_rounds``
+        :meth:`run_round` calls; the base solves run as one stack
+        (:func:`~repro.localization.pipeline.localize_many`).
         """
-        from repro.errors import LocalizationError
+        return localize_many(
+            lambda _: self._draw_round(flip_voters),
+            self._finish_round,
+            num_rounds,
+            self.rng,
+            skip_failures=skip_failures,
+        )
 
-        results = []
-        for _ in range(num_rounds):
-            try:
-                results.append(self.run_round(flip_voters=flip_voters))
-            except LocalizationError:
-                if not skip_failures:
-                    raise
-        return results
+
+@dataclass(frozen=True)
+class _DrawnRound:
+    """A round's draws that its score needs besides the localization."""
+
+    distances: np.ndarray
+    weights: np.ndarray
+    true_positions_leader_frame: np.ndarray
+    link_distance_to_leader: np.ndarray
+    protocol: RoundOutcome

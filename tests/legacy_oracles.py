@@ -21,6 +21,12 @@ frozen, as test oracles — the way ``_frozen_smacof`` pins SMACOF in
   the round on the generic per-event simulator of
   ``tests/des_oracle.py``.  Both take the pre-drawn inputs of
   ``repro.protocol.round._first_arrival_round``.
+* **Per-trial localization loops.**  :func:`fig6_sweep_legacy` (with
+  :func:`fig6_trial_legacy`, fig6's original ``_one_trial``) and
+  :func:`run_many_legacy` localize one trial at a time with
+  :func:`~repro.localization.pipeline.localize`, where production
+  stacks the base solves of a sweep point or a ``run_many`` call with
+  :func:`~repro.localization.pipeline.localize_many`.
 * **The per-event fleet round.**  :func:`event_fleet_round` runs a
   fleet round with one ``DesNode`` per device on the same simulator
   (with :class:`ContentionMac`, the per-event contention policy) and
@@ -28,11 +34,12 @@ frozen, as test oracles — the way ``_frozen_smacof`` pins SMACOF in
   signature and results.
 
 Nothing in ``src/`` knows these exist: :func:`legacy_waveform`,
-:func:`legacy_round`, :func:`des_round` and :func:`event_fleet` swap
-them in through :func:`swap_oracles`, which patches module attributes
+:func:`legacy_round`, :func:`des_round`, :func:`per_trial_localization`
+and :func:`event_fleet` swap them in through :func:`swap_oracles`, which patches module attributes
 for the duration of a ``with`` block and fails if no call reached an
 oracle.  The parity tests (``tests/test_batch_parity.py``,
-``tests/test_des_parity.py``, ``tests/test_fleetvec_parity.py``)
+``tests/test_des_parity.py``, ``tests/test_localize_many.py``,
+``tests/test_fleetvec_parity.py``)
 compare the patched run against the unpatched one bit for bit.
 ``benchmarks/run_benchmarks.py`` times its waveform ``legacy`` and
 fleet ``event`` columns the same way.
@@ -54,7 +61,17 @@ from repro.channel.render import apply_channel
 from repro.constants import DELTA0_S, T_PACKET_S
 from repro.devices.clock import DeviceClock
 from repro.devices.device import Device
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, LocalizationError
+from repro.experiments.fig06_analytical import AnalyticalPoint
+from repro.geometry.topology import (
+    drop_links,
+    full_weight_matrix,
+    pairwise_distance_matrix,
+    random_scenario_positions,
+)
+from repro.geometry.transforms import angle_of
+from repro.localization.ambiguity import mic_arrival_sign
+from repro.localization.pipeline import localize
 from repro.protocol.messages import Beacon, TimestampReport
 from repro.protocol.sync import infer_transmit_slot
 from repro.ranging.detector import (
@@ -484,6 +501,100 @@ def des_round():
     return swap_oracles(
         [(_ROUND_LOOP, des_protocol_round)],
         "no protocol round reached the DES round oracle",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-trial localization loops
+# ---------------------------------------------------------------------------
+
+
+def fig6_trial_legacy(
+    num_devices: int,
+    eps_1d: float,
+    eps_h: float,
+    eps_theta_deg: float,
+    num_dropped_links: int,
+    rng: np.random.Generator,
+) -> float:
+    """Mean 2D localization error (m) across divers for one random draw."""
+    positions = random_scenario_positions(num_devices, rng)
+    true_d = pairwise_distance_matrix(positions)
+    n = num_devices
+
+    noisy_d = true_d + rng.uniform(-eps_1d, eps_1d, size=true_d.shape)
+    noisy_d = np.triu(noisy_d, 1)
+    noisy_d = noisy_d + noisy_d.T
+    noisy_d = np.clip(noisy_d, 0.0, None)
+
+    depths = positions[:, 2] + rng.uniform(-eps_h, eps_h, size=n)
+    true_azimuth = angle_of(positions[1, :2] - positions[0, :2])
+    pointing = true_azimuth + np.deg2rad(rng.uniform(-eps_theta_deg, eps_theta_deg))
+
+    weights = full_weight_matrix(n)
+    if num_dropped_links:
+        weights, _ = drop_links(weights, num_dropped_links, rng)
+
+    leader = positions[0]
+    axis = np.array([np.cos(pointing), np.sin(pointing), 0.0])
+    perp = np.array([-axis[1], axis[0], 0.0])
+    left = leader + 0.08 * perp
+    right = leader - 0.08 * perp
+    signs = {i: mic_arrival_sign(left, right, positions[i]) for i in range(2, n)}
+    signs = {i: s for i, s in signs.items() if s != 0}
+
+    result = localize(
+        noisy_d,
+        depths,
+        pointing_azimuth_rad=pointing,
+        arrival_signs=signs,
+        weights=weights,
+        rng=rng,
+    )
+    true_leader_frame = positions[:, :2] - positions[0, :2]
+    errors = np.linalg.norm(result.positions2d - true_leader_frame, axis=1)
+    return float(np.mean(errors[1:]))
+
+
+def fig6_sweep_legacy(
+    values: Sequence[float], make_kwargs, num_samples: int, rng: np.random.Generator
+) -> List[AnalyticalPoint]:
+    """fig6's ``_sweep`` as one :func:`fig6_trial_legacy` call per sample."""
+    points = []
+    for value in values:
+        errors = [fig6_trial_legacy(rng=rng, **make_kwargs(value)) for _ in range(num_samples)]
+        points.append(
+            AnalyticalPoint(
+                parameter=float(value),
+                mean_error_m=float(np.mean(errors)),
+                num_samples=num_samples,
+            )
+        )
+    return points
+
+
+def run_many_legacy(sim, num_rounds: int, flip_voters=None, skip_failures: bool = True):
+    """``NetworkSimulator.run_many`` as one ``run_round`` call per round."""
+    results = []
+    for _ in range(num_rounds):
+        try:
+            results.append(sim.run_round(flip_voters=flip_voters))
+        except LocalizationError:
+            if not skip_failures:
+                raise
+    return results
+
+
+def per_trial_localization():
+    """Run fig6's sweeps and ``NetworkSimulator.run_many`` (and so
+    fig18-20) one ``localize`` call per trial instead of on the
+    stacked driver."""
+    return swap_oracles(
+        [
+            ("repro.experiments.fig06_analytical._sweep", fig6_sweep_legacy),
+            ("repro.simulate.network_sim.NetworkSimulator.run_many", run_many_legacy),
+        ],
+        "no fig6 sweep or run_many call reached a per-trial oracle",
     )
 
 
