@@ -51,15 +51,20 @@ BACKENDS = (
 )
 
 
+def _tests_on_path() -> None:
+    """Make the test oracles (``tests/*.py``) importable."""
+    tests_dir = str(Path(__file__).resolve().parent.parent / "tests")
+    if tests_dir not in sys.path:
+        sys.path.insert(0, tests_dir)
+
+
 def _oracle(label: str):
     """The test-oracle context of a reference column: the per-exchange
     waveform paths for ``legacy``, the per-event fleet round for
     ``event``; production columns run unpatched."""
     if label not in ("legacy", "event"):
         return contextlib.nullcontext()
-    tests_dir = str(Path(__file__).resolve().parent.parent / "tests")
-    if tests_dir not in sys.path:
-        sys.path.insert(0, tests_dir)
+    _tests_on_path()
     from legacy_oracles import event_fleet, legacy_waveform
 
     return legacy_waveform() if label == "legacy" else event_fleet()
@@ -304,8 +309,10 @@ def bench_kernels() -> Dict[str, Dict[str, float]]:
     from repro.ranging.detector import detect_power_threshold
     from repro.signals import batchcorr
     from repro.signals.correlation import normalized_cross_correlation
-    from repro.signals.peaks import local_peak_indices
     from repro.signals.preamble import make_preamble
+
+    _tests_on_path()
+    from scalar_receiver import local_peak_indices
 
     rng = np.random.default_rng(0)
     preamble = make_preamble()

@@ -5,8 +5,8 @@ devices (SIGCOMM 2023), rebuilt as a pure-Python library with a
 simulated acoustic substrate:
 
 * :mod:`repro.physics` — sound speed, absorption, depth conversion,
-* :mod:`repro.signals` — preambles, correlation, channel estimation,
-  modems and coding,
+* :mod:`repro.signals` — preambles, correlation and the batched
+  receiver kernels,
 * :mod:`repro.channel` — image-method multipath, noise, environments,
 * :mod:`repro.devices` — clocks, audio buffers, sensors, models,
 * :mod:`repro.ranging` — detection and dual-mic direct-path estimation,

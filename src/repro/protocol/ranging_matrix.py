@@ -58,6 +58,7 @@ def pairwise_distances_from_reports(
     sound_speed: float,
     recover_one_way: bool = True,
     max_recovery_passes: int = 3,
+    num_devices: Optional[int] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Build the distance and weight matrices from all reports.
 
@@ -73,6 +74,10 @@ def pairwise_distances_from_reports(
     max_recovery_passes:
         Recovery can cascade (a recovered pair enables another); bound
         the iteration.
+    num_devices:
+        Devices in the round.  The matrices are ``num_devices`` square,
+        so a device that sent no report keeps a NaN row of zero weight
+        (default: one more than the highest reporting id).
 
     Returns
     -------
@@ -82,7 +87,9 @@ def pairwise_distances_from_reports(
     """
     by_id: Dict[int, TimestampReport] = {r.device_id: r for r in reports}
     ids = sorted(by_id)
-    n = max(ids) + 1
+    n = max(ids) + 1 if num_devices is None else int(num_devices)
+    if ids and ids[-1] >= n:
+        raise ValueError(f"report from device {ids[-1]} in a {n}-device round")
     distances = np.full((n, n), np.nan)
     weights = np.zeros((n, n))
     np.fill_diagonal(distances, 0.0)

@@ -1,29 +1,26 @@
-"""Pairwise acoustic ranging: detection, direct-path search, baselines."""
+"""Pairwise acoustic ranging: detection, direct-path search, baselines.
+
+The receiver runs batched (:mod:`repro.ranging.batch`): one call
+detects, channel-estimates and searches any number of dual-mic
+receptions.  The per-exchange entry point is
+:func:`repro.simulate.one_way_range`, the same engine at K = 1.
+"""
 
 from repro.ranging.detector import (
     DetectionConfig,
     Detection,
-    detect_preamble,
     detect_power_threshold,
 )
-from repro.ranging.estimator import (
-    DirectPathEstimate,
-    estimate_direct_path,
-    single_mic_direct_path,
-)
+from repro.ranging.estimator import DirectPathEstimate
 from repro.ranging.baselines import beepbeep_arrival, cat_fmcw_delay
-from repro.ranging.pairwise import ArrivalEstimate, estimate_arrival
+from repro.ranging.pairwise import ArrivalEstimate
 
 __all__ = [
     "DetectionConfig",
     "Detection",
-    "detect_preamble",
     "detect_power_threshold",
     "DirectPathEstimate",
-    "estimate_direct_path",
-    "single_mic_direct_path",
     "beepbeep_arrival",
     "cat_fmcw_delay",
     "ArrivalEstimate",
-    "estimate_arrival",
 ]

@@ -1,10 +1,11 @@
 """Batched receiver pipeline: detection, LS estimation, direct-path search.
 
-Array-first counterparts of :mod:`repro.ranging.detector`,
-:mod:`repro.signals.channel_est` and :mod:`repro.ranging.estimator`,
-bit-identical to the scalar reference on the same streams (pinned by
-``tests/test_batch_parity.py``).  The heavy stages batch across
-streams:
+The paper's receiver (section 2.2), the only one the package runs:
+the per-exchange :func:`repro.simulate.one_way_range` is this pipeline
+at K = 1.  It is bit-identical to the scalar per-stream chain it was
+derived from, which ``tests/scalar_receiver.py`` keeps as the oracle
+that ``tests/test_batch_parity.py`` pins it to.  The heavy stages
+batch across streams:
 
 * normalised cross-correlation shares cached template/window spectra
   and stacks equal-FFT-length streams into single transforms;
@@ -53,7 +54,15 @@ def detect_preamble_batch(
     template: Optional[CachedTemplate] = None,
     fast: bool = False,
 ) -> List[Optional[Detection]]:
-    """Batched :func:`repro.ranging.detector.detect_preamble`.
+    """Find the preamble in each stream (paper section 2.2.1).
+
+    Among candidates passing both gates (normalised cross-correlation,
+    then the segment auto-correlation), each stream's detection is the
+    *earliest* one whose cross-correlation is within
+    ``early_peak_ratio`` of the best accepted score: early significant
+    peaks are closer to the direct path than the global maximum (which
+    often sits on a strong reflection).  Coarse sync only needs to land
+    within the fine stage's search window.
 
     One NCC pass over all long-enough streams (grouped by transform
     length), one cross-stream candidate-gate call over every stream's
@@ -135,12 +144,13 @@ def ls_channel_estimate_batch(
     preamble: Preamble,
     start_indices: Sequence[int],
 ) -> np.ndarray:
-    """Stacked :func:`repro.signals.channel_est.ls_channel_estimate`.
+    """Least-squares in-band channel estimates, one row per stream.
 
-    Requires every stream to contain all preamble symbols at its start
-    index (guaranteed for detections, whose candidate window check
-    already enforced it) — rows violating that raise ``ValueError``
-    like the scalar path would when *no* symbol fits.
+    Each row is ``H(k) = (1/4) sum_i Y_i(k) / (PN_i X(k))`` over the
+    received OFDM symbols at the stream's start index (paper section
+    2.2.1).  Every stream must contain all preamble symbols there
+    (guaranteed on mic 1 by detection's window check); a row that does
+    not raises ``ValueError``.
     """
     cfg = preamble.config
     n_fft = cfg.ofdm.n_fft
@@ -174,7 +184,13 @@ def ls_channel_estimate_batch(
 def channel_impulse_response_batch(
     h_rows: np.ndarray, ofdm, normalize: bool = True
 ) -> np.ndarray:
-    """Stacked :func:`repro.signals.channel_est.channel_impulse_response`."""
+    """Magnitude CIRs of in-band estimates, one row each.
+
+    Places each row on the FFT grid (Hermitian-symmetric, zero out of
+    band, so the response is band-limited as on the real system),
+    inverse transforms, and with ``normalize`` scales each row to peak
+    1, as the joint direct-path search expects.
+    """
     bins = band_bins(ofdm)
     h = as_complex_array(h_rows)
     if h.ndim != 2 or h.shape[1] != bins.size:
@@ -206,8 +222,14 @@ def estimate_direct_path_fast(
     margin: float,
     search_limit: Optional[int] = None,
 ) -> Optional[DirectPathEstimate]:
-    """:func:`repro.ranging.estimator.estimate_direct_path` with
-    vectorised peak scans (pure comparisons — identical results)."""
+    """Solve the constrained earliest-joint-peak problem.
+
+    ``(n + m) / 2`` over peaks ``n`` of ``channel1`` and ``m`` of
+    ``channel2`` above each channel's noise floor plus ``margin``, with
+    ``|n - m|`` within the inter-mic travel time, searched below
+    ``search_limit`` (default: all but the noise-floor tail).  Returns
+    ``None`` when no pair satisfies the constraints.
+    """
     h1 = as_float_array(channel1)
     h2 = as_float_array(channel2)
     peak1 = np.max(np.abs(h1))
@@ -245,7 +267,12 @@ def single_mic_direct_path_fast(
     margin: float,
     search_limit: Optional[int] = None,
 ) -> Optional[int]:
-    """:func:`repro.ranging.estimator.single_mic_direct_path`, vectorised."""
+    """Single-microphone ablation (Fig. 11b): earliest non-negligible peak.
+
+    The naive estimator the dual-mic search is compared against; it is
+    fooled by pre-direct-path noise peaks the joint constraint filters
+    out.
+    """
     h = as_float_array(channel)
     peak = np.max(np.abs(h))
     if peak <= 0:
@@ -261,8 +288,11 @@ def single_mic_direct_path_fast(
 
 
 class BatchArrivalEstimator:
-    """Batched :func:`repro.ranging.pairwise.estimate_arrival`.
+    """Arrival estimates of many dual-mic receptions at once.
 
+    Detects on mic 1, estimates both mics' channels at that start,
+    rotates the CIRs by ``wrap_margin`` (a slightly late coarse sync
+    wraps the direct path to the top taps) and runs the joint search.
     Holds the cached preamble template across calls so repeated chunks
     of a sweep reuse every template spectrum.
     """
@@ -302,34 +332,15 @@ class BatchArrivalEstimator:
         hit_rows = [i for i, d in enumerate(detections) if d is not None]
         if not hit_rows:
             return results
-        try:
-            h1 = ls_channel_estimate_batch(
-                [streams_mic1[i] for i in hit_rows],
-                self.preamble,
-                [detections[i].start_index for i in hit_rows],
-            )
-            h2 = ls_channel_estimate_batch(
-                [streams_mic2[i] for i in hit_rows],
-                self.preamble,
-                [detections[i].start_index for i in hit_rows],
-            )
-        except ValueError:
-            # Extremely short mic-2 streams: fall back to the scalar
-            # path per row so one bad row doesn't sink the batch.
-            from repro.ranging.pairwise import estimate_arrival
-
-            for i in hit_rows:
-                results[i] = estimate_arrival(
-                    streams_mic1[i],
-                    streams_mic2[i],
-                    self.preamble,
-                    mic_separation_m=mic_separations[i],
-                    sound_speed=sound_speeds[i],
-                    detection_config=(detection_configs or [None] * len(streams_mic1))[i],
-                    search_window=self.search_window,
-                    wrap_margin=self.wrap_margin,
-                )
-            return results
+        # A mic-2 row shorter than its mic-1 detection window raises
+        # here; rendered receptions cut both mics to one length.
+        starts = [detections[i].start_index for i in hit_rows]
+        h1 = ls_channel_estimate_batch(
+            [streams_mic1[i] for i in hit_rows], self.preamble, starts
+        )
+        h2 = ls_channel_estimate_batch(
+            [streams_mic2[i] for i in hit_rows], self.preamble, starts
+        )
         ofdm = self.preamble.config.ofdm
         cir1 = np.roll(channel_impulse_response_batch(h1, ofdm), self.wrap_margin, axis=-1)
         cir2 = np.roll(channel_impulse_response_batch(h2, ofdm), self.wrap_margin, axis=-1)

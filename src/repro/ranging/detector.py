@@ -10,25 +10,21 @@ Coarse synchronisation (paper section 2.2.1) proceeds in two steps:
    almost never replicates the same multipath-filtered waveform four
    times with the right sign pattern.
 
-A window-based power-threshold detector (``TH_SD`` of BeepBeep/FMCW
-systems) is included as the baseline for the paper's Fig. 12a
-comparison.
+:func:`repro.ranging.batch.detect_preamble_batch` runs both steps over
+many streams at once; this module holds its configuration and result
+types.  A window-based power-threshold detector (``TH_SD`` of
+BeepBeep/FMCW systems) is included as the baseline for the paper's
+Fig. 12a comparison.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.constants import AUTOCORR_THRESHOLD
-from repro.signals.correlation import (
-    normalized_cross_correlation,
-    segment_autocorrelation,
-)
-from repro.signals.peaks import local_peak_indices
-from repro.signals.preamble import Preamble
 
 
 @dataclass(frozen=True)
@@ -69,62 +65,6 @@ class Detection:
     start_index: int
     xcorr_score: float
     autocorr_score: float
-
-
-def detect_preamble(
-    stream: np.ndarray,
-    preamble: Preamble,
-    config: DetectionConfig | None = None,
-) -> Optional[Detection]:
-    """Find the preamble in a microphone stream.
-
-    Among candidates passing both gates, returns the *earliest* one
-    whose cross-correlation is within a factor of the best accepted
-    score: early significant peaks are closer to the direct path than
-    the global maximum (which often sits on a strong reflection), while
-    weak early side lobes are ignored. Coarse sync only needs to land
-    within the fine stage's search window — the paper notes coarse
-    correlation alone can be off by hundreds of samples; channel
-    estimation plus the dual-mic search recovers the true direct path.
-    """
-    cfg = config or DetectionConfig()
-    stream = np.asarray(stream, dtype=float)
-    if stream.size < len(preamble):
-        return None
-    ncc = normalized_cross_correlation(stream, preamble.waveform)
-    candidates = local_peak_indices(ncc, min_height=cfg.xcorr_threshold)
-    if candidates.size == 0:
-        return None
-    # Strongest candidates first, cap the list, then verify with the
-    # auto-correlation gate and keep the earliest survivor.
-    order = np.argsort(ncc[candidates])[::-1][: cfg.max_candidates]
-    shortlisted = candidates[order]
-    stride = preamble.config.symbol_stride
-    sym_len = preamble.config.ofdm.n_fft
-    accepted: List[Detection] = []
-    for start in shortlisted:
-        start = int(start)
-        window_end = start + stride * preamble.config.num_symbols
-        if window_end > stream.size:
-            continue
-        score = segment_autocorrelation(
-            stream[start:window_end], preamble.config.pn_signs, stride, sym_len
-        )
-        if score >= cfg.autocorr_threshold:
-            accepted.append(
-                Detection(
-                    start_index=start,
-                    xcorr_score=float(ncc[start]),
-                    autocorr_score=float(score),
-                )
-            )
-    if not accepted:
-        return None
-    best_score = max(det.xcorr_score for det in accepted)
-    significant = [
-        det for det in accepted if det.xcorr_score >= cfg.early_peak_ratio * best_score
-    ]
-    return min(significant, key=lambda det: det.start_index)
 
 
 def detect_power_threshold(

@@ -14,23 +14,15 @@ where ``w1``/``w2`` are per-channel noise floors (mean of the last 100
 taps), ``lambda = 0.2`` on the [0, 1]-normalised channels, and ``d`` is
 the physical microphone separation: the true direct paths at the two
 mics cannot be further apart in time than the acoustic travel time
-between the mics.
+between the mics.  :func:`repro.ranging.batch.estimate_direct_path_fast`
+solves it; this module holds its result type.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-
-from repro.constants import (
-    DIRECT_PATH_MARGIN,
-    MIC_SEPARATION_M,
-    NOISE_FLOOR_TAPS,
-    SAMPLE_RATE,
-)
-from repro.signals.peaks import local_peak_indices, noise_floor
 
 
 @dataclass(frozen=True)
@@ -57,92 +49,3 @@ class DirectPathEstimate:
         Used by the flipping disambiguation vote.
         """
         return int(np.sign(self.tap_mic1 - self.tap_mic2))
-
-
-def _normalise(channel: np.ndarray) -> np.ndarray:
-    peak = np.max(np.abs(channel))
-    if peak <= 0:
-        raise ValueError("channel has no energy")
-    return np.abs(channel) / peak
-
-
-def estimate_direct_path(
-    channel1: np.ndarray,
-    channel2: np.ndarray,
-    mic_separation_m: float = MIC_SEPARATION_M,
-    sound_speed: float = 1480.0,
-    sample_rate: float = SAMPLE_RATE,
-    margin: float = DIRECT_PATH_MARGIN,
-    search_limit: int | None = None,
-) -> Optional[DirectPathEstimate]:
-    """Solve the constrained earliest-joint-peak problem.
-
-    Parameters
-    ----------
-    channel1 / channel2:
-        Magnitude channel estimates for the two microphones (any scale;
-        normalised internally to [0, 1]).
-    mic_separation_m:
-        Physical distance between the microphones.
-    sound_speed:
-        Local speed of sound (m/s).
-    sample_rate:
-        Channel tap rate (Hz).
-    margin:
-        The lambda threshold above the noise floor.
-    search_limit:
-        Optional cap on the tap range searched (defaults to the full
-        channel minus the noise-floor tail).
-
-    Returns
-    -------
-    DirectPathEstimate or None
-        ``None`` when no peak pair satisfies all constraints.
-    """
-    h1 = _normalise(np.asarray(channel1, dtype=float))
-    h2 = _normalise(np.asarray(channel2, dtype=float))
-    if h1.size != h2.size:
-        raise ValueError("channel estimates must have equal length")
-    w1 = noise_floor(h1, NOISE_FLOOR_TAPS)
-    w2 = noise_floor(h2, NOISE_FLOOR_TAPS)
-    limit = h1.size - NOISE_FLOOR_TAPS if search_limit is None else search_limit
-    limit = max(min(limit, h1.size), 1)
-    max_offset = int(np.ceil(mic_separation_m / sound_speed * sample_rate))
-
-    peaks1 = [p for p in local_peak_indices(h1, min_height=w1 + margin) if p < limit]
-    peaks2 = [p for p in local_peak_indices(h2, min_height=w2 + margin) if p < limit]
-    if not peaks1 or not peaks2:
-        return None
-    peaks2_arr = np.asarray(peaks2)
-
-    best: Optional[DirectPathEstimate] = None
-    for n in peaks1:
-        close = peaks2_arr[np.abs(peaks2_arr - n) <= max_offset]
-        if close.size == 0:
-            continue
-        m = int(close[np.argmin(np.abs(close - n))])
-        tau = (n + m) / 2.0
-        if best is None or tau < best.tap:
-            best = DirectPathEstimate(tap=tau, tap_mic1=int(n), tap_mic2=m)
-    return best
-
-
-def single_mic_direct_path(
-    channel: np.ndarray,
-    margin: float = DIRECT_PATH_MARGIN,
-    search_limit: int | None = None,
-) -> Optional[int]:
-    """Single-microphone ablation: earliest non-negligible peak.
-
-    This is the naive estimator the paper's Fig. 11b compares against;
-    it is fooled by pre-direct-path noise peaks that the dual-mic
-    constraint filters out.
-    """
-    h = _normalise(np.asarray(channel, dtype=float))
-    w = noise_floor(h, NOISE_FLOOR_TAPS)
-    limit = h.size - NOISE_FLOOR_TAPS if search_limit is None else search_limit
-    limit = max(min(limit, h.size), 1)
-    peaks = [p for p in local_peak_indices(h, min_height=w + margin) if p < limit]
-    if not peaks:
-        return None
-    return int(min(peaks))

@@ -1,10 +1,10 @@
-"""Full arrival-time estimation from dual microphone streams.
+"""The arrival estimate the receiver pipeline returns.
 
-Glues the receiver pipeline together (paper section 2.2): coarse
-detection (cross + auto correlation), LS channel estimation on each
-microphone, and the joint dual-mic direct-path search. The output is a
-sub-sample arrival index in the microphone stream, which protocol code
-converts to timestamps.
+The receiver (paper section 2.2) glues coarse detection (cross + auto
+correlation), LS channel estimation on each microphone and the joint
+dual-mic direct-path search together into a sub-sample arrival index
+in the microphone stream, which protocol code converts to timestamps.
+:class:`repro.ranging.batch.BatchArrivalEstimator` runs it.
 
 Coarse sync can land a few samples early or late relative to the true
 preamble start; the circular channel estimate then shows the direct
@@ -17,15 +17,9 @@ cases fall into the search window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from repro.constants import MIC_SEPARATION_M
-from repro.ranging.detector import Detection, DetectionConfig, detect_preamble
-from repro.ranging.estimator import DirectPathEstimate, estimate_direct_path
-from repro.signals.channel_est import channel_impulse_response, ls_channel_estimate
-from repro.signals.preamble import Preamble
+from repro.ranging.detector import Detection
+from repro.ranging.estimator import DirectPathEstimate
 
 
 @dataclass(frozen=True)
@@ -50,74 +44,3 @@ class ArrivalEstimate:
     detection: Detection
     direct_path: DirectPathEstimate
     arrival_sign: int
-
-
-def estimate_arrival(
-    stream_mic1: np.ndarray,
-    stream_mic2: np.ndarray,
-    preamble: Preamble,
-    mic_separation_m: float = MIC_SEPARATION_M,
-    sound_speed: float = 1480.0,
-    detection_config: DetectionConfig | None = None,
-    search_window: int = 512,
-    wrap_margin: int = 96,
-) -> Optional[ArrivalEstimate]:
-    """Estimate the direct-path arrival index of a preamble.
-
-    Parameters
-    ----------
-    stream_mic1 / stream_mic2:
-        Synchronously sampled microphone streams of the same device.
-    preamble:
-        The transmitted preamble.
-    mic_separation_m / sound_speed:
-        Physical constraint for the joint search.
-    detection_config:
-        Coarse-detector thresholds.
-    search_window:
-        Taps (after the wrap margin) in which the direct path must lie.
-    wrap_margin:
-        Number of top taps treated as negative delays.
-
-    Returns
-    -------
-    ArrivalEstimate or None
-        ``None`` if coarse detection fails on the first microphone or no
-        valid joint peak pair exists.
-    """
-    sample_rate = preamble.config.ofdm.sample_rate
-    detection = detect_preamble(stream_mic1, preamble, detection_config)
-    if detection is None:
-        return None
-    try:
-        h1 = ls_channel_estimate(stream_mic1, preamble, detection.start_index)
-        h2 = ls_channel_estimate(stream_mic2, preamble, detection.start_index)
-    except ValueError:
-        return None
-    cir1 = channel_impulse_response(h1, preamble.config.ofdm)
-    cir2 = channel_impulse_response(h2, preamble.config.ofdm)
-    # Rotate so wrapped (negative) delays sit at the start of the array.
-    cir1 = np.roll(cir1, wrap_margin)
-    cir2 = np.roll(cir2, wrap_margin)
-    estimate = estimate_direct_path(
-        cir1,
-        cir2,
-        mic_separation_m=mic_separation_m,
-        sound_speed=sound_speed,
-        sample_rate=sample_rate,
-        search_limit=search_window + wrap_margin,
-    )
-    if estimate is None:
-        return None
-    unwrapped = DirectPathEstimate(
-        tap=estimate.tap - wrap_margin,
-        tap_mic1=estimate.tap_mic1 - wrap_margin,
-        tap_mic2=estimate.tap_mic2 - wrap_margin,
-    )
-    arrival = detection.start_index + unwrapped.tap
-    return ArrivalEstimate(
-        arrival_index=float(arrival),
-        detection=detection,
-        direct_path=unwrapped,
-        arrival_sign=int(np.sign(unwrapped.tap_mic1 - unwrapped.tap_mic2)),
-    )

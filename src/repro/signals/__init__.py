@@ -2,9 +2,11 @@
 
 This subpackage implements the physical-layer building blocks of the
 system: Zadoff-Chu sequences, the ZC-modulated OFDM ranging preamble,
-cross/auto-correlation synchronisation, least-squares channel estimation,
-the MFSK device-ID code, the FSK uplink modem with convolutional coding,
-and the chirp / FMCW waveforms used by the BeepBeep and CAT baselines.
+cross-correlation, the channel noise floor, and the chirp / FMCW
+waveforms used by the BeepBeep and CAT baselines.  The receiver's
+batched kernels (stacked correlation, the segment auto-correlation
+gate, peak scans) are in :mod:`repro.signals.batchcorr`; least-squares
+channel estimation is in :mod:`repro.ranging.batch`.
 """
 
 from repro.signals.zc import zadoff_chu
@@ -22,28 +24,10 @@ from repro.signals.preamble import (
 from repro.signals.correlation import (
     normalized_cross_correlation,
     cross_correlate,
-    segment_autocorrelation,
-    sliding_autocorrelation,
 )
-from repro.signals.channel_est import (
-    ls_channel_estimate,
-    channel_impulse_response,
-)
-from repro.signals.peaks import (
-    is_peak,
-    local_peak_indices,
-    noise_floor,
-)
+from repro.signals.peaks import noise_floor
 from repro.signals.chirp import linear_chirp
 from repro.signals.fmcw import FmcwConfig, fmcw_waveform, dechirp
-from repro.signals.mfsk import encode_device_id, decode_device_id
-from repro.signals.coding import (
-    conv_encode,
-    viterbi_decode,
-    puncture_to_rate_2_3,
-    depuncture_from_rate_2_3,
-)
-from repro.signals.fsk import FskBand, FskModem, assign_bands
 
 __all__ = [
     "zadoff_chu",
@@ -56,24 +40,9 @@ __all__ = [
     "make_preamble",
     "normalized_cross_correlation",
     "cross_correlate",
-    "segment_autocorrelation",
-    "sliding_autocorrelation",
-    "ls_channel_estimate",
-    "channel_impulse_response",
-    "is_peak",
-    "local_peak_indices",
     "noise_floor",
     "linear_chirp",
     "FmcwConfig",
     "fmcw_waveform",
     "dechirp",
-    "encode_device_id",
-    "decode_device_id",
-    "conv_encode",
-    "viterbi_decode",
-    "puncture_to_rate_2_3",
-    "depuncture_from_rate_2_3",
-    "FskBand",
-    "FskModem",
-    "assign_bands",
 ]

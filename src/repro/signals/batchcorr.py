@@ -1,11 +1,13 @@
 """Batch-first correlation/peak kernels, bit-identical to the scalar path.
 
-:mod:`repro.signals.correlation` and :mod:`repro.signals.peaks` stay the
-clarity-first scalar reference; this module is the engine the batch
-waveform backend runs on.  Every kernel here is constructed so that its
-outputs are **bit-identical** to the scalar reference on the same
-inputs — that is the contract `tests/test_batchcorr.py` pins with
-hypothesis and `tests/test_batch_parity.py` relies on end to end:
+:func:`repro.signals.correlation.normalized_cross_correlation` and the
+scalar peak predicate and segment auto-correlation of the test oracle
+(``tests/scalar_receiver.py``) are the clarity-first reference; this
+module is the engine the receiver runs on.  Every kernel here is
+constructed so that its outputs are **bit-identical** to the scalar
+reference on the same inputs — that is the contract
+`tests/test_batchcorr.py` pins with hypothesis and
+`tests/test_batch_parity.py` relies on end to end:
 
 * FFT work uses the *same* transform lengths ``scipy.signal.fftconvolve``
   would pick (``next_fast_len`` of the per-row full convolution size);
@@ -354,8 +356,10 @@ def normalized_cross_correlation_fused(
 def peak_mask(values: np.ndarray) -> np.ndarray:
     """Vectorised ``IsPeak`` predicate over a 1-D array.
 
-    Pure comparisons — bit-exact by construction against
-    :func:`repro.signals.peaks.is_peak` applied per index.
+    Boundary samples count as peaks when they exceed their single
+    neighbour (a conservative reading of the paper's ``IsPeak``).  Pure
+    comparisons — bit-exact by construction against the scalar
+    predicate applied per index.
     """
     values = np.asarray(values)
     n = values.size
@@ -374,7 +378,7 @@ def peak_mask(values: np.ndarray) -> np.ndarray:
 
 
 def local_peak_indices_fast(values: np.ndarray, min_height: float = 0.0) -> np.ndarray:
-    """Vectorised :func:`repro.signals.peaks.local_peak_indices`.
+    """Indices of all local maxima (:func:`peak_mask`) above ``min_height``.
 
     Pure comparisons, so float32 inputs are scanned in place instead of
     being promoted to a float64 copy.
@@ -398,7 +402,11 @@ def _segment_matrix(
 def segment_autocorrelation_fast(
     window: np.ndarray, pn_signs, symbol_stride: int, symbol_len: int
 ) -> float:
-    """Bit-exact, lower-overhead :func:`segment_autocorrelation`.
+    """PN-despread inter-segment correlation of one candidate window.
+
+    The mean pairwise dot product of the sign-flipped, unit-normalised
+    symbol segments (0 when a segment is silent), bit-exact against the
+    scalar per-segment reference.
 
     Exploits two IEEE-754 identities to skip per-segment sign
     multiplies: ``norm(s*x) == norm(x)`` and
@@ -618,7 +626,7 @@ def segment_autocorrelation_scores(
     Every ``starts[i]`` must satisfy
     ``0 <= start`` and ``start + stride * len(signs) <= stream.size``;
     any other start raises ``ValueError``.  Bit-identical to
-    :func:`segment_autocorrelation` per candidate — unless
+    :func:`segment_autocorrelation_fast` per candidate — unless
     ``force_gemm`` is set (the fast backend), which scores each
     candidate from its own strided Gram: same mathematics, scores
     within a few ulps of the reference.

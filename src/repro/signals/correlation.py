@@ -11,6 +11,11 @@ Two statistics are used (paper section 2.2.1):
   other. Since all four symbols traverse nearly the same multipath, the
   inter-segment correlation is high for a genuine preamble and low for
   noise, however spiky.
+
+This module holds the single-stream cross-correlations (the fig12
+baselines correlate one chirp stream at a time).  The receiver's
+stacked cross-correlations and the segment auto-correlation gate live
+in :mod:`repro.signals.batchcorr`.
 """
 
 from __future__ import annotations
@@ -70,74 +75,3 @@ def normalized_cross_correlation(stream: np.ndarray, template: np.ndarray) -> np
     local_norm = np.sqrt(np.maximum(local_energy, 0.0))
     denom = template_norm * np.maximum(local_norm, 1e-12)
     return np.clip(corr / denom, -1.0, 1.0)
-
-
-def segment_autocorrelation(
-    window: np.ndarray, pn_signs, symbol_stride: int, symbol_len: int
-) -> float:
-    """PN-despread inter-segment correlation of one candidate window.
-
-    Parameters
-    ----------
-    window:
-        Stream samples starting at the candidate preamble start; must be
-        at least ``symbol_stride * len(pn_signs)`` long.
-    pn_signs:
-        The PN sign sequence of the preamble.
-    symbol_stride:
-        Samples between consecutive symbol starts (n_fft + cp_len).
-    symbol_len:
-        Length of the symbol body used for correlation (n_fft).
-
-    Returns
-    -------
-    float
-        Mean pairwise normalised correlation between despread segments,
-        in ``[-1, 1]``. Close to 1 for a genuine preamble.
-    """
-    window = np.asarray(window, dtype=float)
-    signs = list(pn_signs)
-    needed = symbol_stride * len(signs)
-    if window.size < needed:
-        raise ValueError(
-            f"window too short for autocorrelation: {window.size} < {needed}"
-        )
-    segments = []
-    for idx, sign in enumerate(signs):
-        start = idx * symbol_stride
-        seg = sign * window[start : start + symbol_len]
-        norm = np.linalg.norm(seg)
-        if norm <= 1e-12:
-            return 0.0
-        segments.append(seg / norm)
-    total = 0.0
-    count = 0
-    for a in range(len(segments)):
-        for b in range(a + 1, len(segments)):
-            total += float(np.dot(segments[a], segments[b]))
-            count += 1
-    return total / count
-
-
-def sliding_autocorrelation(
-    stream: np.ndarray,
-    candidates,
-    pn_signs,
-    symbol_stride: int,
-    symbol_len: int,
-) -> np.ndarray:
-    """Evaluate :func:`segment_autocorrelation` at each candidate offset.
-
-    Offsets too close to the end of the stream score 0.
-    """
-    stream = np.asarray(stream, dtype=float)
-    needed = symbol_stride * len(list(pn_signs))
-    scores = np.zeros(len(candidates))
-    for i, start in enumerate(candidates):
-        start = int(start)
-        if start < 0 or start + needed > stream.size:
-            continue
-        scores[i] = segment_autocorrelation(
-            stream[start : start + needed], pn_signs, symbol_stride, symbol_len
-        )
-    return scores

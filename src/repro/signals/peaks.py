@@ -1,38 +1,14 @@
-"""Peak and noise-floor utilities shared by the ranging estimators."""
+"""The channel noise floor of the direct-path search.
+
+The search's peak scan is
+:func:`repro.signals.batchcorr.local_peak_indices_fast`.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.constants import NOISE_FLOOR_TAPS
-
-
-def is_peak(index: int, values: np.ndarray) -> bool:
-    """True if ``values[index]`` is a local maximum.
-
-    Boundary samples count as peaks when they exceed their single
-    neighbour; this matches a conservative reading of the paper's
-    ``IsPeak`` predicate.
-    """
-    values = np.asarray(values)
-    n = values.size
-    if not 0 <= index < n:
-        raise IndexError(f"index {index} out of range for length {n}")
-    left_ok = index == 0 or values[index] >= values[index - 1]
-    right_ok = index == n - 1 or values[index] >= values[index + 1]
-    strict = (index > 0 and values[index] > values[index - 1]) or (
-        index < n - 1 and values[index] > values[index + 1]
-    )
-    return bool(left_ok and right_ok and strict)
-
-
-def local_peak_indices(values: np.ndarray, min_height: float = 0.0) -> np.ndarray:
-    """Indices of all local maxima with value above ``min_height``."""
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        return np.array([], dtype=int)
-    candidates = [i for i in range(values.size) if values[i] > min_height and is_peak(i, values)]
-    return np.asarray(candidates, dtype=int)
 
 
 def noise_floor(values: np.ndarray, tail_taps: int = NOISE_FLOOR_TAPS) -> float:
@@ -47,25 +23,10 @@ def noise_floor(values: np.ndarray, tail_taps: int = NOISE_FLOOR_TAPS) -> float:
     live on the amplitude scale — a squared tail of a [0, 1]-normalised
     channel would be quadratically too small and the margin ``lambda``
     would dominate the threshold.  ``DIRECT_PATH_MARGIN`` (0.2) is
-    calibrated against this amplitude-scale floor.  Use
-    :func:`noise_floor_power` for the literal mean-power statistic.
+    calibrated against this amplitude-scale floor.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("values must be non-empty")
     tail = values[-min(tail_taps, values.size) :]
     return float(np.mean(np.abs(tail)))
-
-
-def noise_floor_power(values: np.ndarray, tail_taps: int = NOISE_FLOOR_TAPS) -> float:
-    """Average power ``mean(|x|**2)`` of the trailing taps.
-
-    The paper's literal statistic.  Only meaningful against a
-    power-scale channel (or with a margin recalibrated to the squared
-    scale); the estimator stack uses :func:`noise_floor`.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise ValueError("values must be non-empty")
-    tail = values[-min(tail_taps, values.size) :]
-    return float(np.mean(np.abs(tail) ** 2))

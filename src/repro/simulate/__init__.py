@@ -4,7 +4,8 @@ Two fidelities on one substrate (see DESIGN.md):
 
 * :mod:`repro.simulate.waveform_sim` — renders real 44.1 kHz audio
   through the image-method channel and runs the full receiver pipeline;
-  used by the ranging experiments.
+  used by the ranging experiments.  Its per-exchange calls are the
+  batched engine of :mod:`repro.simulate.batch_exchange` at K = 1.
 * :mod:`repro.simulate.network_sim` — timestamp-level N-device rounds
   with a waveform-calibrated ranging-error model; used by the network
   localization experiments.

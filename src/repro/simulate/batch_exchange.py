@@ -1,9 +1,10 @@
 """Batch-first rendering of waveform exchanges (the bit-parity engine).
 
-The scalar path (:mod:`repro.simulate.waveform_sim`) simulates one
-exchange at a time: every trial pays its own template FFTs, filter
-designs, Python tap loops and per-sample peak scans.  This module
-splits each exchange into
+The scalar per-exchange chain this engine was derived from
+(``tests/scalar_receiver.py``, the test oracle) simulates one exchange
+at a time: every trial pays its own template FFTs, filter designs,
+Python tap loops and per-sample peak scans.  This module splits each
+exchange into
 
 * **Phase A** (``add``): everything that touches the experiment's
   random stream — geometry-independent draws, tap realisation, noise
@@ -16,11 +17,14 @@ splits each exchange into
   uses the very transform sizes the scalar path would have used.
 
 The combination makes the rendered microphone streams **bit-identical**
-to :func:`repro.simulate.waveform_sim.simulate_reception` while paying
-template/filter/waveform preparation once per batch instead of once per
-trial.  ``tests/test_batch_parity.py`` pins streams, measurements and
-every waveform figure to the per-exchange oracles in
-``tests/legacy_oracles.py`` and to the parity-epoch baselines.
+to the scalar chain while paying template/filter/waveform preparation
+once per batch instead of once per trial.  The public per-exchange
+calls :func:`repro.simulate.waveform_sim.simulate_reception` and
+:func:`~repro.simulate.waveform_sim.one_way_range` are this engine at
+K = 1.  ``tests/test_batch_parity.py`` pins streams, measurements and
+every waveform figure to the per-exchange oracles of
+``tests/scalar_receiver.py`` and ``tests/legacy_oracles.py`` and to the
+parity-epoch baselines.
 """
 
 from __future__ import annotations
@@ -174,7 +178,7 @@ class _TrialPlan:
 
 @dataclass
 class Reception:
-    """One rendered exchange: what ``simulate_reception`` returns."""
+    """One rendered exchange: ``simulate_reception``'s four values."""
 
     mic1: np.ndarray
     mic2: np.ndarray
@@ -185,9 +189,9 @@ class Reception:
 class BatchExchangeRenderer:
     """Accumulates exchanges (Phase A) and renders them together (Phase B).
 
-    ``add`` consumes ``rng`` exactly like
-    :func:`~repro.simulate.waveform_sim.simulate_reception`; ``render``
-    performs no draws at all.  Typical use renders a sweep's worth of
+    ``add`` consumes ``rng`` exactly like the scalar per-exchange
+    renderer (one sound-speed draw, one fluctuation seed, then each
+    microphone's noise draws); ``render`` performs no draws at all.  Typical use renders a sweep's worth of
     trials per call; memory stays bounded because callers (e.g.
     :class:`BatchOneWay`) flush in chunks.
 
@@ -495,13 +499,14 @@ class _OneWayMeta:
 
 
 class BatchOneWay:
-    """Batched :func:`repro.simulate.waveform_sim.one_way_range`.
+    """Many one-way ranging attempts, rendered and estimated as a batch.
 
-    ``add`` mirrors the scalar call's RNG consumption; ``run`` renders
-    and estimates everything batch-wise and returns measurements in
-    submission order, bit-identical to calling ``one_way_range`` once
-    per ``add``.  Flushes
-    internally every ``chunk`` trials to bound memory.
+    ``add`` consumes ``rng`` as the scalar per-exchange path does;
+    ``run`` renders and estimates everything batch-wise and returns
+    measurements in submission order, bit-identical to ranging each
+    exchange on its own (:func:`~repro.simulate.waveform_sim.one_way_range`
+    is this class at ``chunk=1``).  Flushes internally every ``chunk``
+    trials to bound memory.
 
     Flushes are **pipelined**: while chunk N's Phase B (stacked FFTs,
     channel convolution, arrival estimation — all RNG-free) runs on a

@@ -266,7 +266,9 @@ class NetworkSimulator:
                     report = decode_report(bits, dev_id, n)
             reports.append(report)
 
-        distances, weights = pairwise_distances_from_reports(reports, sound_speed)
+        distances, weights = pairwise_distances_from_reports(
+            reports, sound_speed, num_devices=n
+        )
         measured_depths = np.array(
             [
                 next(

@@ -6,6 +6,12 @@ speaker/mic directivity) -> site + hardware noise -> the full receiver
 pipeline (detection, LS channel estimation, dual-mic direct-path
 search). This is the substrate for the paper's ranging benchmarks
 (Figs. 11-15, 22) and for calibrating the timestamp-level error model.
+
+This module holds the exchange types and the per-tap gain and
+fluctuation rules.  The per-exchange calls :func:`simulate_reception`
+and :func:`one_way_range` are the batched engine of
+:mod:`repro.simulate.batch_exchange` run on one exchange, so a single
+call and a sweep of thousands render and range through the same code.
 """
 
 from __future__ import annotations
@@ -16,13 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.channel.environment import Environment
-from repro.channel.multipath import PathTap, image_method_taps
-from repro.channel.noise import make_noise
-from repro.channel.occlusion import Occlusion, apply_occlusion
-from repro.channel.render import apply_channel, directivity_gain
+from repro.channel.multipath import PathTap
+from repro.channel.occlusion import Occlusion
+from repro.channel.render import directivity_gain
 from repro.devices.models import SAMSUNG_S9, DeviceModel
 from repro.ranging.detector import DetectionConfig
-from repro.ranging.pairwise import ArrivalEstimate, estimate_arrival
+from repro.ranging.pairwise import ArrivalEstimate
 from repro.signals.preamble import Preamble
 
 
@@ -97,22 +102,6 @@ class RangingMeasurement:
         return self.estimated_distance_m - self.true_distance_m
 
 
-def _with_case_multipath(taps: Sequence[PathTap], model: DeviceModel) -> List[PathTap]:
-    """Each arrival spawns a trailing reflection inside the waterproof case."""
-    out = list(taps)
-    for tap in taps:
-        out.append(
-            PathTap(
-                delay_s=tap.delay_s + model.case_multipath_delay_s,
-                amplitude=tap.amplitude * model.case_multipath_amp,
-                surface_bounces=tap.surface_bounces,
-                bottom_bounces=tap.bottom_bounces,
-            )
-        )
-    out.sort(key=lambda t: t.delay_s)
-    return out
-
-
 def directivity_tap_gains(
     config: ExchangeConfig,
     tx_pos: np.ndarray,
@@ -124,7 +113,17 @@ def directivity_tap_gains(
     Returns ``(g_direct, g_surface, g_bottom, g_other)``: the combined
     speaker+mic gain for the direct path, a first-order surface bounce,
     a first-order bottom bounce, and every higher-order path (mic gain
-    only).  Shared by the scalar and the batch tap pipelines.
+    only).
+
+    The speaker gain is taken at each path's *departure* angle: the
+    direct path leaves towards the receiver, a first-order surface
+    (bottom) bounce towards the receiver's mirror image above the
+    surface (below the bottom).  A speaker pointing up therefore beams
+    *into* the surface bounce while starving the direct path, the
+    mechanism behind the paper's worst-case "device faces upward"
+    result (Fig. 14a).  Higher-order paths keep the mic gain alone:
+    their departure angles spread widely and their total energy is
+    small.
     """
 
     def tx_gain_towards(target: np.ndarray) -> float:
@@ -176,40 +175,6 @@ def directivity_gain_array(
     out[(surface_bounces == 0) & (bottom_bounces == 1)] = g_bot
     out[(surface_bounces == 0) & (bottom_bounces == 0)] = g_direct
     return out
-
-
-def _directivity_scaled(
-    taps: Sequence[PathTap],
-    config: ExchangeConfig,
-    tx_pos: np.ndarray,
-    rx_pos: np.ndarray,
-    water_depth_m: float,
-) -> List[PathTap]:
-    """Scale taps by speaker directivity at their *departure* angles.
-
-    The direct path leaves towards the receiver; a first-order surface
-    (bottom) bounce leaves towards the receiver's mirror image above the
-    surface (below the bottom). A speaker pointing up therefore beams
-    *into* the surface bounce while starving the direct path — exactly
-    the mechanism behind the paper's worst-case "device faces upward"
-    result (Fig. 14a). Higher-order paths are left unscaled: their
-    departure angles spread widely and their total energy is small.
-    """
-    gains = directivity_tap_gains(config, tx_pos, rx_pos, water_depth_m)
-    per_tap = directivity_gain_array(
-        np.array([t.surface_bounces for t in taps]),
-        np.array([t.bottom_bounces for t in taps]),
-        gains,
-    )
-    return [
-        PathTap(
-            delay_s=tap.delay_s,
-            amplitude=tap.amplitude * gain,
-            surface_bounces=tap.surface_bounces,
-            bottom_bounces=tap.bottom_bounces,
-        )
-        for tap, gain in zip(taps, per_tap)
-    ]
 
 
 def _channel_fluctuation(
@@ -301,6 +266,9 @@ def simulate_reception(
 ) -> Tuple[np.ndarray, np.ndarray, int, float]:
     """Render the two microphone streams of one reception.
 
+    The K = 1 call of :class:`~repro.simulate.batch_exchange.BatchExchangeRenderer`:
+    one ``add``, which consumes ``rng``, and one ``render``.
+
     Returns
     -------
     (mic1, mic2, guard_samples, true_arrival_index)
@@ -308,64 +276,13 @@ def simulate_reception(
         exact (fractional) stream index at which the direct path reached
         microphone 1.
     """
-    env = config.environment
-    fs = preamble.config.ofdm.sample_rate
-    tx = np.asarray(tx_pos, dtype=float)
-    rx = np.asarray(rx_pos, dtype=float)
-    # The *actual* session sound speed deviates from the receiver's
-    # configured value; the receiver never learns the deviation.
-    nominal_speed = env.sound_speed(float((tx[2] + rx[2]) / 2))
-    sound_speed = nominal_speed * (
-        1.0 + rng.normal(0.0, config.sound_speed_error_std)
-    )
-    guard = int(config.guard_s * fs)
-    mic_positions = _rx_mic_positions(config, rx)
+    # Imported per call: batch_exchange imports this module's types.
+    from repro.simulate.batch_exchange import BatchExchangeRenderer
 
-    streams = []
-    true_arrival = None
-    # One fluctuation realisation per reception, shared by both mics:
-    # they are 16 cm apart and see the same eigenrays.
-    fluctuation_seed = int(rng.integers(0, 2**32))
-    for mic_index, mic_pos in enumerate(mic_positions):
-        taps = image_method_taps(
-            tx,
-            mic_pos,
-            env.water_depth_m,
-            sound_speed,
-            max_order=env.max_image_order,
-            surface_coeff=env.surface_coeff,
-            bottom_coeff=env.bottom_coeff,
-        )
-        if config.occlusion is not None:
-            taps = apply_occlusion(taps, config.occlusion)
-        taps = _directivity_scaled(taps, config, tx, mic_pos, env.water_depth_m)
-        if mic_index == 0:
-            direct = min(taps, key=lambda t: t.delay_s if t.is_direct else np.inf)
-            true_arrival = guard + direct.delay_s * fs
-        distance = float(np.linalg.norm(mic_pos - tx))
-        taps = _channel_fluctuation(
-            taps, distance, np.random.default_rng(fluctuation_seed), sample_rate=fs
-        )
-        taps = _with_case_multipath(taps, config.rx_model)
-        wave = config.amplitude * config.tx_model.source_level * preamble.waveform
-        tail = int(0.08 * fs)
-        # apply_channel right-sizes the channel FIR internally via the
-        # shared fir_length_for contract (parity epoch 2); the output
-        # length below is the *stream body* axis, not the FIR size.
-        body = apply_channel(
-            wave,
-            taps,
-            fs,
-            output_length=len(preamble) + int(max(t.delay_s for t in taps) * fs) + tail,
-        )
-        stream = np.concatenate([np.zeros(guard), body])
-        noise = make_noise(stream.size, env.noise, rng, fs)
-        hw_noise = config.rx_model.mic_noise_rms[mic_index] * rng.standard_normal(
-            stream.size
-        )
-        streams.append(stream + noise + hw_noise)
-    n = min(s.size for s in streams)
-    return streams[0][:n], streams[1][:n], guard, float(true_arrival)
+    renderer = BatchExchangeRenderer(preamble)
+    renderer.add(tx_pos, rx_pos, config, rng)
+    (reception,) = renderer.render()
+    return reception.mic1, reception.mic2, reception.guard, reception.true_arrival
 
 
 def one_way_range(
@@ -379,33 +296,16 @@ def one_way_range(
 
     Matches the paper's controlled benchmark setting: the transmit
     instant is known, so the estimate reduces to arrival detection.
+    The K = 1 call of :class:`~repro.simulate.batch_exchange.BatchOneWay`,
+    flushed on the caller's thread.
     """
-    fs = preamble.config.ofdm.sample_rate
-    env = config.environment
-    tx = np.asarray(tx_pos, dtype=float)
-    rx = np.asarray(rx_pos, dtype=float)
-    sound_speed = env.sound_speed(float((tx[2] + rx[2]) / 2))
-    mic1, mic2, guard, _true_idx = simulate_reception(preamble, tx, rx, config, rng)
-    true_distance = float(np.linalg.norm(rx - tx))
-    estimate = estimate_arrival(
-        mic1,
-        mic2,
-        preamble,
-        mic_separation_m=config.rx_model.mic_separation_m,
-        sound_speed=sound_speed,
-        detection_config=config.detection,
-    )
-    if estimate is None:
-        return RangingMeasurement(true_distance, float("nan"), detected=False)
-    # Distance from tx instant (sample `guard`) to the mic-1 direct path,
-    # corrected to the device centre (mic 1 is half a separation off).
-    mic1_pos = _rx_mic_positions(config, rx)[0]
-    mic1_true = float(np.linalg.norm(mic1_pos - tx))
-    est_mic1 = (estimate.arrival_index - guard) / fs * sound_speed
-    est_center = est_mic1 + (true_distance - mic1_true)
-    return RangingMeasurement(
-        true_distance, float(est_center), detected=True, arrival=estimate
-    )
+    # Imported per call: batch_exchange imports this module's types.
+    from repro.simulate.batch_exchange import BatchOneWay
+
+    sim = BatchOneWay(preamble, chunk=1, pipeline=0)
+    sim.add(tx_pos, rx_pos, config, rng)
+    (measurement,) = sim.run()
+    return measurement
 
 
 def two_way_range(

@@ -9,8 +9,8 @@ frozen, as test oracles — the way ``_frozen_smacof`` pins SMACOF in
 
 * **Per-exchange waveform paths.**  :class:`LegacyOneWay` has
   :class:`~repro.simulate.batch_exchange.BatchOneWay`'s ``add``/``run``
-  interface but calls the scalar
-  :func:`~repro.simulate.waveform_sim.one_way_range` at ``add`` time,
+  interface but calls the scalar ``one_way_range`` of
+  ``tests/scalar_receiver.py`` at ``add`` time,
   so the experiment's random stream is consumed interleaved with the
   figure loop exactly as the original per-exchange code did.  The
   figure paths that never went through ``BatchOneWay`` (fig11's
@@ -74,24 +74,22 @@ from repro.localization.ambiguity import mic_arrival_sign
 from repro.localization.pipeline import localize
 from repro.protocol.messages import Beacon, TimestampReport
 from repro.protocol.sync import infer_transmit_slot
-from repro.ranging.detector import (
-    DetectionConfig,
-    detect_power_threshold,
-    detect_preamble,
-)
-from repro.ranging.estimator import estimate_direct_path, single_mic_direct_path
-from repro.signals.channel_est import channel_impulse_response, ls_channel_estimate
+from repro.ranging.detector import DetectionConfig, detect_power_threshold
 from repro.signals.ofdm import OfdmConfig, band_bins, ofdm_symbol_from_zc
 from repro.signals.preamble import Preamble, make_preamble
 from repro.simulate.des.energy import EnergyModel
 from repro.simulate.des.fleet import FleetConfig, FleetRoundStats, _finish_round
 from repro.simulate.mobility import LinearBackForthTrajectory
 from repro.simulate.scenario import Scenario
-from repro.simulate.waveform_sim import (
-    ExchangeConfig,
-    RangingMeasurement,
+from repro.simulate.waveform_sim import ExchangeConfig, RangingMeasurement
+from scalar_receiver import (
+    channel_impulse_response,
+    detect_preamble,
+    estimate_direct_path,
+    ls_channel_estimate,
     one_way_range,
     simulate_reception,
+    single_mic_direct_path,
 )
 
 #: Taps treated as negative delays by the fine stage (fig11's margin).

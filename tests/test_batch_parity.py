@@ -6,8 +6,10 @@ operation with the same rounding, so rendered streams, ranging errors
 and figure outputs are **bit-identical** to the per-exchange path on
 fixed seeds — the same contract the protocol round is pinned to at
 the timestamp level in ``tests/test_des_parity.py``, extended down to
-the waveform level.  Streams and one-way measurements compare against the
-public scalar API (``simulate_reception``, ``one_way_range``); figure
+the waveform level.  Streams and one-way measurements compare against
+the scalar receiver chain of ``tests/scalar_receiver.py`` (whose import
+closure is checked to stay clear of the batch engine), and so do the
+public per-exchange calls, which are the batch engine at K = 1; figure
 outputs compare against the frozen per-exchange figure paths of
 ``tests/legacy_oracles.py``, swapped in by patching module attributes.
 
@@ -25,9 +27,13 @@ many workers produced them.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from legacy_oracles import legacy_waveform
 from regen_parity_baselines import (
@@ -37,15 +43,14 @@ from regen_parity_baselines import (
     reception_scenarios,
     stream_digest,
 )
-from repro.channel.environment import DOCK
+from repro.channel.environment import BOATHOUSE, DOCK, SWIMMING_POOL, VIEWPOINT
+from repro.channel.occlusion import Occlusion
 from repro.experiments import engine, fig22_snr
 from repro.signals.preamble import make_preamble
+from repro.simulate import waveform_sim
 from repro.simulate.batch_exchange import BatchExchangeRenderer, BatchOneWay
-from repro.simulate.waveform_sim import (
-    ExchangeConfig,
-    one_way_range,
-    simulate_reception,
-)
+from repro.simulate.waveform_sim import ExchangeConfig
+from scalar_receiver import one_way_range, simulate_reception
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +193,83 @@ class TestOneWayParity:
         (batch,) = sim.run()
         assert not legacy.detected and not batch.detected
         assert np.isnan(batch.estimated_distance_m)
+
+
+def test_scalar_oracle_import_closure_excludes_the_batch_engine():
+    """The oracle may share types with production, never the engine:
+    importing it in a fresh interpreter loads neither batch module."""
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(tests_dir.parent / "src"), str(tests_dir)]),
+    )
+    script = (
+        "import sys, scalar_receiver\n"
+        "print(sorted(m for m in ('repro.simulate.batch_exchange', "
+        "'repro.ranging.batch') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+_ENVIRONMENTS = (DOCK, BOATHOUSE, SWIMMING_POOL, VIEWPOINT)
+
+
+@st.composite
+def _exchanges(draw):
+    """One exchange: environment, geometry, orientations, level, occlusion."""
+    env = draw(st.sampled_from(_ENVIRONMENTS))
+    depth = st.floats(0.3, min(env.water_depth_m - 0.3, 4.0))
+    distance = draw(st.floats(2.0, min(env.length_m - 2.0, 30.0)))
+    tx = [0.0, 0.0, draw(depth)]
+    rx = [distance, draw(st.floats(-1.0, 1.0)), draw(depth)]
+    angle = st.floats(0.0, 2 * np.pi)
+    occlusion = draw(
+        st.none()
+        | st.builds(Occlusion, st.floats(0.0, 60.0), st.floats(0.0, 20.0))
+    )
+    config = ExchangeConfig(
+        environment=env,
+        tx_azimuth_rad=draw(angle),
+        tx_polar_rad=draw(st.floats(0.0, np.pi)),
+        rx_azimuth_rad=draw(angle),
+        rx_polar_rad=draw(st.floats(0.0, np.pi)),
+        amplitude=draw(st.sampled_from([1e-6, 0.05, 0.3, 1.0])),
+        occlusion=occlusion,
+    )
+    return tx, rx, config, draw(st.integers(0, 2**32 - 1))
+
+
+class TestPublicCallsMatchOracle:
+    """The public per-exchange calls are the batch engine at K = 1 and
+    equal the scalar oracle on drawn exchanges, generator state included."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(exchange=_exchanges())
+    def test_simulate_reception(self, preamble, exchange):
+        tx, rx, config, seed = exchange
+        r_oracle = np.random.default_rng(seed)
+        r_public = np.random.default_rng(seed)
+        want = simulate_reception(preamble, tx, rx, config, r_oracle)
+        got = waveform_sim.simulate_reception(preamble, tx, rx, config, r_public)
+        assert r_oracle.bit_generator.state == r_public.bit_generator.state
+        assert np.array_equal(want[0], got[0])
+        assert np.array_equal(want[1], got[1])
+        assert want[2:] == got[2:]
+
+    @settings(max_examples=8, deadline=None)
+    @given(exchange=_exchanges())
+    def test_one_way_range(self, preamble, exchange):
+        tx, rx, config, seed = exchange
+        r_oracle = np.random.default_rng(seed)
+        r_public = np.random.default_rng(seed)
+        want = one_way_range(preamble, tx, rx, config, r_oracle)
+        got = waveform_sim.one_way_range(preamble, tx, rx, config, r_public)
+        assert r_oracle.bit_generator.state == r_public.bit_generator.state
+        assert _measurements_equal(want, got)
 
 
 class TestExperimentBackendParity:

@@ -1,11 +1,12 @@
 """Batched-vs-scalar bit-parity of the signal kernels (property-based).
 
 The batch pipeline's contract is *bit-identical* outputs to the scalar
-reference modules on the same inputs — not approximate equality.  These
-hypothesis tests drive random shapes/SNRs through both paths and assert
-exact equality, so any platform where a vectorised op rounds differently
-from its scalar twin fails loudly here rather than silently breaking
-end-to-end parity.
+reference (``repro.signals.correlation`` and the oracle chain of
+``tests/scalar_receiver.py``) on the same inputs — not approximate
+equality.  These hypothesis tests drive random shapes/SNRs through both
+paths and assert exact equality, so any platform where a vectorised op
+rounds differently from its scalar twin fails loudly here rather than
+silently breaking end-to-end parity.
 """
 
 import numpy as np
@@ -24,12 +25,9 @@ from repro.channel.render import (
 )
 from repro.constants import NOISE_FLOOR_TAPS
 from repro.signals import batchcorr, xp
-from repro.signals.correlation import (
-    cross_correlate,
-    normalized_cross_correlation,
-    segment_autocorrelation,
-)
-from repro.signals.peaks import is_peak, local_peak_indices, noise_floor, noise_floor_power
+from repro.signals.correlation import cross_correlate, normalized_cross_correlation
+from repro.signals.peaks import noise_floor
+from scalar_receiver import is_peak, local_peak_indices, segment_autocorrelation
 
 
 def _rng(seed):
@@ -404,8 +402,7 @@ class TestNoiseFloorRegression:
 
     The docstring/paper said "average power" while the code averaged
     magnitudes; the magnitude semantics are what DIRECT_PATH_MARGIN is
-    calibrated against, so they are now pinned, with the literal
-    mean-power statistic available separately.
+    calibrated against, so they are now pinned.
     """
 
     def test_noise_floor_is_mean_magnitude_of_tail(self):
@@ -413,12 +410,6 @@ class TestNoiseFloorRegression:
         values = rng.standard_normal(500)
         want = float(np.mean(np.abs(values[-NOISE_FLOOR_TAPS:])))
         assert noise_floor(values) == want
-
-    def test_noise_floor_power_is_mean_power_of_tail(self):
-        rng = _rng(1)
-        values = rng.standard_normal(500)
-        want = float(np.mean(np.abs(values[-NOISE_FLOOR_TAPS:]) ** 2))
-        assert noise_floor_power(values) == want
 
     def test_power_floor_is_quadratically_smaller_on_normalised_channel(self):
         # On a [0, 1] channel the power statistic would practically
@@ -428,20 +419,17 @@ class TestNoiseFloorRegression:
         channel = np.abs(rng.standard_normal(1_920)) * 0.05
         channel[100] = 1.0
         mag = noise_floor(channel)
-        pow_ = noise_floor_power(channel)
+        pow_ = float(np.mean(channel[-NOISE_FLOOR_TAPS:] ** 2))
         assert pow_ < mag < 1.0
         assert pow_ == pytest.approx(mag**2, rel=1.5)
 
     def test_short_input_uses_whole_array(self):
         values = np.array([1.0, -3.0])
         assert noise_floor(values) == 2.0
-        assert noise_floor_power(values) == 5.0
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             noise_floor(np.array([]))
-        with pytest.raises(ValueError):
-            noise_floor_power(np.array([]))
 
 
 class TestCrossCorrelateTail:

@@ -241,3 +241,26 @@ def test_run_many_raises_at_the_same_round(stress_threshold):
         assert got_sim.rng.bit_generator.state == want_sim.rng.bit_generator.state
         messages.append(str(want.value))
     assert any("disconnected" in m for m in messages)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_run_many_skips_rounds_whose_top_devices_sent_no_report(seed):
+    """A round whose highest-numbered devices sent no report still has
+    one matrix row per device: the silent devices are disconnected, a
+    skippable ``LocalizationError``, not a ``ValueError`` on the depths."""
+
+    def simulator():
+        rng = np.random.default_rng(seed)
+        scenario = make_testbed_scenario("dock", num_devices=4, rng=rng)
+        return NetworkSimulator(
+            scenario, error_model=RangingErrorModel(loss_prob=0.45), rng=rng
+        )
+
+    got_sim, want_sim = simulator(), simulator()
+    got = got_sim.run_many(10)
+    want = run_many_legacy(want_sim, 10)
+    assert len(want) < 10
+    _assert_same_rounds(got, want)
+    assert got_sim.rng.bit_generator.state == want_sim.rng.bit_generator.state
+    for rnd in got:
+        assert rnd.distances.shape == (4, 4)

@@ -170,6 +170,14 @@ class TestProtocolRound:
         conn[0, 1] = conn[1, 0] = True  # only leader <-> 1 connected
         outcome = run_protocol_round(d, conn, 1_500.0, rng=rng)
         assert 2 in outcome.silent_ids and 3 in outcome.silent_ids
+        # The silent top ids keep their rows: NaN distances, zero weight.
+        reports = outcome.reports.values()
+        est, w = pairwise_distances_from_reports(reports, 1_500.0, num_devices=4)
+        assert est.shape == w.shape == (4, 4)
+        assert np.isnan(est[2:, :2]).all() and not w[2:].any()
+        assert w[0, 1] == 1.0
+        with pytest.raises(ValueError, match="device 1 in a 1-device round"):
+            pairwise_distances_from_reports(reports, 1_500.0, num_devices=1)
 
     def test_duration_close_to_schedule(self):
         rng = np.random.default_rng(6)

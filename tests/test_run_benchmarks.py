@@ -274,3 +274,18 @@ def test_regression_gate_allow_new_figures_cli_flag(check_module, tmp_path, caps
     assert "missing from the baseline" in capsys.readouterr().out
     assert check_module.main(argv + ["--allow-new-figures"]) == 0
     assert "new figure" in capsys.readouterr().out
+
+
+def test_kernel_benchmarks_run(bench_module):
+    """Every kernel row times both columns (its scalar column imports
+    from the test oracles, so a moved reference breaks here first)."""
+    kernels = bench_module.bench_kernels()
+    assert set(kernels) == {
+        "local_peak_indices",
+        "render_taps",
+        "normalized_xcorr_16_streams",
+        "power_threshold_5_thresholds",
+    }
+    for row in kernels.values():
+        assert row["legacy"] > 0 and row["batch"] > 0
+        assert row["speedup"] == row["legacy"] / row["batch"]

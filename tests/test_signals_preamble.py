@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+import scalar_receiver
 from repro.constants import AUTOCORR_THRESHOLD
-from repro.signals.correlation import (
-    cross_correlate,
-    normalized_cross_correlation,
-    segment_autocorrelation,
-    sliding_autocorrelation,
+from repro.signals.batchcorr import (
+    segment_autocorrelation_fast,
+    segment_autocorrelation_scores,
 )
+from repro.signals.correlation import cross_correlate, normalized_cross_correlation
 from repro.signals.preamble import Preamble, PreambleConfig, make_preamble
 
 
@@ -79,15 +79,24 @@ class TestCrossCorrelation:
             normalized_cross_correlation(np.ones(10), np.zeros(4))
 
 
+@pytest.fixture(
+    params=[scalar_receiver.segment_autocorrelation, segment_autocorrelation_fast],
+    ids=["scalar", "batch"],
+)
+def segment_autocorrelation(request):
+    """The scalar oracle's gate statistic and the batched kernel's."""
+    return request.param
+
+
 class TestSegmentAutocorrelation:
-    def test_high_for_genuine_preamble(self, preamble):
+    def test_high_for_genuine_preamble(self, preamble, segment_autocorrelation):
         cfg = preamble.config
         score = segment_autocorrelation(
             preamble.waveform, cfg.pn_signs, cfg.symbol_stride, cfg.ofdm.n_fft
         )
         assert score > 0.99
 
-    def test_low_for_noise(self, preamble):
+    def test_low_for_noise(self, preamble, segment_autocorrelation):
         rng = np.random.default_rng(2)
         cfg = preamble.config
         noise = rng.standard_normal(len(preamble))
@@ -96,7 +105,7 @@ class TestSegmentAutocorrelation:
         )
         assert abs(score) < AUTOCORR_THRESHOLD
 
-    def test_low_for_spiky_noise(self, preamble):
+    def test_low_for_spiky_noise(self, preamble, segment_autocorrelation):
         # A single huge spike must not pass the PN-structure gate.
         cfg = preamble.config
         stream = np.zeros(len(preamble))
@@ -106,7 +115,7 @@ class TestSegmentAutocorrelation:
         )
         assert score < AUTOCORR_THRESHOLD
 
-    def test_survives_common_multipath(self, preamble):
+    def test_survives_common_multipath(self, preamble, segment_autocorrelation):
         # All four symbols through the same FIR stay mutually coherent.
         from scipy.signal import lfilter
 
@@ -119,26 +128,22 @@ class TestSegmentAutocorrelation:
         )
         assert score > 0.8
 
-    def test_window_too_short_rejected(self, preamble):
+    def test_window_too_short_rejected(self, preamble, segment_autocorrelation):
         cfg = preamble.config
         with pytest.raises(ValueError):
             segment_autocorrelation(
                 np.zeros(100), cfg.pn_signs, cfg.symbol_stride, cfg.ofdm.n_fft
             )
 
-    def test_sliding_scores_candidates(self, preamble):
+    def test_candidate_scores_peak_at_the_preamble(self, preamble):
         cfg = preamble.config
         rng = np.random.default_rng(3)
         offset = 2_000
         stream = 0.01 * rng.standard_normal(offset + len(preamble) + 500)
         stream[offset : offset + len(preamble)] += preamble.waveform
-        scores = sliding_autocorrelation(
-            stream,
-            [offset - 700, offset, stream.size],  # last is out of range
-            cfg.pn_signs,
-            cfg.symbol_stride,
-            cfg.ofdm.n_fft,
-        )
+        gate = (cfg.pn_signs, cfg.symbol_stride, cfg.ofdm.n_fft)
+        scores = segment_autocorrelation_scores(stream, [offset - 700, offset], *gate)
         assert scores[1] > 0.9
         assert scores[1] > scores[0]
-        assert scores[2] == 0.0
+        with pytest.raises(ValueError, match="out of range"):
+            segment_autocorrelation_scores(stream, [stream.size], *gate)
