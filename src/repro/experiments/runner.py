@@ -36,12 +36,21 @@ from repro.experiments.engine import (
 
 
 def _parse_sweep(entries: Optional[List[str]]) -> Dict[str, List[Any]]:
-    """``["site=dock,boathouse"]`` -> ``{"site": ["dock", "boathouse"]}``."""
+    """``["site=dock,boathouse"]`` -> ``{"site": ["dock", "boathouse"]}``.
+
+    Each key may appear once, with all its values comma-separated; a
+    repeated or empty key raises ``ValueError``.
+    """
     sweep: Dict[str, List[Any]] = {}
     for entry in entries or []:
         key, _, values = entry.partition("=")
-        if not values:
+        if not key or not values:
             raise ValueError(f"--sweep expects key=v1,v2..., got {entry!r}")
+        if key in sweep:
+            raise ValueError(
+                f"--sweep {key!r} given twice; list its values once, "
+                f"comma-separated ({key}=v1,v2,...)"
+            )
         parsed: List[Any] = []
         for raw in values.split(","):
             for cast in (int, float):

@@ -41,8 +41,6 @@ oracle.  The parity tests (``tests/test_batch_parity.py``,
 ``tests/test_des_parity.py``, ``tests/test_localize_many.py``,
 ``tests/test_fleetvec_parity.py``)
 compare the patched run against the unpatched one bit for bit.
-``benchmarks/run_benchmarks.py`` times its waveform ``legacy`` and
-fleet ``event`` columns the same way.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from repro.experiments.engine import (
     sweep_variants,
     variant_seed_sequence,
 )
-from repro.experiments.runner import main
+from repro.experiments.runner import _parse_sweep, main
 
 #: Cheap subset used wherever a real campaign must run.
 CHEAP = ["fig16", "fig22", "tables"]
@@ -247,6 +247,43 @@ class TestRunnerCli:
 
     def test_bad_sweep_exits_2(self, capsys):
         assert main(["fig16", "--sweep", "nonsense"]) == 2
+
+    def test_parse_sweep_casts_values(self):
+        assert _parse_sweep(None) == {}
+        assert _parse_sweep(["site=dock,boathouse", "n=4,5", "eps=0.5"]) == {
+            "site": ["dock", "boathouse"],
+            "n": [4, 5],
+            "eps": [0.5],
+        }
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (["site=dock", "site=boathouse"], "given twice"),
+            (["=1"], "expects key=v1,v2"),
+            (["site="], "expects key=v1,v2"),
+        ],
+    )
+    def test_parse_sweep_rejects_repeated_and_empty_keys(self, entries, message):
+        with pytest.raises(ValueError, match=message):
+            _parse_sweep(entries)
+
+    @pytest.mark.parametrize(
+        "sweep_args",
+        [
+            ["--sweep", "site=dock", "--sweep", "site=boathouse"],
+            ["--sweep", "=1"],
+        ],
+    )
+    def test_bad_sweep_key_exits_2_before_compute(self, sweep_args, monkeypatch, capsys):
+        import repro.experiments.runner as runner
+
+        def no_compute(*args, **kwargs):
+            raise AssertionError("the campaign ran before --sweep was checked")
+
+        monkeypatch.setattr(runner, "run_campaign", no_compute)
+        assert main(["fig18", *sweep_args]) == 2
+        assert "--sweep" in capsys.readouterr().out
 
     def test_list_registry(self, capsys):
         assert main(["--list"]) == 0

@@ -5,7 +5,8 @@ Every fleet round runs on the vectorized engine
 derived from is kept as a test oracle in ``tests/legacy_oracles.py``.
 At fleet-summary granularity the two may diverge on nothing. These
 tests pin that contract byte-for-byte on the existing 50/100/200
-scenarios, through the campaign entry, and — via hypothesis — on
+scenarios, on a 1000-node churn + mobility campaign, through the
+campaign entry, and — via hypothesis — on
 randomized small fleets with churn and mobility, where the per-round
 reception mappings (values *and* iteration order) must match exactly,
 and every vec report's read-only view must answer the mapping protocol
@@ -88,6 +89,20 @@ class TestVecOracleParity:
         """Churn, mobility, contention, drift and duty cycling all ride
         the same parity contract."""
         oracle, vec = _oracle_and_vec(4242, **kw)
+        assert oracle == vec
+
+    @pytest.mark.slow
+    def test_fleet1k_churn_mobility_byte_identical(self):
+        """The 1000-node scale: two churn + mobility rounds, the oracle
+        and vec summaries byte-identical (~18 s on the oracle)."""
+        oracle, vec = _oracle_and_vec(
+            2023,
+            num_devices=1000,
+            num_rounds=2,
+            leave_prob=0.05,
+            join_prob=0.5,
+            mobility_fraction=0.15,
+        )
         assert oracle == vec
 
     def test_campaign_entry_byte_identical(self):
