@@ -16,8 +16,8 @@ import numpy as np
 from repro.experiments import engine
 from repro.experiments.metrics import ErrorSummary, summarize_errors
 from repro.simulate.mobility import LinearBackForthTrajectory
-from repro.simulate.network_sim import NetworkSimulator
-from repro.simulate.scenario import testbed_scenario
+from repro.simulate.network_sim import NetworkSimulator, RoundResult, run_rounds
+from repro.simulate.scenario import Scenario, testbed_scenario
 
 PAPER_FIG20 = {
     "user1_static": 0.2,
@@ -66,18 +66,8 @@ def run_mobility_study(
         amplitude_m=amplitude_m,
         speed_mps=float(np.mean(speed_range_mps)),
     )
-    from repro.errors import LocalizationError
-
     moving_errors: Dict[int, List[float]] = {i: [] for i in range(1, n)}
-    for round_index in range(num_rounds):
-        # Random phase along the sweep for each round.
-        t = float(rng.uniform(0, 4 * amplitude_m / trajectory.speed_mps))
-        scenario.devices[moving_device].position = trajectory.position(t)
-        sim_moving = NetworkSimulator(scenario, rng=rng)
-        try:
-            outcome = sim_moving.run_round()
-        except LocalizationError:
-            continue  # disconnected round; the leader would re-run
+    for outcome in _moving_rounds(rng, scenario, trajectory, moving_device, num_rounds):
         # Ground truth for the mover is the trajectory midpoint.
         true_mid = trajectory.midpoint - scenario.devices[0].position
         est = outcome.result.positions2d[moving_device]
@@ -92,6 +82,28 @@ def run_mobility_study(
         static_summaries={i: summarize_errors(v) for i, v in static_errors.items()},
         moving_summaries={i: summarize_errors(v) for i, v in moving_errors.items()},
     )
+
+
+def _moving_rounds(
+    rng: np.random.Generator,
+    scenario: Scenario,
+    trajectory: LinearBackForthTrajectory,
+    moving_device: int,
+    num_rounds: int,
+) -> List[RoundResult]:
+    """The moving rounds; disconnected ones are skipped (the leader
+    would re-run them).
+
+    Each round puts the mover at a random phase along its sweep and
+    runs on a fresh simulator, all on ``rng``.
+    """
+
+    def moved(_: int) -> NetworkSimulator:
+        t = float(rng.uniform(0, 4 * trajectory.amplitude_m / trajectory.speed_mps))
+        scenario.devices[moving_device].position = trajectory.position(t)
+        return NetworkSimulator(scenario, rng=rng)
+
+    return run_rounds(moved, num_rounds, rng)
 
 
 def format_mobility(result: MobilityStudyResult) -> str:

@@ -23,7 +23,7 @@ from repro.devices.models import APPLE_WATCH_ULTRA, SAMSUNG_S9, DeviceModel
 from repro.experiments import engine
 from repro.protocol.slots import round_duration
 from repro.protocol.uplink import communication_latency_s
-from repro.simulate.network_sim import NetworkSimulator
+from repro.simulate.network_sim import NetworkSimulator, run_rounds
 from repro.simulate.scenario import testbed_scenario
 
 PAPER_ROUND_TIMES_S = {3: 1.2, 4: 1.6, 5: 1.9, 6: 2.2, 7: 2.5}
@@ -94,8 +94,17 @@ def run_flipping_accuracy(
     voter_counts: Sequence[int] = (1, 3),
     num_rounds: int = 50,
 ) -> List[FlippingResult]:
-    """Flip accuracy with 1 vs 3 voters over 5-device rounds."""
-    from repro.errors import LocalizationError
+    """Flip accuracy with 1 vs 3 voters over 5-device rounds.
+
+    Each attempt draws a fresh dock scenario. A disconnected round is
+    re-run, as the leader would, up to ``3 * num_rounds`` attempts per
+    voter count. Each :func:`run_rounds` call makes as many attempts as
+    can still be needed and allowed, so the attempts (and ``rng``) are
+    those of one round at a time.
+    """
+
+    def fresh(_: int) -> NetworkSimulator:
+        return NetworkSimulator(testbed_scenario("dock", num_devices=5, rng=rng), rng=rng)
 
     results = []
     for voters in voter_counts:
@@ -103,15 +112,11 @@ def run_flipping_accuracy(
         completed = 0
         attempts = 0
         while completed < num_rounds and attempts < 3 * num_rounds:
-            attempts += 1
-            scenario = testbed_scenario("dock", num_devices=5, rng=rng)
-            sim = NetworkSimulator(scenario, rng=rng)
-            try:
-                outcome = sim.run_round(flip_voters=voters)
-            except LocalizationError:
-                continue  # disconnected round; the leader would re-run
-            completed += 1
-            correct += int(outcome.flip_correct)
+            count = min(num_rounds - completed, 3 * num_rounds - attempts)
+            rounds = run_rounds(fresh, count, rng, flip_voters=voters)
+            attempts += count
+            completed += len(rounds)
+            correct += sum(int(outcome.flip_correct) for outcome in rounds)
         results.append(
             FlippingResult(
                 num_voters=int(voters),

@@ -28,7 +28,9 @@ def angle_of(vector) -> float:
     v = np.asarray(vector, dtype=float)
     if v.shape != (2,):
         raise ValueError("vector must be a 2-vector")
-    if np.allclose(v, 0):
+    x, y = v.tolist()
+    # ``np.allclose(v, 0)`` on Python floats.
+    if abs(x) <= 1e-8 and abs(y) <= 1e-8:
         raise ValueError("zero vector has no angle")
     return float(np.arctan2(v[1], v[0]))
 

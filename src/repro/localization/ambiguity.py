@@ -21,6 +21,7 @@ distances equally well.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Tuple
 
 import numpy as np
@@ -59,7 +60,9 @@ def flip_candidates(positions2d: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if pts.shape[0] < 2:
         raise ValueError("need leader and user 1")
     direction = pts[1] - pts[0]
-    if np.allclose(direction, 0):
+    dx, dy = direction.tolist()
+    # ``np.allclose(direction, 0)`` on Python floats.
+    if abs(dx) <= 1e-8 and abs(dy) <= 1e-8:
         raise ValueError("leader and user 1 coincide; flip axis undefined")
     mirrored = reflect_across_line_2d(pts, pts[0], direction)
     return pts, mirrored
@@ -75,9 +78,10 @@ def mic_arrival_sign(
     hears the source first (source on the left), ``+1`` otherwise.
     Positions are 3D.
     """
-    left = np.linalg.norm(np.asarray(source_pos, float) - np.asarray(left_mic_pos, float))
-    right = np.linalg.norm(np.asarray(source_pos, float) - np.asarray(right_mic_pos, float))
-    if np.isclose(left, right):
+    left = float(np.linalg.norm(np.asarray(source_pos, float) - np.asarray(left_mic_pos, float)))
+    right = float(np.linalg.norm(np.asarray(source_pos, float) - np.asarray(right_mic_pos, float)))
+    # ``np.isclose(left, right)`` on Python floats.
+    if (abs(left - right) <= 1e-8 + 1e-5 * abs(right) and math.isfinite(right)) or left == right:
         return 0
     return -1 if left < right else 1
 

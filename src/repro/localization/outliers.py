@@ -79,7 +79,8 @@ def detect_outliers(
         Required relative stress reduction (paper: 0.9, i.e. the new
         stress must be at least 90% lower).
     max_outliers:
-        Maximum total number of dropped links.
+        Maximum total number of dropped links, summed over the levels:
+        a level that would take the total above it is not searched.
     """
     d = np.asarray(distances, dtype=float)
     n = d.shape[0]
@@ -132,6 +133,9 @@ def search_outliers(
     dropped_total: List[Edge] = []
 
     for n_drop in range(1, max_outliers + 1):
+        if len(dropped_total) + n_drop > max_outliers:
+            # ``max_outliers`` caps the total; later levels drop more.
+            break
         # One batched solve per level: the candidate subsets (in
         # ``combinations`` order) share one stacked Guttman loop, and
         # their default inits draw jitter from ``rng`` in that order.

@@ -72,26 +72,35 @@ def _validate_inputs(distances: np.ndarray, weights: np.ndarray) -> None:
 def _pairwise_distances(positions: np.ndarray) -> np.ndarray:
     """(..., N, N) Euclidean distances between the rows of ``positions``.
 
-    The same square, reduce and root as ``np.linalg.norm(diff,
-    axis=-1)``, without its per-call dispatch.
+    One (..., N, N) plane per coordinate, squared and added in
+    coordinate order (``dx*dx + dy*dy`` in 2D): the bits of
+    ``np.linalg.norm(diff, axis=-1)``, whose reduction over a short
+    axis adds in that order, without its per-call dispatch.
     """
-    diff = positions[..., :, None, :] - positions[..., None, :, :]
-    return np.sqrt(np.add.reduce(diff * diff, axis=-1))
+    total = None
+    for c in range(positions.shape[-1]):
+        col = positions[..., c]
+        sq = col[..., :, None] - col[..., None, :]
+        sq *= sq
+        total = sq if total is None else np.add(total, sq, out=total)
+    return np.sqrt(total, out=total)
 
 
 def _masked_stress(
-    dist: np.ndarray, distances: np.ndarray, mask: np.ndarray, masked_weights: np.ndarray
+    dist: np.ndarray, distances: np.ndarray, masked_weights: np.ndarray
 ) -> np.ndarray:
     """Raw stress from precomputed embedding distance matrices.
 
-    ``mask`` selects the upper-triangle links and ``masked_weights`` is
-    ``weights`` zeroed outside it. Each problem's sum runs over its
-    full (N, N) matrix as one flat pairwise sum, so a stacked call
-    gives every problem the bits of its own ``np.sum``.
+    ``masked_weights`` is ``weights`` zeroed outside the upper-triangle
+    links and ``distances`` is finite, so every term outside the links
+    is ``+0.0``, as a residual masked to ``0.0`` gives. Each problem's
+    sum runs over its full (N, N) matrix as one flat pairwise sum, so a
+    stacked call gives every problem the bits of its own ``np.sum``.
     """
-    resid = np.where(mask, distances - dist, 0.0)
-    terms = masked_weights * resid**2
-    return terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    terms = distances - dist
+    terms *= terms
+    terms *= masked_weights
+    return np.add.reduce(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
 
 
 def stress_value(positions: np.ndarray, distances: np.ndarray, weights: np.ndarray) -> float:
@@ -99,7 +108,9 @@ def stress_value(positions: np.ndarray, distances: np.ndarray, weights: np.ndarr
     mask = np.triu(weights, k=1) > 0
     return float(
         _masked_stress(
-            _pairwise_distances(positions), distances, mask, np.where(mask, weights, 0.0)
+            _pairwise_distances(positions),
+            np.where(mask, distances, 0.0),
+            np.where(mask, weights, 0.0),
         )
     )
 
@@ -123,12 +134,20 @@ def _graph_complete_distances(distances: np.ndarray, weights: np.ndarray) -> np.
     smallest such sum, so the result equals a per-source heap Dijkstra
     bit for bit, ties and zero-length links included. Works on one
     (N, N) problem or a stack of them.
+
+    When every off-diagonal weight of the stack is positive, the
+    completion is read only on its diagonal, where Dijkstra's value is
+    the source's ``+0.0`` (validated lengths are non-negative), so the
+    N steps are skipped.
     """
     n = weights.shape[-1]
+    eye = np.eye(n, dtype=bool)
+    if ((weights > 0) | eye).all():
+        return np.where(eye, 0.0, np.broadcast_to(distances, weights.shape))
     upper = np.triu(weights, k=1) > 0
     tri = np.where(upper, distances, np.inf)
     adj = np.minimum(tri, np.swapaxes(tri, -1, -2))
-    dist = np.broadcast_to(np.where(np.eye(n, dtype=bool), 0.0, np.inf), adj.shape)
+    dist = np.broadcast_to(np.where(eye, 0.0, np.inf), adj.shape)
     unvisited = np.ones(adj.shape, dtype=bool)
     for _ in range(n):
         u = np.argmin(np.where(unvisited, dist, np.inf), axis=-1)[..., None]
@@ -137,7 +156,7 @@ def _graph_complete_distances(distances: np.ndarray, weights: np.ndarray) -> np.
         dist = np.minimum(dist, reach + np.take_along_axis(adj, u, axis=-2))
     if np.isinf(dist).any():
         raise LocalizationError("measurement graph is disconnected")
-    return np.where((weights == 0) | np.eye(n, dtype=bool), dist, distances)
+    return np.where((weights == 0) | eye, dist, distances)
 
 
 def classical_mds(distances: np.ndarray, dim: int = 2) -> np.ndarray:
@@ -215,7 +234,6 @@ def _guttman(
     x: np.ndarray,
     v_pinv: np.ndarray,
     neg_w: np.ndarray,
-    mask: np.ndarray,
     masked_w: np.ndarray,
     d_clean: np.ndarray,
     max_iter: int,
@@ -223,13 +241,14 @@ def _guttman(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Guttman iterations on K stacked problems of one size.
 
-    ``x`` is (K, N, dim); the other arrays are (K, N, N). Each step
-    computes one distance matrix per problem, which serves both the
-    stress of the new configuration and the next B(X). Every problem
-    applies its own ``tol`` test; a converged problem's positions,
-    stress and iteration count are written out and it leaves the live
-    set, so the rest keep iterating on smaller stacks. Returns the
-    positions, stresses, iteration counts and convergence flags.
+    ``x`` is (K, N, dim); the other arrays are (K, N, N), ``neg_w``
+    being ``-weights`` with a ``+0.0`` diagonal. Each step computes one
+    distance matrix per problem, which serves both the stress of the
+    new configuration and the next B(X). Every problem applies its own
+    ``tol`` test; a converged problem's positions, stress and iteration
+    count are written out and it leaves the live set, so the rest keep
+    iterating on smaller stacks. Returns the positions, stresses,
+    iteration counts and convergence flags.
     """
     k, n, _ = x.shape
     diag = slice(None, None, n + 1)  # the diagonal, in flat (C-order) indexing
@@ -239,33 +258,41 @@ def _guttman(
     converged = np.zeros(k, dtype=bool)
     live = np.arange(k)
     dist = _pairwise_distances(x)
-    prev = _masked_stress(dist, d_clean, mask, masked_w)
+    prev = _masked_stress(dist, d_clean, masked_w).tolist()
     with np.errstate(divide="ignore", invalid="ignore"):
         for iteration in range(1, max_iter + 1):
-            ratio = np.where(dist > 1e-12, d_clean / dist, 0.0)
-            b = neg_w * ratio
-            b_flat = b.reshape(live.size, n * n)
-            b_flat[:, diag] = 0.0
-            b_flat[:, diag] = -b.sum(axis=-1)
+            # B(X): -w * d / dist off the diagonal, -0.0 where the
+            # points coincide; the diagonal (+0.0 so far) then gets
+            # minus its row sum.
+            b = d_clean / dist
+            np.copyto(b, 0.0, where=~(dist > 1e-12))
+            b *= neg_w
+            b.reshape(live.size, n * n)[:, diag] = -np.add.reduce(b, axis=-1)
             x = v_pinv @ (b @ x)
             dist = _pairwise_distances(x)
-            stress = _masked_stress(dist, d_clean, mask, masked_w)
-            done = (prev > 0) & ((prev - stress) / np.maximum(prev, 1e-15) < tol)
-            prev = stress
-            if not done.any():
+            stress = _masked_stress(dist, d_clean, masked_w)
+            values = stress.tolist()
+            done = [
+                p > 0 and (p - s) / (p if p > 1e-15 else 1e-15) < tol
+                for p, s in zip(prev, values)
+            ]
+            prev = values
+            if not any(done):
                 continue
-            out = live[done]
-            positions[out] = x[done]
-            stress_out[out] = prev[done]
+            finished = np.array(done)
+            out = live[finished]
+            positions[out] = x[finished]
+            stress_out[out] = stress[finished]
             n_iter[out] = iteration
             converged[out] = True
-            keep = ~done
+            keep = ~finished
             live = live[keep]
             if live.size == 0:
                 break
-            x, dist, prev = x[keep], dist[keep], prev[keep]
-            v_pinv, neg_w, d_clean = v_pinv[keep], neg_w[keep], d_clean[keep]
-            mask, masked_w = mask[keep], masked_w[keep]
+            x, dist = x[keep], dist[keep]
+            prev = [p for p, f in zip(prev, done) if not f]
+            v_pinv, neg_w = v_pinv[keep], neg_w[keep]
+            d_clean, masked_w = d_clean[keep], masked_w[keep]
     if live.size:
         positions[live] = x
         stress_out[live] = prev
@@ -310,19 +337,18 @@ def smacof_batch(
         if x.shape != (k, n, dim):
             raise ValueError(f"init must be ({k}, {n}, {dim})")
 
-    # V, the link mask and the masked weights depend only on the
-    # weights, so they are built once per solve.
+    # -W with a +0.0 diagonal, V, the link mask and the masked weights
+    # depend only on the weights, so they are built once per solve.
     diag = slice(None, None, n + 1)
-    v = -np.array(w, dtype=float, copy=True)
-    v_flat = v.reshape(k, n * n)
-    v_flat[:, diag] = 0.0
-    v_flat[:, diag] = -v.sum(axis=-1)
+    neg_w = -w
+    neg_w.reshape(k, n * n)[:, diag] = 0.0
+    v = neg_w.copy()
+    v.reshape(k, n * n)[:, diag] = -v.sum(axis=-1)
     mask = np.triu(w, k=1) > 0
     positions, stress, n_iter, converged = _guttman(
         x,
         np.linalg.pinv(v),
-        -w,
-        mask,
+        neg_w,
         np.where(mask, w, 0.0),
         np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0),
         max_iter,

@@ -23,7 +23,7 @@ a round on a generic per-event simulator (DESIGN.md section 4).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -359,15 +359,41 @@ class NetworkSimulator:
         returned list may be shorter than ``num_rounds``. The results
         and the generator's final state are those of ``num_rounds``
         :meth:`run_round` calls; the base solves run as one stack
-        (:func:`~repro.localization.pipeline.localize_many`).
+        (:func:`run_rounds`).
         """
-        return localize_many(
-            lambda _: self._draw_round(flip_voters),
-            self._finish_round,
-            num_rounds,
-            self.rng,
-            skip_failures=skip_failures,
-        )
+        return run_rounds(lambda _: self, num_rounds, self.rng, flip_voters, skip_failures)
+
+
+def run_rounds(
+    simulator: Callable[[int], NetworkSimulator],
+    num_rounds: int,
+    rng: np.random.Generator,
+    flip_voters: Optional[int] = None,
+    skip_failures: bool = True,
+) -> List[RoundResult]:
+    """Rounds whose simulators are set up one round at a time.
+
+    ``simulator(i)`` returns the simulator of round ``i``; it may draw
+    from ``rng`` (a fresh scenario, a moved device), and each simulator
+    it returns draws from ``rng`` as well. The results, the exception
+    raised and the state ``rng`` is left in are those of::
+
+        for i in range(num_rounds):
+            results.append(simulator(i).run_round(flip_voters))
+
+    with each round that raises ``LocalizationError`` skipped when
+    ``skip_failures`` is set. The base solves run as one stack
+    (:func:`~repro.localization.pipeline.localize_many`), which may
+    call ``simulator(i)`` again for a round it restages, so what it
+    returns must depend only on what it draws.
+    """
+    return localize_many(
+        lambda index: simulator(index)._draw_round(flip_voters),
+        NetworkSimulator._finish_round,
+        num_rounds,
+        rng,
+        skip_failures=skip_failures,
+    )
 
 
 @dataclass(frozen=True)

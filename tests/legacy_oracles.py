@@ -22,10 +22,12 @@ frozen, as test oracles — the way ``_frozen_smacof`` pins SMACOF in
   ``tests/des_oracle.py``.  Both take the pre-drawn inputs of
   ``repro.protocol.round._first_arrival_round``.
 * **Per-trial localization loops.**  :func:`fig6_sweep_legacy` (with
-  :func:`fig6_trial_legacy`, fig6's original ``_one_trial``) and
-  :func:`run_many_legacy` localize one trial at a time with
+  :func:`fig6_trial_legacy`, fig6's original ``_one_trial``),
+  :func:`run_many_legacy`, :func:`moving_rounds_legacy` (fig20's
+  moving rounds) and :func:`flipping_accuracy_legacy` (tables'
+  flipping study) localize one trial at a time with
   :func:`~repro.localization.pipeline.localize`, where production
-  stacks the base solves of a sweep point or a ``run_many`` call with
+  stacks the base solves of a sweep point or a batch of rounds with
   :func:`~repro.localization.pipeline.localize_many`.
 * **The per-event fleet round.**  :func:`event_fleet_round` runs a
   fleet round with one ``DesNode`` per device on the same simulator
@@ -78,7 +80,8 @@ from repro.signals.preamble import Preamble, make_preamble
 from repro.simulate.des.energy import EnergyModel
 from repro.simulate.des.fleet import FleetConfig, FleetRoundStats, _finish_round
 from repro.simulate.mobility import LinearBackForthTrajectory
-from repro.simulate.scenario import Scenario
+from repro.simulate.network_sim import NetworkSimulator
+from repro.simulate.scenario import Scenario, testbed_scenario
 from repro.simulate.waveform_sim import ExchangeConfig, RangingMeasurement
 from scalar_receiver import (
     channel_impulse_response,
@@ -581,16 +584,65 @@ def run_many_legacy(sim, num_rounds: int, flip_voters=None, skip_failures: bool 
     return results
 
 
+def flipping_accuracy_legacy(
+    rng: np.random.Generator, voter_counts: Sequence[int] = (1, 3), num_rounds: int = 50
+):
+    """tables' ``run_flipping_accuracy`` as one ``run_round`` per attempt."""
+    from repro.experiments.tables import FlippingResult
+
+    results = []
+    for voters in voter_counts:
+        correct = 0
+        completed = 0
+        attempts = 0
+        while completed < num_rounds and attempts < 3 * num_rounds:
+            attempts += 1
+            scenario = testbed_scenario("dock", num_devices=5, rng=rng)
+            sim = NetworkSimulator(scenario, rng=rng)
+            try:
+                outcome = sim.run_round(flip_voters=voters)
+            except LocalizationError:
+                continue  # disconnected round; the leader would re-run
+            completed += 1
+            correct += int(outcome.flip_correct)
+        results.append(
+            FlippingResult(
+                num_voters=int(voters),
+                accuracy=correct / max(completed, 1),
+                num_rounds=completed,
+            )
+        )
+    return results
+
+
+def moving_rounds_legacy(rng, scenario, trajectory, moving_device: int, num_rounds: int):
+    """fig20's ``_moving_rounds`` as one ``run_round`` per round."""
+    outcomes = []
+    for _ in range(num_rounds):
+        # Random phase along the sweep for each round.
+        t = float(rng.uniform(0, 4 * trajectory.amplitude_m / trajectory.speed_mps))
+        scenario.devices[moving_device].position = trajectory.position(t)
+        sim_moving = NetworkSimulator(scenario, rng=rng)
+        try:
+            outcomes.append(sim_moving.run_round())
+        except LocalizationError:
+            continue  # disconnected round; the leader would re-run
+    return outcomes
+
+
 def per_trial_localization():
-    """Run fig6's sweeps and ``NetworkSimulator.run_many`` (and so
-    fig18-20) one ``localize`` call per trial instead of on the
+    """Run fig6's sweeps, ``NetworkSimulator.run_many`` (and so
+    fig18-20's static rounds), fig20's moving rounds and tables'
+    flipping study one ``localize`` call per trial instead of on the
     stacked driver."""
     return swap_oracles(
         [
             ("repro.experiments.fig06_analytical._sweep", fig6_sweep_legacy),
             ("repro.simulate.network_sim.NetworkSimulator.run_many", run_many_legacy),
+            ("repro.experiments.fig20_mobility._moving_rounds", moving_rounds_legacy),
+            ("repro.experiments.tables.run_flipping_accuracy", flipping_accuracy_legacy),
         ],
-        "no fig6 sweep or run_many call reached a per-trial oracle",
+        "no localization loop reached a per-trial oracle",
     )
 
 

@@ -101,6 +101,8 @@ def _frozen_detect_outliers(
     current_weights = w0
     dropped_total = []
     for n_drop in range(1, max_outliers + 1):
+        if len(dropped_total) + n_drop > max_outliers:
+            break
         best_raw = current_raw
         best_stress = current_stress
         best_positions = current_positions
@@ -187,9 +189,23 @@ class TestOutlierDetection:
         result = detect_outliers(corrupted, max_outliers=2)
         assert len(result.dropped_links) <= 2
 
+    def test_link_cap_is_a_total_across_levels(self):
+        # Six biased links on 8 nodes with greedy knobs: levels 1 and 2
+        # each find a drop, and a third level would take the total to 6.
+        rng = np.random.default_rng(0)
+        d = pairwise_distance_matrix(rng.uniform(-15.0, 15.0, (8, 2)))
+        pairs = list(zip(*np.triu_indices(8, 1)))
+        for k in rng.choice(len(pairs), size=6, replace=False):
+            i, j = pairs[k]
+            d[i, j] = d[j, i] = d[i, j] + 6.0
+        result = detect_outliers(
+            d, rng=np.random.default_rng(0), stress_threshold=0.0, improvement_ratio=0.0
+        )
+        assert len(result.dropped_links) == MAX_OUTLIER_LINKS
+
     @settings(max_examples=10, deadline=None)
     @given(
-        n=st.integers(5, 6),
+        n=st.integers(5, 8),
         n_bad=st.integers(0, 6),
         bias=st.floats(2.0, 12.0),
         greedy=st.booleans(),

@@ -5,23 +5,26 @@ SMACOF problems of many trials as one stack and restarts after each
 suspected trial (DESIGN.md section 13). Its contract is the sequential
 loop's, bit for bit: the same results, the same exception at the same
 trial, and the shared generator left in the same state. These tests
-pin it three ways: whole fig6 and fig18-20 unit bodies against the
-per-trial oracles of ``tests/legacy_oracles.py``; a property test of
-the driver on drawn trial streams, including disconnected ones; and
-``NetworkSimulator.run_many`` with rounds that packet loss disconnects.
+pin it three ways: whole fig6, fig18-20 and tables unit bodies against
+the per-trial oracles of ``tests/legacy_oracles.py``; a property test
+of the driver on drawn trial streams, including disconnected ones; and
+``NetworkSimulator.run_many`` and tables' flipping study with rounds
+that packet loss disconnects.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from legacy_oracles import per_trial_localization, run_many_legacy
+from legacy_oracles import flipping_accuracy_legacy, per_trial_localization, run_many_legacy
 from repro.errors import LocalizationError
-from repro.experiments import engine
+from repro.experiments import engine, tables
 from repro.geometry.topology import pairwise_distance_matrix, random_scenario_positions
 from repro.localization.pipeline import LocalizationInputs, localize, localize_many
 from repro.service.compute import encode_body
-from repro.simulate.network_sim import NetworkSimulator, RangingErrorModel
+from repro.simulate.network_sim import NetworkSimulator, RangingErrorModel, run_rounds
 from repro.simulate.scenario import testbed_scenario as make_testbed_scenario
 
 #: (experiment, variant, scale) units whose trials all go through the driver.
@@ -32,6 +35,7 @@ UNITS = (
     ("fig19", "default", 0.25),
     ("fig20", "device1", 0.25),
     ("fig20", "device2", 0.25),
+    ("tables", "default", 0.1),
 )
 
 
@@ -264,3 +268,34 @@ def test_run_many_skips_rounds_whose_top_devices_sent_no_report(seed):
     assert got_sim.rng.bit_generator.state == want_sim.rng.bit_generator.state
     for rnd in got:
         assert rnd.distances.shape == (4, 4)
+
+
+def test_flipping_study_attempt_cap_matches_per_round_loop():
+    """Under packet loss, tables' chained driver calls re-run
+    disconnected rounds as the per-attempt loop does, down to the
+    ``3 * num_rounds`` attempt cap."""
+    num_rounds = 6
+    completed = []
+    counts = []
+
+    def counted(simulator, count, *args, **kwargs):
+        counts.append(count)
+        return run_rounds(simulator, count, *args, **kwargs)
+
+    for loss_prob, seed in ((0.3, 0), (0.3, 1), (0.3, 2), (0.5, 1)):
+        lossy = mock.patch(
+            "repro.simulate.network_sim.RangingErrorModel",
+            lambda loss_prob=loss_prob: RangingErrorModel(loss_prob=loss_prob),
+        )
+        got_rng = np.random.default_rng(seed)
+        want_rng = np.random.default_rng(seed)
+        with lossy, mock.patch.object(tables, "run_rounds", counted):
+            got = tables.run_flipping_accuracy(got_rng, num_rounds=num_rounds)
+            want = flipping_accuracy_legacy(want_rng, num_rounds=num_rounds)
+        assert got == want
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        completed += [r.num_rounds for r in want]
+    # Some voter counts hit the cap short of num_rounds, others finish,
+    # and some needed more than one driver call.
+    assert min(completed) < num_rounds == max(completed)
+    assert len(counts) > 2 * 4 and min(counts) < num_rounds

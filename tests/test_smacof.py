@@ -107,6 +107,12 @@ def _frozen_smacof(distances, weights, dim=2, init=None, max_iter=300, tol=1e-7,
     return x, prev_stress, iteration, converged
 
 
+def _bits(value):
+    """The bytes of a float array or scalar: unlike ``==`` and
+    ``np.array_equal``, they tell ``-0.0`` from ``0.0``."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
 @st.composite
 def _measured_networks(draw, n_min=4, n_max=10):
     """Noisy distances on a random layout with connected missing links."""
@@ -134,12 +140,12 @@ def _network(draw, n, rng):
 
 
 @st.composite
-def _network_stacks(draw, k_max=12):
-    """1-``k_max`` measured networks that share one node count."""
+def _network_stacks(draw, k_max=12, k_min=1):
+    """``k_min``-``k_max`` measured networks that share one node count."""
     n = draw(st.integers(4, 10))
     nets = [
         _network(draw, n, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
-        for _ in range(draw(st.integers(1, k_max)))
+        for _ in range(draw(st.integers(k_min, k_max)))
     ]
     d = np.stack([net[0] for net in nets])
     w = np.stack([net[1] for net in nets])
@@ -289,8 +295,8 @@ class TestGuttmanLoopParity:
             d, w, init=init, max_iter=max_iter, rng=np.random.default_rng(rng_seed)
         )
         got = smacof(d, w, init=init, max_iter=max_iter, rng=np.random.default_rng(rng_seed))
-        assert np.array_equal(got.positions, x_ref)
-        assert got.stress == stress_ref
+        assert _bits(got.positions) == _bits(x_ref)
+        assert _bits(got.stress) == _bits(stress_ref)
         assert got.n_iter == n_iter_ref
         assert got.converged == conv_ref
 
@@ -300,7 +306,9 @@ class TestGuttmanLoopParity:
         d, w, draw_rng = net
         x = draw_rng.uniform(-20.0, 20.0, (d.shape[0], 2))
         d_clean = np.where(w > 0, np.nan_to_num(d, nan=0.0), 0.0)
-        assert stress_value(x, d_clean, w) == _frozen_stress_value(x, d_clean, w)
+        assert _bits(stress_value(x, d_clean, w)) == _bits(_frozen_stress_value(x, d_clean, w))
+        # Entries off the links are never read, NaN included.
+        assert _bits(stress_value(x, d, w)) == _bits(_frozen_stress_value(x, d_clean, w))
 
 
 def _assert_batch_matches_frozen(d, w, init, max_iter, rng_seed, tol=1e-7):
@@ -318,9 +326,9 @@ def _assert_batch_matches_frozen(d, w, init, max_iter, rng_seed, tol=1e-7):
             tol=tol,
             rng=ref_rng,
         )
-        assert np.array_equal(result.positions, x_ref)
-        assert result.stress == stress_ref
-        assert result.normalized_stress == normalized_stress(stress_ref, w[k])
+        assert _bits(result.positions) == _bits(x_ref)
+        assert _bits(result.stress) == _bits(stress_ref)
+        assert _bits(result.normalized_stress) == _bits(normalized_stress(stress_ref, w[k]))
         assert result.n_iter == n_iter_ref
         assert result.converged == conv_ref
     # The default inits drew their jitter in problem order.
@@ -344,6 +352,44 @@ class TestBatchParity:
         d, w, draw_rng = stack
         init = draw_rng.uniform(-20.0, 20.0, (w.shape[0], w.shape[1], 2)) if explicit_init else None
         _assert_batch_matches_frozen(d, w, init, max_iter, rng_seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stack=_network_stacks(k_max=6),
+        rng_seed=st.integers(0, 2**32 - 1),
+        max_iter=st.sampled_from([1, 7, 300]),
+        data=st.data(),
+    )
+    def test_coincident_init_points(self, stack, rng_seed, max_iter, data):
+        # Inits with repeated rows put B(X)'s ``dist <= 1e-12`` branch
+        # (-0.0 entries) in play off the diagonal.
+        d, w, draw_rng = stack
+        k, n = w.shape[:2]
+        init = draw_rng.uniform(-20.0, 20.0, (k, n, 2))
+        for p in range(k):
+            rows = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n))
+            init[p, rows] = init[p, rows[0]]
+        _assert_batch_matches_frozen(d, w, init, max_iter, rng_seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        stack=_network_stacks(k_max=8, k_min=2),
+        max_iter=st.sampled_from([3, 5, 9]),
+        data=st.data(),
+    )
+    def test_step_one_convergence_beside_capped_problems(self, stack, max_iter, data):
+        # Problems started from their own converged solution converge
+        # at step 1; problems from a random init run into the cap.
+        d, w, draw_rng = stack
+        k, n = w.shape[:2]
+        settled = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        settled[0], settled[-1] = True, False
+        init = draw_rng.uniform(-20.0, 20.0, (k, n, 2))
+        for p in np.flatnonzero(settled):
+            init[p] = smacof(d[p], w[p], init=init[p], max_iter=3000, tol=0.0).positions
+        got = _assert_batch_matches_frozen(d, w, init, max_iter, 0)
+        assert got[0].n_iter == 1 and got[0].converged
+        assert any(r.n_iter == max_iter and not r.converged for r in got)
 
     def test_converged_and_capped_problems_share_a_stack(self):
         # Problems freeze at different iterations, and seed 106 runs
@@ -374,8 +420,8 @@ class TestBatchParity:
         ref_rng = np.random.default_rng(5)
         for k in range(3):
             ref = smacof(d, w[k], rng=ref_rng)
-            assert np.array_equal(got[k].positions, ref.positions)
-            assert got[k].stress == ref.stress
+            assert _bits(got[k].positions) == _bits(ref.positions)
+            assert _bits(got[k].stress) == _bits(ref.stress)
 
     def test_invalid_stacks(self):
         d = pairwise_distance_matrix(_square())
@@ -425,7 +471,44 @@ class TestDenseDijkstra:
             with pytest.raises(LocalizationError):
                 _graph_complete_distances(d, w)
             return
-        assert np.array_equal(_graph_complete_distances(d, w), expected)
+        assert _bits(_graph_complete_distances(d, w)) == _bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(3, 9),
+        kinds=st.lists(st.sampled_from(["complete", "incomplete"]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_complete_incomplete_and_mixed_stacks(self, n, kinds, seed):
+        # An all-complete stack takes the shortcut, any other stack the
+        # N Dijkstra steps; both give each matrix its frozen completion.
+        rng = np.random.default_rng(seed)
+        ds, ws = [], []
+        for kind in kinds:
+            d = np.round(rng.uniform(0.0, 30.0, (n, n)))
+            d[rng.random((n, n)) < 0.1] = 0.0
+            d = np.triu(d, 1)
+            d = d + d.T
+            w = np.triu(np.ones((n, n)), 1)
+            if kind == "incomplete":
+                i, j = sorted(rng.choice(n, size=2, replace=False))
+                w[i, j] = 0.0
+            w = w + w.T
+            d[w == 0] = np.nan
+            np.fill_diagonal(d, 0.0)
+            ds.append(d)
+            ws.append(w)
+        got = _graph_complete_distances(np.stack(ds), np.stack(ws))
+        for k in range(len(kinds)):
+            assert _bits(got[k]) == _bits(_frozen_complete_distances(ds[k], ws[k]))
+
+    def test_complete_stack_with_shared_distances(self):
+        d = pairwise_distance_matrix(_pentagon())
+        w = np.stack([full_weight_matrix(5)] * 3)
+        got = _graph_complete_distances(d, w)
+        assert got.shape == (3, 5, 5)
+        for k in range(3):
+            assert _bits(got[k]) == _bits(_frozen_complete_distances(d, w[k]))
 
     def test_ties_and_zero_length_links(self):
         # Two equal-length routes 0-1-3 and 0-2-3, a zero-length link
