@@ -31,9 +31,7 @@ from repro.constants import SAMPLE_RATE
 from repro.errors import (
     ConfigurationError,
     DecodingError,
-    DetectionError,
     LocalizationError,
-    NotRealizableError,
     ProtocolError,
     ReproError,
     SignalError,
@@ -46,10 +44,8 @@ __all__ = [
     "ReproError",
     "ConfigurationError",
     "SignalError",
-    "DetectionError",
     "DecodingError",
     "ProtocolError",
     "LocalizationError",
-    "NotRealizableError",
     "__version__",
 ]

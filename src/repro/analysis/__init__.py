@@ -40,7 +40,7 @@ from repro.analysis.core import (
     get_rule,
     register_rule,
 )
-from repro.analysis.engine import AnalysisReport, analyze_paths, analyze_source
+from repro.analysis.engine import AnalysisReport, analyze_paths
 
 __all__ = [
     "Finding",
@@ -49,7 +49,6 @@ __all__ = [
     "AnalysisReport",
     "all_rules",
     "analyze_paths",
-    "analyze_source",
     "get_rule",
     "register_rule",
 ]

@@ -80,22 +80,6 @@ class AnalysisReport:
         return out
 
 
-def analyze_source(
-    source: str,
-    *,
-    path: str = "<memory>",
-    module: str = "snippet",
-    rules: Optional[Sequence[Rule]] = None,
-) -> AnalysisReport:
-    """Analyze one in-memory module (the unit-test entry point)."""
-    active = list(rules) if rules is not None else all_rules()
-    report = AnalysisReport(rules=[rule.id for rule in active])
-    ctx = build_context(source, path=path, module=module)
-    _run_rules(active, ctx, report)
-    report.files_scanned = 1
-    return report
-
-
 def iter_python_files(paths: Iterable[Path]) -> List[Path]:
     files: List[Path] = []
     for path in paths:

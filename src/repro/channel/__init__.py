@@ -7,7 +7,7 @@ noise, the four named deployment environments, and an occlusion model
 that attenuates the direct path to create outlier distance estimates.
 """
 
-from repro.channel.multipath import PathTap, image_method_taps, delay_spread
+from repro.channel.multipath import PathTap, image_method_taps
 from repro.channel.noise import NoiseModel, ambient_noise, spiky_noise, make_noise
 from repro.channel.environment import (
     Environment,
@@ -17,13 +17,12 @@ from repro.channel.environment import (
     BOATHOUSE,
     ENVIRONMENTS,
 )
-from repro.channel.occlusion import Occlusion, apply_occlusion
+from repro.channel.occlusion import Occlusion
 from repro.channel.render import render_taps, apply_channel, directivity_gain
 
 __all__ = [
     "PathTap",
     "image_method_taps",
-    "delay_spread",
     "NoiseModel",
     "ambient_noise",
     "spiky_noise",
@@ -35,7 +34,6 @@ __all__ = [
     "BOATHOUSE",
     "ENVIRONMENTS",
     "Occlusion",
-    "apply_occlusion",
     "render_taps",
     "apply_channel",
     "directivity_gain",

@@ -230,23 +230,3 @@ def image_method_tap_arrays(
     order = np.argsort(delays, kind="stable")
     return delays[order], amps[order], surf[order], bot[order]
 
-
-def delay_spread(taps: Sequence[PathTap], power_fraction: float = 0.99) -> float:
-    """Delay spread (s) containing ``power_fraction`` of the tap energy.
-
-    Computed from the first arrival to the arrival at which the
-    cumulative energy crosses the requested fraction.
-    """
-    if not taps:
-        raise ValueError("taps must be non-empty")
-    if not 0 < power_fraction <= 1:
-        raise ValueError("power_fraction must be in (0, 1]")
-    ordered = sorted(taps, key=lambda t: t.delay_s)
-    energies = np.array([t.amplitude**2 for t in ordered])
-    total = energies.sum()
-    if total == 0:
-        return 0.0
-    cumulative = np.cumsum(energies) / total
-    idx = int(np.searchsorted(cumulative, power_fraction))
-    idx = min(idx, len(ordered) - 1)
-    return ordered[idx].delay_s - ordered[0].delay_s

@@ -12,11 +12,8 @@ low-order reflections) of an image-method channel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
 
 import numpy as np
-
-from repro.channel.multipath import PathTap
 
 
 @dataclass(frozen=True)
@@ -41,8 +38,9 @@ def occlusion_gain_array(
     bottom_bounces: np.ndarray,
     occlusion: Occlusion,
 ) -> np.ndarray:
-    """Per-tap occlusion gains from bounce counts (array twin of
-    :func:`apply_occlusion`; same gains bit for bit)."""
+    """Per-tap occlusion gains from bounce counts: the direct path gets
+    ``direct_attenuation_db``, single-bounce paths get
+    ``low_order_attenuation_db`` and every other path passes unchanged."""
     direct_gain = 10.0 ** (-occlusion.direct_attenuation_db / 20.0)
     low_gain = 10.0 ** (-occlusion.low_order_attenuation_db / 20.0)
     total = surface_bounces + bottom_bounces
@@ -51,26 +49,3 @@ def occlusion_gain_array(
     gains[total == 0] = direct_gain
     return gains
 
-
-def apply_occlusion(taps: Sequence[PathTap], occlusion: Occlusion) -> List[PathTap]:
-    """Return a new tap list with the occlusion applied."""
-    direct_gain = 10.0 ** (-occlusion.direct_attenuation_db / 20.0)
-    low_gain = 10.0 ** (-occlusion.low_order_attenuation_db / 20.0)
-    out: List[PathTap] = []
-    for tap in taps:
-        total_bounces = tap.surface_bounces + tap.bottom_bounces
-        if tap.is_direct:
-            gain = direct_gain
-        elif total_bounces == 1:
-            gain = low_gain
-        else:
-            gain = 1.0
-        out.append(
-            PathTap(
-                delay_s=tap.delay_s,
-                amplitude=tap.amplitude * gain,
-                surface_bounces=tap.surface_bounces,
-                bottom_bounces=tap.bottom_bounces,
-            )
-        )
-    return out

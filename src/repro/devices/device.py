@@ -98,11 +98,6 @@ class Device:
         axis = self.axis
         return self.position - half * axis, self.position + half * axis
 
-    @property
-    def speaker_position(self) -> np.ndarray:
-        """Speaker sits at the bottom of the device."""
-        return self.position - (self.model.mic_separation_m / 2.0) * self.axis
-
     def distance_to(self, other: "Device") -> float:
         """True euclidean distance to another device (m)."""
         return float(np.linalg.norm(self.position - other.position))

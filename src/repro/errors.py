@@ -13,10 +13,6 @@ class SignalError(ReproError):
     """A waveform could not be generated or parsed."""
 
 
-class DetectionError(SignalError):
-    """No preamble could be detected in a microphone stream."""
-
-
 class DecodingError(SignalError):
     """A payload failed to demodulate or decode."""
 
@@ -27,7 +23,3 @@ class ProtocolError(ReproError):
 
 class LocalizationError(ReproError):
     """The topology solver could not produce a valid embedding."""
-
-
-class NotRealizableError(LocalizationError):
-    """The measurement graph is not uniquely realizable in 2D."""

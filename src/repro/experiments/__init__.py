@@ -6,16 +6,9 @@ benchmark harness can print paper-vs-measured rows. See DESIGN.md
 section 4 for the full experiment index.
 """
 
-from repro.experiments.metrics import (
-    cdf_points,
-    median_and_p95,
-    summarize_errors,
-    ErrorSummary,
-)
+from repro.experiments.metrics import summarize_errors, ErrorSummary
 
 __all__ = [
-    "cdf_points",
-    "median_and_p95",
     "summarize_errors",
     "ErrorSummary",
 ]

@@ -1,4 +1,4 @@
-"""Error metrics shared by all experiments: medians, percentiles, CDFs."""
+"""Error metrics shared by all experiments: medians and percentiles."""
 
 from __future__ import annotations
 
@@ -51,24 +51,6 @@ def summarize_errors(errors) -> ErrorSummary:
         std=float(np.std(abs_err)),
         failure_rate=float(1.0 - abs_err.size / max(arr.size, 1)),
     )
-
-
-def median_and_p95(errors) -> tuple[float, float]:
-    """(median, 95th percentile) of the absolute errors."""
-    s = summarize_errors(errors)
-    return s.median, s.p95
-
-
-def cdf_points(errors, num_points: int = 50) -> tuple[np.ndarray, np.ndarray]:
-    """(x, F(x)) samples of the empirical CDF of absolute errors."""
-    arr = np.abs(np.asarray(list(errors), dtype=float))
-    arr = arr[np.isfinite(arr)]
-    if arr.size == 0:
-        raise ValueError("no finite errors to build a CDF from")
-    xs = np.quantile(arr, np.linspace(0.0, 1.0, num_points))
-    sorted_arr = np.sort(arr)
-    fs = np.searchsorted(sorted_arr, xs, side="right") / arr.size
-    return xs, fs
 
 
 def percentile_band(errors, low: float, high: float) -> np.ndarray:

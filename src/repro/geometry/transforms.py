@@ -57,16 +57,3 @@ def reflect_across_line_2d(points: np.ndarray, line_point, line_direction) -> np
     reflected = 2 * np.outer(proj, d) - rel
     return reflected + p0
 
-
-def side_of_line_2d(point, line_point, line_direction) -> float:
-    """Signed side of ``point`` w.r.t. the oriented line (positive = left).
-
-    This is the cross-product test the flipping vote uses:
-    ``(x_i - x_0)(y_1 - y_0) - (y_i - y_0)(x_1 - x_0)`` has one sign on
-    each side of the leader -> user-1 line.
-    """
-    p = np.asarray(point, dtype=float)
-    p0 = np.asarray(line_point, dtype=float)
-    d = np.asarray(line_direction, dtype=float)
-    rel = p - p0
-    return float(d[0] * rel[1] - d[1] * rel[0])

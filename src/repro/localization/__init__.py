@@ -17,7 +17,6 @@ from repro.localization.rigidity import (
     is_rigid,
     is_redundantly_rigid,
     is_uniquely_realizable,
-    laman_satisfied,
 )
 from repro.localization.outliers import OutlierResult, detect_outliers
 from repro.localization.ambiguity import (
@@ -37,7 +36,6 @@ __all__ = [
     "is_rigid",
     "is_redundantly_rigid",
     "is_uniquely_realizable",
-    "laman_satisfied",
     "OutlierResult",
     "detect_outliers",
     "resolve_rotation",

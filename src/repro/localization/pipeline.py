@@ -26,10 +26,10 @@ from repro.localization.outliers import OutlierResult, detect_outliers, search_o
 from repro.localization.projection import project_distances
 from repro.localization.smacof import (
     SmacofResult,
+    _solve_stack,
     check_problem,
     init_jitter,
     mds_init,
-    smacof_batch,
 )
 
 Edge = Tuple[int, int]
@@ -206,7 +206,11 @@ def _stage(
 
 
 def _solve_bases(window: List[_Staged]) -> List[SmacofResult]:
-    """The base SMACOF solve of every staged trial: one stack per size."""
+    """The base SMACOF solve of every staged trial: one stack per size.
+
+    Staging ran :func:`check_problem` on each trial, so the stacks go
+    straight to the solver without a second validation.
+    """
     bases: List[Optional[SmacofResult]] = [None] * len(window)
     by_size: Dict[int, List[int]] = {}
     for i, staged in enumerate(window):
@@ -216,7 +220,7 @@ def _solve_bases(window: List[_Staged]) -> List[SmacofResult]:
         d = np.stack([s.projected for s in group])
         w = np.stack([s.weights for s in group])
         init = mds_init(d, w) + np.concatenate([s.jitter for s in group])
-        solved = smacof_batch(d, w, init=init)
+        solved = _solve_stack(d, w, init)
         for i, result in zip(members, solved):
             bases[i] = result
     return bases

@@ -124,17 +124,6 @@ def independent_edge_count(num_nodes: int, edges: Iterable[Edge]) -> int:
     return count
 
 
-def laman_satisfied(num_nodes: int, edges: Iterable[Edge]) -> bool:
-    """True when the edge set itself is independent and of size 2n-3.
-
-    This is the literal Laman condition for a minimally rigid graph.
-    """
-    edge_list = _normalise_edges(edges)
-    if len(edge_list) != 2 * num_nodes - 3:
-        return False
-    return independent_edge_count(num_nodes, edge_list) == len(edge_list)
-
-
 def is_rigid(num_nodes: int, edges: Iterable[Edge]) -> bool:
     """Generic rigidity in 2D via the pebble game."""
     if num_nodes <= 1:

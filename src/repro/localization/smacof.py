@@ -336,7 +336,18 @@ def smacof_batch(
         x = np.array(init, dtype=float, copy=True)
         if x.shape != (k, n, dim):
             raise ValueError(f"init must be ({k}, {n}, {dim})")
+    return _solve_stack(d, w, x, max_iter, tol)
 
+
+def _solve_stack(
+    d: np.ndarray, w: np.ndarray, x: np.ndarray, max_iter: int = 300, tol: float = 1e-7
+) -> List[SmacofResult]:
+    """The solve of :func:`smacof_batch` from its (K, N, dim) inits ``x``.
+
+    ``d`` and ``w`` are (K, N, N) stacks that already passed the checks
+    :func:`smacof_batch` makes (for a staged trial, :func:`check_problem`).
+    """
+    k, n, _ = w.shape
     # -W with a +0.0 diagonal, V, the link mask and the masked weights
     # depend only on the weights, so they are built once per solve.
     diag = slice(None, None, n + 1)

@@ -2,15 +2,11 @@
 
 from repro.physics.sound_speed import (
     sound_speed_wilson,
-    sound_speed_profile,
     WaterProperties,
 )
 from repro.physics.absorption import (
     thorp_absorption_db_per_km,
     absorption_loss_db,
-    spreading_loss_db,
-    path_loss_db,
-    path_gain,
 )
 from repro.physics.depth import (
     pressure_to_depth,
@@ -19,13 +15,9 @@ from repro.physics.depth import (
 
 __all__ = [
     "sound_speed_wilson",
-    "sound_speed_profile",
     "WaterProperties",
     "thorp_absorption_db_per_km",
     "absorption_loss_db",
-    "spreading_loss_db",
-    "path_loss_db",
-    "path_gain",
     "pressure_to_depth",
     "depth_to_pressure",
 ]

@@ -1,10 +1,9 @@
-"""Acoustic path loss: Thorp absorption plus geometric spreading.
+"""Acoustic absorption: Thorp's empirical formula.
 
 At the 1-5 kHz band used by smart devices, absorption is small but not
-negligible over the 10-45 m ranges the paper evaluates. We use Thorp's
-empirical formula for absorption and a configurable spreading exponent
-(``k=1`` cylindrical, ``k=2`` spherical; shallow-water deployments are
-usually modelled with the "practical" ``k=1.5``).
+negligible over the 10-45 m ranges the paper evaluates. The image-method
+channel (:mod:`repro.channel.multipath`) applies it on top of its own
+``1/r`` spreading.
 """
 
 from __future__ import annotations
@@ -43,34 +42,3 @@ def absorption_loss_db(distance_m, frequency_hz):
         return float(loss)
     return loss
 
-
-def spreading_loss_db(distance_m, exponent=1.5, reference_m=1.0):
-    """Geometric spreading loss in dB relative to ``reference_m``.
-
-    ``exponent`` is the spreading factor ``k`` in ``k * 10 log10(d/d0)``:
-    1 for cylindrical, 2 for spherical, 1.5 for the practical shallow-water
-    compromise.
-    """
-    d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0):
-        raise ValueError("distance_m must be positive")
-    loss = exponent * 10.0 * np.log10(d / reference_m)
-    if np.ndim(loss) == 0:
-        return float(loss)
-    return loss
-
-
-def path_loss_db(distance_m, frequency_hz, spreading_exponent=1.5):
-    """Total one-way path loss (dB): spreading plus Thorp absorption."""
-    return spreading_loss_db(distance_m, spreading_exponent) + absorption_loss_db(
-        distance_m, frequency_hz
-    )
-
-
-def path_gain(distance_m, frequency_hz, spreading_exponent=1.5):
-    """Linear amplitude gain (<= 1 beyond 1 m) for a one-way path."""
-    loss_db = path_loss_db(distance_m, frequency_hz, spreading_exponent)
-    gain = 10.0 ** (-np.asarray(loss_db) / 20.0)
-    if np.ndim(gain) == 0:
-        return float(gain)
-    return gain

@@ -8,8 +8,7 @@ Wilson's equation [Wilson 1960]::
 where ``T`` is temperature in degrees Celsius, ``S`` salinity in parts per
 thousand and ``D`` depth in metres. At recreational dive depths (<= 40 m)
 the maximum sound-speed variation is about 30 m/s, a ~2% relative error at
-1500 m/s, so a single per-environment speed is adequate; the profile helper
-exists for callers that want depth-resolved speeds.
+1500 m/s, so a single per-environment speed is adequate.
 """
 
 from __future__ import annotations
@@ -77,18 +76,3 @@ class WaterProperties:
         """Sound speed (m/s) at ``depth_m`` for this water body."""
         return sound_speed_wilson(self.temperature_c, self.salinity_ppt, depth_m)
 
-
-def sound_speed_profile(properties: WaterProperties, depths_m) -> np.ndarray:
-    """Vector of sound speeds (m/s) at each requested depth.
-
-    Parameters
-    ----------
-    properties:
-        Bulk water properties of the site.
-    depths_m:
-        Iterable of depths in metres.
-    """
-    depths = np.asarray(list(depths_m), dtype=float)
-    return np.asarray(
-        sound_speed_wilson(properties.temperature_c, properties.salinity_ppt, depths)
-    )

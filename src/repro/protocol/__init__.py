@@ -9,13 +9,8 @@ offsets and yield pairwise distances. Reports flow back to the leader
 over simultaneous per-band FSK.
 """
 
-from repro.protocol.slots import (
-    SlotSchedule,
-    assigned_slot_time,
-    round_duration,
-    required_guard_s,
-)
-from repro.protocol.messages import Beacon, ReceptionRecord, TimestampReport
+from repro.protocol.slots import assigned_slot_time, round_duration
+from repro.protocol.messages import Beacon, TimestampReport
 from repro.protocol.sync import infer_transmit_slot
 from repro.protocol.ranging_matrix import (
     pairwise_distances_from_reports,
@@ -29,12 +24,9 @@ from repro.protocol.uplink import (
 )
 
 __all__ = [
-    "SlotSchedule",
     "assigned_slot_time",
     "round_duration",
-    "required_guard_s",
     "Beacon",
-    "ReceptionRecord",
     "TimestampReport",
     "infer_transmit_slot",
     "pairwise_distances_from_reports",

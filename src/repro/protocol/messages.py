@@ -29,23 +29,6 @@ class Beacon:
     tx_local_time_s: float
 
 
-@dataclass(frozen=True)
-class ReceptionRecord:
-    """One timestamped reception at one device.
-
-    Attributes
-    ----------
-    receiver_id / sender_id:
-        The devices involved.
-    local_timestamp_s:
-        Arrival time in the *receiver's* local clock (``T^i_j``).
-    """
-
-    receiver_id: int
-    sender_id: int
-    local_timestamp_s: float
-
-
 @dataclass
 class TimestampReport:
     """What one device sends back to the leader after the round.

@@ -10,57 +10,8 @@ packets from consecutive slots cannot collide at any receiver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.constants import DELTA0_S, DELTA1_S, T_GUARD_S, T_PACKET_S
+from repro.constants import DELTA0_S, DELTA1_S
 from repro.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class SlotSchedule:
-    """Timing parameters of one protocol deployment.
-
-    Attributes
-    ----------
-    num_devices:
-        Group size N (leader included).
-    delta0_s:
-        Processing + audio-latency margin before the first slot.
-    t_packet_s / t_guard_s:
-        Packet duration and inter-slot guard.
-    """
-
-    num_devices: int
-    delta0_s: float = DELTA0_S
-    t_packet_s: float = T_PACKET_S
-    t_guard_s: float = T_GUARD_S
-
-    def __post_init__(self):
-        if self.num_devices < 2:
-            raise ConfigurationError("protocol needs at least 2 devices")
-        if min(self.delta0_s, self.t_packet_s, self.t_guard_s) < 0:
-            raise ConfigurationError("timing parameters must be non-negative")
-
-    @property
-    def delta1_s(self) -> float:
-        """Slot pitch ``Delta_1``."""
-        return self.t_packet_s + self.t_guard_s
-
-    def slot_time(self, device_id: int) -> float:
-        """Transmit time of ``device_id`` relative to local zero."""
-        return assigned_slot_time(device_id, self.delta0_s, self.delta1_s)
-
-    @property
-    def round_duration_s(self) -> float:
-        """Maximum round trip when all devices hear the leader."""
-        return round_duration(self.num_devices, self.delta0_s, self.delta1_s)
-
-    @property
-    def worst_case_round_s(self) -> float:
-        """Worst case with devices out of the leader's range."""
-        return round_duration(
-            self.num_devices, self.delta0_s, self.delta1_s, all_in_range=False
-        )
 
 
 def assigned_slot_time(
@@ -90,9 +41,3 @@ def round_duration(
     span = (num_devices - 1) * delta1_s
     return delta0_s + (span if all_in_range else 2 * span)
 
-
-def required_guard_s(max_range_m: float, sound_speed: float) -> float:
-    """Minimum guard: ``> 2 * tau_max`` for collision-free slots."""
-    if max_range_m <= 0 or sound_speed <= 0:
-        raise ConfigurationError("range and sound speed must be positive")
-    return 2.0 * max_range_m / sound_speed

@@ -613,30 +613,6 @@ def _check_gate_starts(
             )
 
 
-def segment_autocorrelation_scores(
-    stream: np.ndarray,
-    starts: Sequence[int],
-    pn_signs,
-    symbol_stride: int,
-    symbol_len: int,
-    force_gemm: bool = False,
-) -> np.ndarray:
-    """Gate scores for many candidate starts of one stream, batched.
-
-    Every ``starts[i]`` must satisfy
-    ``0 <= start`` and ``start + stride * len(signs) <= stream.size``;
-    any other start raises ``ValueError``.  Bit-identical to
-    :func:`segment_autocorrelation_fast` per candidate — unless
-    ``force_gemm`` is set (the fast backend), which scores each
-    candidate from its own strided Gram: same mathematics, scores
-    within a few ulps of the reference.
-    """
-    (scores,) = segment_autocorrelation_scores_multi(
-        [stream], [starts], pn_signs, symbol_stride, symbol_len, force_gemm=force_gemm
-    )
-    return scores
-
-
 def segment_autocorrelation_scores_multi(
     streams: Sequence[np.ndarray],
     starts_per_stream: Sequence[Sequence[int]],

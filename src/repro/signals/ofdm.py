@@ -60,11 +60,6 @@ class OfdmConfig:
         """Frequency spacing between adjacent FFT bins (Hz)."""
         return self.sample_rate / self.n_fft
 
-    @property
-    def symbol_duration_s(self) -> float:
-        """Duration of one OFDM symbol without its cyclic prefix (s)."""
-        return self.n_fft / self.sample_rate
-
     def bin_frequency(self, k) -> np.ndarray:
         """Centre frequency (Hz) of FFT bin(s) ``k``."""
         return np.asarray(k) * self.bin_spacing_hz
@@ -128,11 +123,3 @@ def ofdm_symbol_from_zc(
     zc = zadoff_chu(len(bins), root=root)
     return modulate_symbol(config, zc, add_cp=add_cp)
 
-
-def demodulate_symbol(config: OfdmConfig, samples: np.ndarray) -> np.ndarray:
-    """FFT a received symbol (without CP) and return the in-band bins."""
-    x = np.asarray(samples, dtype=float)
-    if x.size != config.n_fft:
-        raise ValueError(f"expected {config.n_fft} samples, got {x.size}")
-    spectrum = get_context().fft(x)
-    return spectrum[band_bins(config)]

@@ -13,8 +13,6 @@ import math
 
 import numpy as np
 
-from repro.signals.xp import get_context
-
 
 def zadoff_chu(length: int, root: int = 1, shift: int = 0) -> np.ndarray:
     """Generate a Zadoff-Chu sequence of the given ``length``.
@@ -52,20 +50,3 @@ def zadoff_chu(length: int, root: int = 1, shift: int = 0) -> np.ndarray:
         seq = np.roll(seq, shift)
     return seq
 
-
-def cyclic_autocorrelation(sequence: np.ndarray) -> np.ndarray:
-    """Cyclic autocorrelation magnitude of a sequence, normalised to 1.
-
-    For a proper ZC sequence this is 1 at lag zero and ~0 elsewhere; used
-    by tests to assert the CAZAC property.
-    """
-    seq = np.asarray(sequence)
-    n = len(seq)
-    ctx = get_context()
-    spectrum = ctx.fft(seq)
-    corr = ctx.ifft(spectrum * np.conj(spectrum))
-    mag = np.abs(corr)
-    peak = mag[0]
-    if peak == 0:
-        raise ValueError("sequence has zero energy")
-    return mag / peak

@@ -19,7 +19,6 @@ testbeds.
 from repro.simulate.scenario import (
     Scenario,
     testbed_scenario,
-    analytical_scenario,
     fleet_scenario,
     PointingModel,
 )
@@ -32,21 +31,18 @@ from repro.simulate.des import (
 from repro.simulate.waveform_sim import (
     ExchangeConfig,
     RangingMeasurement,
-    simulate_reception,
     one_way_range,
-    two_way_range,
 )
 from repro.simulate.network_sim import (
     RangingErrorModel,
     NetworkSimulator,
     RoundResult,
 )
-from repro.simulate.mobility import LinearBackForthTrajectory, constant_velocity_path
+from repro.simulate.mobility import LinearBackForthTrajectory
 
 __all__ = [
     "Scenario",
     "testbed_scenario",
-    "analytical_scenario",
     "fleet_scenario",
     "PointingModel",
     "EnergyModel",
@@ -55,12 +51,9 @@ __all__ = [
     "run_fleet_campaign",
     "ExchangeConfig",
     "RangingMeasurement",
-    "simulate_reception",
     "one_way_range",
-    "two_way_range",
     "RangingErrorModel",
     "NetworkSimulator",
     "RoundResult",
     "LinearBackForthTrajectory",
-    "constant_velocity_path",
 ]

@@ -19,9 +19,9 @@ exchange into
 The combination makes the rendered microphone streams **bit-identical**
 to the scalar chain while paying template/filter/waveform preparation
 once per batch instead of once per trial.  The public per-exchange
-calls :func:`repro.simulate.waveform_sim.simulate_reception` and
-:func:`~repro.simulate.waveform_sim.one_way_range` are this engine at
-K = 1.  ``tests/test_batch_parity.py`` pins streams, measurements and
+call :func:`repro.simulate.waveform_sim.one_way_range` is this engine at
+K = 1, and a :class:`BatchExchangeRenderer` given one exchange renders
+that exchange's streams.  ``tests/test_batch_parity.py`` pins streams, measurements and
 every waveform figure to the per-exchange oracles of
 ``tests/scalar_receiver.py`` and ``tests/legacy_oracles.py`` and to the
 parity-epoch baselines.
@@ -178,7 +178,9 @@ class _TrialPlan:
 
 @dataclass
 class Reception:
-    """One rendered exchange: ``simulate_reception``'s four values."""
+    """One rendered exchange: both microphone streams, the number of
+    leading silence samples, and the exact (fractional) stream index at
+    which the direct path reached microphone 1."""
 
     mic1: np.ndarray
     mic2: np.ndarray

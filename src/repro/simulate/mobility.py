@@ -111,14 +111,3 @@ def linear_back_forth_positions(
     offset = np.where(tri < 1.0, tri, np.where(tri < 3.0, 2.0 - tri, tri - 4.0))
     return c + d * (offset * amp)[:, None]
 
-
-def constant_velocity_path(
-    start: np.ndarray,
-    velocity_mps: np.ndarray,
-    times_s: np.ndarray,
-) -> np.ndarray:
-    """Positions of a constant-velocity device at each requested time."""
-    start = np.asarray(start, dtype=float)
-    vel = np.asarray(velocity_mps, dtype=float)
-    t = np.asarray(times_s, dtype=float)
-    return start[None, :] + t[:, None] * vel[None, :]

@@ -265,32 +265,3 @@ def fleet_scenario(
     ]
     return Scenario(environment=env, devices=devices, max_range_m=max_range_m)
 
-
-def analytical_scenario(
-    num_devices: int,
-    rng: np.random.Generator,
-    area_xy: float = 60.0,
-    depth_range: float = 10.0,
-) -> Scenario:
-    """The paper's section 2.1.5 analytical setup (60 x 60 x 10 m).
-
-    Uses a deep synthetic environment whose water column covers the
-    10 m depth range; devices use ideal placement (no model noise — the
-    analytical evaluation injects its own uniform errors).
-    """
-    from repro.channel.environment import DOCK
-    from repro.geometry.topology import random_scenario_positions
-
-    env = Environment(
-        name="analytical",
-        water_depth_m=depth_range,
-        length_m=area_xy,
-        water=DOCK.water,
-        bottom_coeff=DOCK.bottom_coeff,
-        noise=DOCK.noise,
-    )
-    positions = random_scenario_positions(
-        num_devices, rng, area_xy=area_xy, depth_range=depth_range
-    )
-    devices = [make_device(i, positions[i], rng) for i in range(num_devices)]
-    return Scenario(environment=env, devices=devices, max_range_m=np.inf)

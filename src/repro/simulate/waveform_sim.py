@@ -8,10 +8,10 @@ search). This is the substrate for the paper's ranging benchmarks
 (Figs. 11-15, 22) and for calibrating the timestamp-level error model.
 
 This module holds the exchange types and the per-tap gain and
-fluctuation rules.  The per-exchange calls :func:`simulate_reception`
-and :func:`one_way_range` are the batched engine of
-:mod:`repro.simulate.batch_exchange` run on one exchange, so a single
-call and a sweep of thousands render and range through the same code.
+fluctuation rules.  The per-exchange call :func:`one_way_range` is the
+batched engine of :mod:`repro.simulate.batch_exchange` run on one
+exchange, so a single call and a sweep of thousands render and range
+through the same code.
 """
 
 from __future__ import annotations
@@ -257,34 +257,6 @@ def _rx_mic_positions(config: ExchangeConfig, rx_pos: np.ndarray) -> Tuple[np.nd
     return rx_pos - half * axis, rx_pos + half * axis
 
 
-def simulate_reception(
-    preamble: Preamble,
-    tx_pos,
-    rx_pos,
-    config: ExchangeConfig,
-    rng: np.random.Generator,
-) -> Tuple[np.ndarray, np.ndarray, int, float]:
-    """Render the two microphone streams of one reception.
-
-    The K = 1 call of :class:`~repro.simulate.batch_exchange.BatchExchangeRenderer`:
-    one ``add``, which consumes ``rng``, and one ``render``.
-
-    Returns
-    -------
-    (mic1, mic2, guard_samples, true_arrival_index)
-        The two streams, the number of leading silence samples, and the
-        exact (fractional) stream index at which the direct path reached
-        microphone 1.
-    """
-    # Imported per call: batch_exchange imports this module's types.
-    from repro.simulate.batch_exchange import BatchExchangeRenderer
-
-    renderer = BatchExchangeRenderer(preamble)
-    renderer.add(tx_pos, rx_pos, config, rng)
-    (reception,) = renderer.render()
-    return reception.mic1, reception.mic2, reception.guard, reception.true_arrival
-
-
 def one_way_range(
     preamble: Preamble,
     tx_pos,
@@ -307,51 +279,3 @@ def one_way_range(
     (measurement,) = sim.run()
     return measurement
 
-
-def two_way_range(
-    preamble: Preamble,
-    pos_a,
-    pos_b,
-    config_ab: ExchangeConfig,
-    config_ba: ExchangeConfig,
-    rng: np.random.Generator,
-    reply_delay_s: float = 0.6,
-) -> RangingMeasurement:
-    """Round-trip ranging without a shared clock (BeepBeep-style).
-
-    Device A transmits; B detects (with error), replies a nominal
-    ``reply_delay_s`` later through its (self-calibrated) audio buffers;
-    A detects the reply. The estimate combines both detection errors
-    plus the residual buffer-timing error — the full two-way error
-    budget of the real system.
-    """
-    env = config_ab.environment
-    fs = preamble.config.ofdm.sample_rate
-    a = np.asarray(pos_a, dtype=float)
-    b = np.asarray(pos_b, dtype=float)
-    sound_speed = env.sound_speed(float((a[2] + b[2]) / 2))
-    true_distance = float(np.linalg.norm(b - a))
-
-    forward = one_way_range(preamble, a, b, config_ab, rng)
-    backward = one_way_range(preamble, b, a, config_ba, rng)
-    if not (forward.detected and backward.detected):
-        return RangingMeasurement(true_distance, float("nan"), detected=False)
-
-    err_forward = forward.error_m / sound_speed
-    err_backward = backward.error_m / sound_speed
-    # B's reply timing error through its audio buffers (Eq. 6): tiny but
-    # modelled. Random mic index stands in for the time since calibration.
-    from repro.devices.audio_io import AudioStreams
-
-    streams_b = AudioStreams(
-        alpha_ppm=float(rng.uniform(-80, 80)), beta_ppm=float(rng.uniform(-80, 80))
-    )
-    calibration = streams_b.calibrate()
-    reply_error = streams_b.reply_timing_error(
-        arrival_mic_index=float(rng.uniform(0, fs * 30)),
-        desired_reply_s=reply_delay_s,
-        calibration=calibration,
-    )
-    round_trip = 2 * true_distance / sound_speed + err_forward + err_backward + reply_error
-    estimated = sound_speed * round_trip / 2.0
-    return RangingMeasurement(true_distance, float(estimated), detected=True)

@@ -2,8 +2,7 @@
 
 Production renders and ranges through the batched engine
 (:mod:`repro.simulate.batch_exchange`, :mod:`repro.ranging.batch`);
-the public per-exchange calls ``simulate_reception`` and
-``one_way_range`` are that engine at K = 1.  This module keeps the
+the public per-exchange call ``one_way_range`` is that engine at K = 1.  This module keeps the
 per-exchange implementation the batched engine was derived from, as
 the oracle it is pinned to: tap lists rendered one microphone at a
 time, the scalar detector, LS channel estimate and dual-mic search
@@ -23,7 +22,7 @@ import numpy as np
 
 from repro.channel.multipath import PathTap, image_method_taps
 from repro.channel.noise import make_noise
-from repro.channel.occlusion import apply_occlusion
+from repro.channel.occlusion import Occlusion
 from repro.channel.render import apply_channel
 from repro.constants import (
     DIRECT_PATH_MARGIN,
@@ -333,6 +332,31 @@ def estimate_arrival(
 # ---------------------------------------------------------------------------
 # One exchange
 # ---------------------------------------------------------------------------
+
+
+def apply_occlusion(taps: Sequence[PathTap], occlusion: Occlusion) -> List[PathTap]:
+    """Return a new tap list with the occlusion applied (the tap-list twin of
+    :func:`repro.channel.occlusion.occlusion_gain_array`, same gains bit for bit)."""
+    direct_gain = 10.0 ** (-occlusion.direct_attenuation_db / 20.0)
+    low_gain = 10.0 ** (-occlusion.low_order_attenuation_db / 20.0)
+    out: List[PathTap] = []
+    for tap in taps:
+        total_bounces = tap.surface_bounces + tap.bottom_bounces
+        if tap.is_direct:
+            gain = direct_gain
+        elif total_bounces == 1:
+            gain = low_gain
+        else:
+            gain = 1.0
+        out.append(
+            PathTap(
+                delay_s=tap.delay_s,
+                amplitude=tap.amplitude * gain,
+                surface_bounces=tap.surface_bounces,
+                bottom_bounces=tap.bottom_bounces,
+            )
+        )
+    return out
 
 
 def _with_case_multipath(taps: Sequence[PathTap], model: DeviceModel) -> List[PathTap]:

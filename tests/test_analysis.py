@@ -1,7 +1,7 @@
 """Tests for the determinism invariant analyzer (``repro.analysis``).
 
 Each rule gets positive (fires) and negative (stays quiet) coverage on
-synthetic modules via :func:`repro.analysis.engine.analyze_source`; the
+synthetic modules via :func:`analyze_source` below; the
 CLI's exit-code contract (0 clean / 1 findings / 2 usage) is
 pinned both in-process and through ``python -m repro.analysis``; and a
 meta-test keeps the analyzer green on the committed tree — the lint gate
@@ -20,11 +20,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import analyze_source, all_rules, get_rule
+from repro.analysis import all_rules, get_rule
 from repro.analysis.__main__ import main as cli_main
-from repro.analysis.engine import module_name_for
+from repro.analysis.engine import AnalysisReport, _run_rules, build_context, module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def analyze_source(source: str, *, module: str = "snippet") -> AnalysisReport:
+    """Analyze one in-memory module with every registered rule."""
+    active = all_rules()
+    report = AnalysisReport(rules=[rule.id for rule in active])
+    _run_rules(active, build_context(source, path="<memory>", module=module), report)
+    report.files_scanned = 1
+    return report
 
 
 def findings_of(source: str, module: str = "repro.experiments.engine"):

@@ -244,21 +244,24 @@ def _exchanges(draw):
 
 
 class TestPublicCallsMatchOracle:
-    """The public per-exchange calls are the batch engine at K = 1 and
-    equal the scalar oracle on drawn exchanges, generator state included."""
+    """The batch engine at K = 1 (a one-exchange renderer, the public
+    ``one_way_range``) equals the scalar oracle on drawn exchanges,
+    generator state included."""
 
     @settings(max_examples=8, deadline=None)
     @given(exchange=_exchanges())
-    def test_simulate_reception(self, preamble, exchange):
+    def test_k1_render(self, preamble, exchange):
         tx, rx, config, seed = exchange
         r_oracle = np.random.default_rng(seed)
         r_public = np.random.default_rng(seed)
         want = simulate_reception(preamble, tx, rx, config, r_oracle)
-        got = waveform_sim.simulate_reception(preamble, tx, rx, config, r_public)
+        renderer = BatchExchangeRenderer(preamble)
+        renderer.add(tx, rx, config, r_public)
+        (got,) = renderer.render()
         assert r_oracle.bit_generator.state == r_public.bit_generator.state
-        assert np.array_equal(want[0], got[0])
-        assert np.array_equal(want[1], got[1])
-        assert want[2:] == got[2:]
+        assert np.array_equal(want[0], got.mic1)
+        assert np.array_equal(want[1], got.mic2)
+        assert want[2:] == (got.guard, got.true_arrival)
 
     @settings(max_examples=8, deadline=None)
     @given(exchange=_exchanges())

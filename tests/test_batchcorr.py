@@ -34,6 +34,14 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _gate(stream, starts, signs, stride, symbol_len, force_gemm=False):
+    """Gate scores of one stream: the multi-stream call on one stream."""
+    (scores,) = batchcorr.segment_autocorrelation_scores_multi(
+        [stream], [starts], signs, stride, symbol_len, force_gemm=force_gemm
+    )
+    return scores
+
+
 class TestCrossCorrelateParity:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -107,7 +115,7 @@ class TestSegmentAutocorrelationParity:
         signs = (1, 1, -1, 1)
         stream = rng.standard_normal(stride * 4 + 500)
         starts = list(range(0, 500, 37))
-        scores = batchcorr.segment_autocorrelation_scores(
+        scores = _gate(
             stream, starts, signs, stride, symbol_len
         )
         for start, score in zip(starts, scores):
@@ -137,7 +145,7 @@ class TestSegmentAutocorrelationParity:
         )
         assert len(multi) == len(streams)
         for stream, st_row, got in zip(streams, starts, multi):
-            want = batchcorr.segment_autocorrelation_scores(
+            want = _gate(
                 stream, st_row, signs, stride, symbol_len, force_gemm=force_gemm
             )
             assert np.array_equal(want, got)
@@ -157,9 +165,7 @@ class TestSegmentAutocorrelationParity:
 
 
 def _fast_gate(stream, starts, signs, stride, symbol_len):
-    return batchcorr.segment_autocorrelation_scores(
-        stream, starts, signs, stride, symbol_len, force_gemm=True
-    )
+    return _gate(stream, starts, signs, stride, symbol_len, force_gemm=True)
 
 
 class TestFastGateProperties:
@@ -216,7 +222,7 @@ class TestFastGateProperties:
         stream = _rng(3).standard_normal(stride * 4 + 100).astype(np.float32)
         scores = _fast_gate(stream, [0, 50, 100], (1, 1, -1, 1), stride, symbol_len)
         assert scores.dtype == np.float32
-        want = batchcorr.segment_autocorrelation_scores(
+        want = _gate(
             stream.astype(np.float64), [0, 50, 100], (1, 1, -1, 1), stride, symbol_len
         )
         assert np.allclose(scores, want, atol=1e-5)
@@ -233,7 +239,7 @@ class TestFastGateProperties:
                 batchcorr._GEMM_PROBE, (len(signs), symbol_len), path == "probe_passes"
             )
         with pytest.raises(ValueError, match="out of range"):
-            batchcorr.segment_autocorrelation_scores(
+            _gate(
                 stream, [0, start], signs, stride, symbol_len, force_gemm=path == "fast"
             )
         with pytest.raises(ValueError, match="out of range"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.channel.environment import BOATHOUSE, DOCK, ENVIRONMENTS, SWIMMING_POOL, VIEWPOINT
-from repro.channel.multipath import PathTap, delay_spread, image_method_taps
+from repro.channel.multipath import PathTap, image_method_taps
 from repro.channel import noise as noise_mod
 from repro.channel.noise import (
     NoiseModel,
@@ -16,13 +16,36 @@ from repro.channel.noise import (
     sos_response,
     spiky_noise,
 )
-from repro.channel.occlusion import Occlusion, apply_occlusion
+from repro.channel.occlusion import Occlusion
+from repro.physics.absorption import absorption_loss_db
 from repro.channel.render import (
     apply_channel,
     directivity_gain,
     fir_length_for,
     render_taps,
 )
+from scalar_receiver import apply_occlusion
+
+
+def delay_spread(taps, power_fraction=0.99):
+    """Delay spread (s) containing ``power_fraction`` of the tap energy.
+
+    Computed from the first arrival to the arrival at which the
+    cumulative energy crosses the requested fraction.
+    """
+    if not taps:
+        raise ValueError("taps must be non-empty")
+    if not 0 < power_fraction <= 1:
+        raise ValueError("power_fraction must be in (0, 1]")
+    ordered = sorted(taps, key=lambda t: t.delay_s)
+    energies = np.array([t.amplitude**2 for t in ordered])
+    total = energies.sum()
+    if total == 0:
+        return 0.0
+    cumulative = np.cumsum(energies) / total
+    idx = int(np.searchsorted(cumulative, power_fraction))
+    idx = min(idx, len(ordered) - 1)
+    return ordered[idx].delay_s - ordered[0].delay_s
 
 
 class TestImageMethod:
@@ -31,6 +54,20 @@ class TestImageMethod:
         assert taps[0].is_direct
         true_delay = np.sqrt(20**2 + 1**2) / 1_500.0
         assert taps[0].delay_s == pytest.approx(true_delay, rel=1e-9)
+
+    def test_direct_tap_is_spreading_times_absorption(self):
+        # 1/r spherical spreading (0 dB at the 1 m reference) times
+        # Thorp absorption over the path.
+        for dist in (1.0, 10.0, 30.0):
+            taps = image_method_taps([0, 0, 2.0], [dist, 0, 2.0], 5.0, 1_500.0)
+            expected = (1.0 / dist) * 10.0 ** (-absorption_loss_db(dist, 3_000.0) / 20.0)
+            assert taps[0].amplitude == pytest.approx(expected, rel=1e-12)
+
+    def test_direct_amplitude_falls_with_range(self):
+        near = image_method_taps([0, 0, 2.0], [10.0, 0, 2.0], 5.0, 1_500.0)[0]
+        far = image_method_taps([0, 0, 2.0], [45.0, 0, 2.0], 5.0, 1_500.0)[0]
+        assert near.amplitude < 1.0
+        assert far.amplitude < near.amplitude
 
     def test_surface_reflection_present(self):
         taps = image_method_taps([0, 0, 2], [20, 0, 2], 9.0, 1_500.0)

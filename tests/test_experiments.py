@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.experiments.metrics import (
-    cdf_points,
-    median_and_p95,
-    percentile_band,
-    summarize_errors,
-)
+from repro.experiments.metrics import percentile_band, summarize_errors
 
 
 class TestMetrics:
@@ -25,25 +20,23 @@ class TestMetrics:
         assert np.isnan(s.median)
 
     def test_median_and_p95(self):
-        median, p95 = median_and_p95(np.linspace(0, 1, 101))
-        assert median == pytest.approx(0.5)
-        assert p95 == pytest.approx(0.95)
-
-    def test_cdf_points_monotone(self):
-        rng = np.random.default_rng(0)
-        xs, fs = cdf_points(rng.exponential(1.0, 500))
-        assert np.all(np.diff(xs) >= 0)
-        assert np.all(np.diff(fs) >= -1e-12)
-        assert fs[-1] == pytest.approx(1.0)
-
-    def test_cdf_empty_rejected(self):
-        with pytest.raises(ValueError):
-            cdf_points([np.nan])
+        s = summarize_errors(np.linspace(0, 1, 101))
+        assert s.median == pytest.approx(0.5)
+        assert s.p95 == pytest.approx(0.95)
 
     def test_percentile_band(self):
         band = percentile_band(np.arange(100.0), 90, 100)
         assert band.min() >= 89.0
         assert band.max() == 99.0
+
+    def test_percentile_band_sorted_finite_magnitudes(self):
+        band = percentile_band([3.0, np.nan, -1.0, 2.0, 0.5], 0, 100)
+        assert np.array_equal(band, [0.5, 1.0, 2.0, 3.0])
+
+    def test_summary_is_sign_blind(self):
+        rng = np.random.default_rng(0)
+        errors = rng.normal(0.0, 1.0, 200)
+        assert summarize_errors(errors) == summarize_errors(-errors)
 
     def test_str_format(self):
         s = summarize_errors([1.0, 2.0])

@@ -16,7 +16,6 @@ from repro.geometry.transforms import (
     reflect_across_line_2d,
     rotate_2d,
     rotation_matrix_2d,
-    side_of_line_2d,
 )
 
 
@@ -55,12 +54,6 @@ class TestTransforms:
         once = reflect_across_line_2d(pts, [1.0, 2.0], [3.0, -1.0])
         twice = reflect_across_line_2d(once, [1.0, 2.0], [3.0, -1.0])
         assert np.allclose(twice, pts)
-
-    def test_side_of_line_signs(self):
-        # Line along +x from origin: +y side positive.
-        assert side_of_line_2d([1.0, 1.0], [0.0, 0.0], [1.0, 0.0]) > 0
-        assert side_of_line_2d([1.0, -1.0], [0.0, 0.0], [1.0, 0.0]) < 0
-        assert side_of_line_2d([5.0, 0.0], [0.0, 0.0], [1.0, 0.0]) == 0
 
     def test_zero_direction_rejected(self):
         with pytest.raises(ValueError):

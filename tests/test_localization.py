@@ -309,6 +309,16 @@ class TestAmbiguity:
         assert mic_arrival_sign(left, right, np.array([5.0, -5.0, 1.0])) == 1
         assert mic_arrival_sign(left, right, np.array([5.0, 0.0, 1.0])) == 0
 
+    def test_vote_side_signs(self):
+        # Leader at origin, user 1 along +x: the +y side is the left,
+        # where the left mic hears first (arrival sign -1).
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [5.0, 0.0]])
+        assert flipping_vote(pts, {2: -1}) == 1.0
+        assert flipping_vote(pts, {3: 1}) == 1.0
+        assert flipping_vote(pts, {2: 1}) == -1.0
+        # A diver on the leader/user-1 line cannot vote.
+        assert flipping_vote(pts, {4: 1}) == 0.0
+
     def test_vote_selects_true_configuration(self):
         pts = _positions3d()
         pts2d = pts[:, :2]

@@ -12,6 +12,7 @@ of the driver on drawn trial streams, including disconnected ones; and
 that packet loss disconnects.
 """
 
+import importlib
 from unittest import mock
 
 import numpy as np
@@ -22,10 +23,14 @@ from legacy_oracles import flipping_accuracy_legacy, per_trial_localization, run
 from repro.errors import LocalizationError
 from repro.experiments import engine, tables
 from repro.geometry.topology import pairwise_distance_matrix, random_scenario_positions
+from repro.localization import outliers, pipeline
 from repro.localization.pipeline import LocalizationInputs, localize, localize_many
 from repro.service.compute import encode_body
 from repro.simulate.network_sim import NetworkSimulator, RangingErrorModel, run_rounds
 from repro.simulate.scenario import testbed_scenario as make_testbed_scenario
+
+#: The module, not the function ``repro.localization`` re-exports.
+smacof_module = importlib.import_module("repro.localization.smacof")
 
 #: (experiment, variant, scale) units whose trials all go through the driver.
 UNITS = (
@@ -187,6 +192,24 @@ def test_property_stream_covers_restarts_and_failures():
     assert all(r.outliers_suspected for _, r in results)
     # Every suspected trial restarts the stack, so trials are redrawn.
     assert len(draw.calls) > 20
+
+
+def test_each_problem_is_validated_once():
+    """Staging validates each trial's problem; the base stacks built from
+    staged trials are not validated again, while every Algorithm 1 level
+    stack (a public ``smacof_batch`` call) is."""
+    rng = np.random.default_rng(1)
+    draw = _trial_drawer(rng, max_n=6, noise=0.3, bias=6.0, link_loss=0.0, threshold=None)
+    validate = smacof_module._validate_inputs
+    with (
+        mock.patch.object(smacof_module, "_validate_inputs", wraps=validate) as checks,
+        mock.patch.object(pipeline, "_stage", wraps=pipeline._stage) as stages,
+        mock.patch.object(outliers, "smacof_batch", wraps=outliers.smacof_batch) as levels,
+    ):
+        results = localize_many(draw, _finish, 12, rng)
+    assert len(results) == 12
+    assert levels.call_count > 0  # some trials are suspected
+    assert checks.call_count == stages.call_count + levels.call_count
 
 
 # ---------------------------------------------------------------------------

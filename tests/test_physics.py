@@ -8,12 +8,8 @@ from repro.physics import (
     WaterProperties,
     absorption_loss_db,
     depth_to_pressure,
-    path_gain,
-    path_loss_db,
     pressure_to_depth,
-    sound_speed_profile,
     sound_speed_wilson,
-    spreading_loss_db,
     thorp_absorption_db_per_km,
 )
 
@@ -67,7 +63,9 @@ class TestWaterProperties:
 
     def test_profile_monotone_in_depth(self):
         props = WaterProperties(temperature_c=10.0)
-        profile = sound_speed_profile(props, [0, 10, 20, 30])
+        profile = sound_speed_wilson(
+            props.temperature_c, props.salinity_ppt, np.array([0.0, 10.0, 20.0, 30.0])
+        )
         assert np.all(np.diff(profile) > 0)
 
 
@@ -86,23 +84,21 @@ class TestAbsorption:
         two = absorption_loss_db(2_000.0, 3_000.0)
         assert two == pytest.approx(2 * one)
 
-    def test_spreading_reference(self):
-        assert spreading_loss_db(1.0) == pytest.approx(0.0)
-        assert spreading_loss_db(10.0, exponent=2.0) == pytest.approx(20.0)
+    def test_zero_distance_no_loss(self):
+        assert absorption_loss_db(0.0, 3_000.0) == 0.0
 
-    def test_spreading_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            spreading_loss_db(0.0)
-
-    def test_path_gain_below_one_beyond_reference(self):
-        assert path_gain(10.0, 3_000.0) < 1.0
-        assert path_gain(45.0, 3_000.0) < path_gain(10.0, 3_000.0)
+    def test_array_matches_scalar(self):
+        # The array-first image method and the per-tap one must agree
+        # bit for bit on every path length.
+        dists = np.array([0.5, 10.0, 23.7, 45.0])
+        losses = absorption_loss_db(dists, 3_000.0)
+        assert np.array_equal(losses, [absorption_loss_db(float(d), 3_000.0) for d in dists])
 
     @given(d=st.floats(1.0, 100.0), f=st.floats(500.0, 10_000.0))
     def test_loss_positive_and_monotone(self, d, f):
-        loss = path_loss_db(d, f)
-        assert loss >= 0.0
-        assert path_loss_db(d * 2, f) > loss
+        loss = absorption_loss_db(d, f)
+        assert loss > 0.0
+        assert absorption_loss_db(d * 2, f) > loss
 
 
 class TestDepthConversion:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.constants import DELTA0_S, DELTA1_S
+from repro.constants import DELTA0_S, DELTA1_S, MAX_RANGE_M, T_GUARD_S, TWO_TAU_MAX_S
 from repro.devices.clock import DeviceClock
 from repro.errors import ConfigurationError, ProtocolError
 from repro.geometry.topology import pairwise_distance_matrix
@@ -13,12 +13,7 @@ from repro.protocol.ranging_matrix import (
     two_way_distance,
 )
 from repro.protocol.round import run_protocol_round
-from repro.protocol.slots import (
-    SlotSchedule,
-    assigned_slot_time,
-    required_guard_s,
-    round_duration,
-)
+from repro.protocol.slots import assigned_slot_time, round_duration
 from repro.protocol.sync import infer_transmit_slot
 
 
@@ -37,28 +32,29 @@ class TestSlots:
         for n, value in expected.items():
             assert round_duration(n) == pytest.approx(value, abs=0.01)
 
+    def test_slots_spaced_by_delta1(self):
+        for k in range(1, 7):
+            assert assigned_slot_time(k + 1) - assigned_slot_time(k) == pytest.approx(DELTA1_S)
+        for n in range(2, 8):
+            assert round_duration(n + 1) - round_duration(n) == pytest.approx(DELTA1_S)
+            assert round_duration(n, all_in_range=False) > round_duration(n)
+
     def test_worst_case_doubles_span(self):
         normal = round_duration(5)
         worst = round_duration(5, all_in_range=False)
         assert worst == pytest.approx(DELTA0_S + 2 * (normal - DELTA0_S))
 
     def test_guard_covers_two_way_propagation(self):
-        # Paper: 42 ms guard at 32 m max range.
-        assert required_guard_s(32.0, 1_500.0) < 0.043
+        # Paper: 42 ms guard at 32 m max range, i.e. 2 * tau_max at
+        # 1500 m/s to within 1 ms, and no shorter than the uplink's 2*tau.
+        assert T_GUARD_S >= TWO_TAU_MAX_S
+        assert T_GUARD_S == pytest.approx(2 * MAX_RANGE_M / 1_500.0, abs=1e-3)
 
     def test_schedule_validation(self):
-        with pytest.raises(ConfigurationError):
-            SlotSchedule(num_devices=1)
         with pytest.raises(ConfigurationError):
             assigned_slot_time(-1)
         with pytest.raises(ConfigurationError):
             round_duration(1)
-
-    def test_schedule_object(self):
-        sched = SlotSchedule(num_devices=5)
-        assert sched.delta1_s == pytest.approx(DELTA1_S)
-        assert sched.slot_time(3) == assigned_slot_time(3)
-        assert sched.worst_case_round_s > sched.round_duration_s
 
 
 class TestSlotInference:

@@ -14,7 +14,6 @@ from repro.localization.rigidity import (
     is_redundantly_rigid,
     is_rigid,
     is_uniquely_realizable,
-    laman_satisfied,
 )
 
 
@@ -54,18 +53,19 @@ class TestRigidity:
         # Laman counting: K4 has 6 edges but rank 2*4-3 = 5.
         assert independent_edge_count(4, complete_graph_edges(4)) == 5
 
-    def test_laman_satisfied_minimally_rigid(self):
+    def test_minimally_rigid_edges_all_independent(self):
+        # Laman: 2n-3 edges, every one independent.
         edges = [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3)]  # 2*4-3 = 5 edges
-        assert laman_satisfied(4, edges)
-        assert not laman_satisfied(4, complete_graph_edges(4))  # 6 edges
+        assert independent_edge_count(4, edges) == len(edges) == 2 * 4 - 3
 
-    def test_overconstrained_subgraph_rejected(self):
-        # K4 plus an isolated-ish path: total 2n-3 edges but K4 part has
-        # more than 2n'-3 -> not Laman.
+    def test_overconstrained_subgraph_has_dependent_edge(self):
+        # K4 plus a triangle on vertex 3: total 2n-3 edges, but the K4 part
+        # has more than 2n'-3, so one edge is dependent (not Laman).
         edges = complete_graph_edges(4) + [(3, 4), (4, 5), (3, 5)]
         n = 6
         assert len(edges) == 2 * n - 3
-        assert not laman_satisfied(n, edges)
+        assert independent_edge_count(n, edges) == len(edges) - 1
+        assert not is_rigid(n, edges)
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):

@@ -6,11 +6,10 @@ import pytest
 from repro.channel.environment import DOCK
 from repro.devices.device import make_device
 from repro.errors import ConfigurationError
-from repro.simulate.mobility import LinearBackForthTrajectory, constant_velocity_path
+from repro.simulate.mobility import LinearBackForthTrajectory
 from repro.simulate.scenario import (
     PointingModel,
     Scenario,
-    analytical_scenario,
     testbed_scenario as make_testbed_scenario,
 )
 
@@ -86,14 +85,15 @@ class TestScenario:
         assert by_name.environment.name == "boathouse"
         assert by_obj.environment.name == "dock"
 
-    def test_analytical_scenario_dimensions(self):
+    def test_explicit_devices(self):
         rng = np.random.default_rng(9)
-        scenario = analytical_scenario(6, rng)
-        assert scenario.num_devices == 6
-        pts = scenario.positions
-        assert np.all(np.abs(pts[:, :2]) <= 30.0)
-        assert np.all((pts[:, 2] >= 0) & (pts[:, 2] <= 10.0))
-        assert scenario.max_range_m == np.inf
+        points = [[0.0, 0.0, 1.0], [6.0, 0.0, 2.0], [3.0, 8.0, 4.0]]
+        devices = [make_device(i, p, rng) for i, p in enumerate(points)]
+        scenario = Scenario(environment=DOCK, devices=devices)
+        assert scenario.num_devices == 3
+        assert np.array_equal(scenario.positions, points)
+        assert np.array_equal(scenario.depths, [1.0, 2.0, 4.0])
+        assert scenario.true_distances()[0, 1] == pytest.approx(np.hypot(6.0, 1.0))
 
     def test_sound_speed_plausible(self):
         rng = np.random.default_rng(10)
@@ -125,6 +125,16 @@ class TestTrajectories:
         assert np.allclose(traj.position(0.0), 0.0)
         assert traj.position(1.0)[1] == pytest.approx(1.0)
 
+    def test_constant_velocity_before_turn(self):
+        traj = LinearBackForthTrajectory(
+            center=np.array([0.0, 0.0, 1.0]),
+            direction=np.array([1.0, 0.0, 0.0]),
+            amplitude_m=5.0,
+            speed_mps=0.5,
+        )
+        for t in (0.0, 1.0, 2.0, 9.5):
+            assert np.allclose(traj.position(t), [0.5 * t, 0.0, 1.0])
+
     def test_period(self):
         traj = LinearBackForthTrajectory(
             center=np.zeros(3),
@@ -155,15 +165,6 @@ class TestTrajectories:
         )
         with pytest.raises(ValueError):
             traj.position(1.0)
-
-    def test_constant_velocity_path(self):
-        path = constant_velocity_path(
-            np.array([0.0, 0.0, 1.0]),
-            np.array([0.5, 0.0, 0.0]),
-            np.array([0.0, 1.0, 2.0]),
-        )
-        assert path.shape == (3, 3)
-        assert np.allclose(path[2], [1.0, 0.0, 1.0])
 
 
 class TestTestbedInvariants:

@@ -12,8 +12,8 @@ from repro.service.replay import (
     percentile,
     replay_trace,
 )
-from repro.service.server import start_background
 from repro.service.store import CacheStore
+from background_server import start_background
 
 
 def test_percentile_nearest_rank():

@@ -30,9 +30,9 @@ from repro.service.server import (
     MAX_BODY_BYTES,
     CampaignServer,
     _BadRequest,
-    start_background,
 )
 from repro.service.store import CacheStore
+from background_server import start_background
 
 REQUEST = {"experiment": "fig22", "scale": 0.1, "backend": "batch"}
 

@@ -25,13 +25,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro.service.cachekey import UnitRequest
 from repro.service.client import ServiceClient
 from repro.service.compute import cached_unit
-from repro.service.server import start_background
 from repro.service.store import (
     RACY_WINDOW_S,
     STALE_TMP_GRACE_S,
     CacheStore,
     CacheStoreError,
 )
+from background_server import start_background
 
 KEY_A = "a" * 64
 KEY_B = "b" * 64

@@ -7,7 +7,7 @@ import scalar_receiver
 from repro.constants import AUTOCORR_THRESHOLD
 from repro.signals.batchcorr import (
     segment_autocorrelation_fast,
-    segment_autocorrelation_scores,
+    segment_autocorrelation_scores_multi,
 )
 from repro.signals.correlation import cross_correlate, normalized_cross_correlation
 from repro.signals.preamble import Preamble, PreambleConfig, make_preamble
@@ -142,8 +142,8 @@ class TestSegmentAutocorrelation:
         stream = 0.01 * rng.standard_normal(offset + len(preamble) + 500)
         stream[offset : offset + len(preamble)] += preamble.waveform
         gate = (cfg.pn_signs, cfg.symbol_stride, cfg.ofdm.n_fft)
-        scores = segment_autocorrelation_scores(stream, [offset - 700, offset], *gate)
+        (scores,) = segment_autocorrelation_scores_multi([stream], [[offset - 700, offset]], *gate)
         assert scores[1] > 0.9
         assert scores[1] > scores[0]
         with pytest.raises(ValueError, match="out of range"):
-            segment_autocorrelation_scores(stream, [stream.size], *gate)
+            segment_autocorrelation_scores_multi([stream], [[stream.size]], *gate)

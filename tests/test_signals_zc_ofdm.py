@@ -7,11 +7,37 @@ from hypothesis import given, strategies as st
 from repro.signals.ofdm import (
     OfdmConfig,
     band_bins,
-    demodulate_symbol,
     modulate_symbol,
     ofdm_symbol_from_zc,
 )
-from repro.signals.zc import cyclic_autocorrelation, zadoff_chu
+from repro.signals.xp import get_context
+from repro.signals.zc import zadoff_chu
+
+
+def cyclic_autocorrelation(sequence: np.ndarray) -> np.ndarray:
+    """Cyclic autocorrelation magnitude of a sequence, normalised to 1.
+
+    For a proper ZC sequence this is 1 at lag zero and ~0 elsewhere (the
+    CAZAC property).
+    """
+    seq = np.asarray(sequence)
+    ctx = get_context()
+    spectrum = ctx.fft(seq)
+    corr = ctx.ifft(spectrum * np.conj(spectrum))
+    mag = np.abs(corr)
+    peak = mag[0]
+    if peak == 0:
+        raise ValueError("sequence has zero energy")
+    return mag / peak
+
+
+def demodulate_symbol(config: OfdmConfig, samples: np.ndarray) -> np.ndarray:
+    """FFT a received symbol (without CP) and return the in-band bins."""
+    x = np.asarray(samples, dtype=float)
+    if x.size != config.n_fft:
+        raise ValueError(f"expected {config.n_fft} samples, got {x.size}")
+    spectrum = get_context().fft(x)
+    return spectrum[band_bins(config)]
 
 
 class TestZadoffChu:

@@ -5,13 +5,11 @@ import pytest
 
 from repro.channel.environment import DOCK, SWIMMING_POOL
 from repro.channel.occlusion import Occlusion
+from repro.protocol.messages import TimestampReport
+from repro.protocol.ranging_matrix import two_way_distance
 from repro.signals.preamble import make_preamble
-from repro.simulate.waveform_sim import (
-    ExchangeConfig,
-    one_way_range,
-    simulate_reception,
-    two_way_range,
-)
+from repro.simulate.batch_exchange import BatchExchangeRenderer
+from repro.simulate.waveform_sim import ExchangeConfig, one_way_range
 
 
 @pytest.fixture(scope="module")
@@ -25,12 +23,18 @@ def config():
     return ExchangeConfig(environment=DOCK, sound_speed_error_std=0.0)
 
 
-class TestSimulateReception:
+def render_one(preamble, tx, rx, config, rng):
+    """Render one exchange: a K = 1 :class:`BatchExchangeRenderer`."""
+    renderer = BatchExchangeRenderer(preamble)
+    renderer.add(tx, rx, config, rng)
+    (reception,) = renderer.render()
+    return reception.mic1, reception.mic2, reception.guard, reception.true_arrival
+
+
+class TestRenderOneExchange:
     def test_stream_shapes_and_truth(self, preamble, config):
         rng = np.random.default_rng(0)
-        mic1, mic2, guard, true_idx = simulate_reception(
-            preamble, [0, 0, 2.5], [15, 0, 2.5], config, rng
-        )
+        mic1, mic2, guard, true_idx = render_one(preamble, [0, 0, 2.5], [15, 0, 2.5], config, rng)
         assert mic1.size == mic2.size
         assert guard == int(config.guard_s * preamble.config.ofdm.sample_rate)
         # True arrival beyond the guard by the propagation time.
@@ -39,9 +43,7 @@ class TestSimulateReception:
 
     def test_mics_see_different_channels(self, preamble, config):
         rng = np.random.default_rng(1)
-        mic1, mic2, _g, _t = simulate_reception(
-            preamble, [0, 0, 2.5], [15, 0, 2.5], config, rng
-        )
+        mic1, mic2, _g, _t = render_one(preamble, [0, 0, 2.5], [15, 0, 2.5], config, rng)
         assert not np.allclose(mic1, mic2)
 
 
@@ -98,19 +100,41 @@ class TestOneWayRange:
         assert abs(m.error_m) < 1.0
 
 
+def _round_trip(preamble, pos_a, pos_b, config, rng, clock_offset_s=123.4, reply_s=0.6):
+    """A transmits at its local 0; B replies ``reply_s`` later.
+
+    Each leg's arrival is a waveform-level detection; the leader's
+    :func:`two_way_distance` combines the four local timestamps, so
+    B's clock offset must cancel.
+    """
+    c = config.environment.sound_speed(2.5)
+    forward = one_way_range(preamble, pos_a, pos_b, config, rng)
+    backward = one_way_range(preamble, pos_b, pos_a, config, rng)
+    heard_by_a = {1: reply_s + backward.estimated_distance_m / c} if backward.detected else {}
+    heard_by_b = (
+        {0: clock_offset_s + forward.estimated_distance_m / c} if forward.detected else {}
+    )
+    report_a = TimestampReport(0, 2.5, own_tx_local_s=0.0, receptions=heard_by_a)
+    report_b = TimestampReport(
+        1, 2.5, own_tx_local_s=clock_offset_s + reply_s, receptions=heard_by_b
+    )
+    return forward, backward, two_way_distance(report_a, report_b, c)
+
+
 class TestTwoWayRange:
     def test_round_trip_accuracy(self, preamble, config):
         rng = np.random.default_rng(7)
-        m = two_way_range(
-            preamble, [0, 0, 2.5], [12, 0, 2.5], config, config, rng
-        )
-        assert m.detected
+        forward, backward, distance = _round_trip(preamble, [0, 0, 2.5], [12, 0, 2.5], config, rng)
+        assert forward.detected and backward.detected
         # Two detection errors accumulate; stay within a couple of
         # metres at 12 m (single draws can hit a CIR side lobe).
-        assert abs(m.error_m) < 2.0
+        assert abs(distance - 12.0) < 2.0
+        mean_one_way = (forward.estimated_distance_m + backward.estimated_distance_m) / 2
+        assert distance == pytest.approx(mean_one_way, abs=1e-6)
 
     def test_failure_propagates(self, preamble):
         rng = np.random.default_rng(8)
         quiet = ExchangeConfig(environment=DOCK, amplitude=1e-6)
-        m = two_way_range(preamble, [0, 0, 2.5], [20, 0, 2.5], quiet, quiet, rng)
-        assert not m.detected
+        forward, _backward, distance = _round_trip(preamble, [0, 0, 2.5], [20, 0, 2.5], quiet, rng)
+        assert not forward.detected
+        assert distance is None
