@@ -7,7 +7,8 @@ pinned quantities live in a committed, regenerable artifact keyed by a
 **parity epoch**:
 
 * ``tests/baselines/parity_epoch<N>.json`` holds stream digests, one-way
-  measurement values and per-figure measured outputs, all produced by
+  measurement values, per-figure measured outputs and the merged
+  measured outputs of trial-chunked runs (``chunked``), all produced by
   the **batch** backend (which ``tests/test_batch_parity.py`` separately
   proves bit-identical at runtime to the scalar API and to the frozen
   per-exchange figure paths of ``tests/legacy_oracles.py``);
@@ -67,6 +68,14 @@ BACKEND_EXPERIMENTS = {
     "fig15": dict(scale=0.1),
     "fig22": dict(scale=1.0, num_symbols=4),
 }
+
+
+#: The trial-chunkable figures and the chunk counts the ``chunked``
+#: section pins: the merged measured outputs of ``--trial-chunks N``
+#: runs at the :data:`BACKEND_EXPERIMENTS` params, so a change to how
+#: chunk results recombine cannot move bits unnoticed.
+CHUNKED_FIGURES = ("fig11", "fig12", "fig13", "fig14", "fig15")
+CHUNK_COUNTS = (2, 3)
 
 
 def baseline_path(epoch: int = PARITY_EPOCH, directory: Path | None = None) -> Path:
@@ -174,6 +183,28 @@ def figure_payload(name: str) -> dict:
     return engine.jsonify(output.measured)
 
 
+def chunked_measured(name: str, trial_chunks: int, backend: str = "batch") -> dict:
+    """One figure's merged measured outputs over ``trial_chunks`` chunks."""
+    from repro.experiments import engine
+
+    params = dict(BACKEND_EXPERIMENTS[name])
+    scale = params.pop("scale")
+    result = engine.run_unit(
+        name, params=params, scale=scale, backend=backend, trial_chunks=trial_chunks
+    )
+    if result.status != "ok":
+        raise RuntimeError(f"{name} at {trial_chunks} chunks failed:\n{result.error}")
+    return engine.jsonify(result.measured)
+
+
+def chunked_payload() -> dict:
+    """Merged measured outputs per chunkable figure and chunk count."""
+    return {
+        name: {str(k): chunked_measured(name, k) for k in CHUNK_COUNTS}
+        for name in CHUNKED_FIGURES
+    }
+
+
 def generate_baselines() -> dict:
     """The full epoch artifact (without provenance: comparable payload)."""
     return {
@@ -182,6 +213,7 @@ def generate_baselines() -> dict:
         "receptions": reception_payload(),
         "one_way": one_way_payload(),
         "figures": {name: figure_payload(name) for name in sorted(BACKEND_EXPERIMENTS)},
+        "chunked": chunked_payload(),
     }
 
 

@@ -38,8 +38,11 @@ from hypothesis import given, settings, strategies as st
 from legacy_oracles import legacy_waveform
 from regen_parity_baselines import (
     BACKEND_EXPERIMENTS,
+    CHUNK_COUNTS,
+    CHUNKED_FIGURES,
     PARITY_EPOCH,
     baseline_path,
+    chunked_measured,
     reception_scenarios,
     stream_digest,
 )
@@ -342,6 +345,17 @@ class TestChunkedCampaignDeterminism:
         entry = doc["experiments"][0]
         assert entry["status"] == "ok"
         assert entry["measured"]["orientation_median_m"]
+
+    @pytest.mark.parametrize("trial_chunks", CHUNK_COUNTS)
+    @pytest.mark.parametrize("name", CHUNKED_FIGURES)
+    def test_merged_outputs_pinned(self, name, trial_chunks, epoch_baseline):
+        """Merged chunk results match the committed ``chunked`` section."""
+        if epoch_baseline is None:
+            pytest.skip("absolute parity pins disabled on this platform")
+        pinned = epoch_baseline["chunked"][name][str(trial_chunks)]
+        assert json.dumps(chunked_measured(name, trial_chunks), sort_keys=True) == (
+            json.dumps(pinned, sort_keys=True)
+        )
 
     def test_chunk_share_partitions_trials(self):
         for count in (0, 1, 7, 30):
