@@ -82,7 +82,11 @@ DELTA0_S = 0.600
 #: Acoustic packet duration T_packet (seconds).
 T_PACKET_S = 0.278
 
-#: Guard interval T_guard covering twice the maximum propagation (seconds).
+#: Guard interval T_guard (seconds), the paper's 42 ms.  It spans the
+#: two-way propagation time to MAX_RANGE_M only for sound speeds of at
+#: least 2 * 32 m / 42 ms = 1524 m/s; at DEFAULT_SOUND_SPEED it spans
+#: 1480 m/s * 42 ms / 2 = 31.1 m, so slots at the full range can overlap
+#: by up to ~1 ms.
 T_GUARD_S = 0.042
 
 #: TDM slot pitch Delta_1 = T_packet + T_guard (seconds).

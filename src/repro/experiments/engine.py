@@ -127,6 +127,13 @@ class ExperimentSpec:
         Declared scenario variants; each gets its own seeded substream.
     sweepable:
         Parameter names a campaign-level ``sweep`` may vary.
+    summarize:
+        Set for a trial-chunkable experiment: its entry accepts
+        ``chunk=(index, total)`` and returns the raw per-trial payload,
+        which this function turns into the :class:`ExperimentOutput`.
+        The engine calls it once per unit, on the raw of an unchunked
+        run or on :func:`merge_raw` of the chunks' raws.  ``None``: the
+        entry takes no ``chunk`` and returns its output itself.
     backends:
         Waveform backends the entry accepts (capability flags from
         :data:`WAVEFORM_BACKENDS`); empty for experiments without a
@@ -142,10 +149,7 @@ class ExperimentSpec:
     entry: str = "campaign"
     variants: Tuple[Variant, ...] = (Variant("default"),)
     sweepable: frozenset = frozenset()
-    #: Supports intra-experiment trial chunking: the entry accepts a
-    #: ``chunk=(index, total)`` kwarg and the module provides a
-    #: ``merge_chunks(raws) -> ExperimentOutput`` function.
-    chunkable: bool = False
+    summarize: Optional[Callable[[Any], "ExperimentOutput"]] = None
     backends: Tuple[str, ...] = ()
 
     def variant(self, name: str) -> Variant:
@@ -165,9 +169,8 @@ class ExperimentOutput:
     ``measured`` holds the headline numbers as plain (JSON-friendly)
     structures; ``report`` is the human-readable paper-vs-measured
     comparison previously only printed by the serial runner.  ``raw``
-    carries the per-trial payload a chunkable experiment's
-    ``merge_chunks`` needs to recombine partial runs; it never reaches
-    the JSON artifact.
+    carries a trial-chunk job's raw payload to :func:`merge_raw`; it
+    never reaches the JSON artifact.
     """
 
     measured: Dict[str, Any]
@@ -195,7 +198,7 @@ class ExperimentResult:
     #: Chunk coordinates while a job is in flight; merged results and
     #: unchunked runs carry ``None``.  Excluded from the JSON artifact.
     chunk: Optional[Tuple[int, int]] = None
-    #: Per-trial payload for ``merge_chunks``; never serialised.
+    #: A chunk job's raw payload for :func:`merge_raw`; never serialised.
     raw: Optional[Dict[str, Any]] = None
     #: Peak RSS (MB) of the process that ran the job, read when it
     #: ended (:func:`peak_rss_mb`): the process's high-water mark, so
@@ -248,10 +251,14 @@ def register(
     cost: str = "moderate",
     variants: Optional[Sequence[Variant]] = None,
     sweepable: Iterable[str] = (),
-    chunkable: bool = False,
+    summarize: Optional[Callable[[Any], ExperimentOutput]] = None,
     backends: Iterable[str] = (),
 ) -> Callable:
-    """Decorator: register ``func`` as the campaign entry for ``name``."""
+    """Decorator: register ``func`` as the campaign entry for ``name``.
+
+    ``summarize`` makes the experiment trial-chunkable
+    (:attr:`ExperimentSpec.summarize`).
+    """
 
     def deco(func: Callable) -> Callable:
         unknown = [b for b in backends if b not in WAVEFORM_BACKENDS]
@@ -267,7 +274,7 @@ def register(
             entry=func.__name__,
             variants=tuple(variants) if variants else (Variant("default"),),
             sweepable=frozenset(sweepable),
-            chunkable=chunkable,
+            summarize=summarize,
             backends=tuple(backends),
         )
         _REGISTRY[name] = spec
@@ -665,6 +672,10 @@ def _execute(payload: Tuple[_Job, int, float, Optional[int]]) -> ExperimentResul
     start = time.perf_counter()
     try:
         output, error = spec.resolve_entry()(rng, scale=scale, **kwargs), None
+        if chunk is not None:
+            output = ExperimentOutput(measured={}, raw=output)
+        elif spec.summarize is not None:
+            output = spec.summarize(output)
     except Exception:
         output, error = None, traceback.format_exc(limit=8)
     wall_time_s = time.perf_counter() - start
@@ -712,15 +723,43 @@ def shutdown_pool() -> None:
 atexit.register(shutdown_pool)
 
 
+def merge_raw(raws: Sequence[Any]) -> Any:
+    """Recombine a unit's trial-chunk raw payloads, given in chunk order.
+
+    Arrays concatenate along their last (trial) axis; non-bool ``int``
+    counts sum; dicts, lists and tuples merge element-wise and must have
+    the same keys and lengths in every chunk; any other leaf (a
+    distance, a label, a threshold) must be equal in every chunk, and
+    chunk 0's is kept.  A mismatch raises ``ValueError``.
+    """
+    first = raws[0]
+    if any(type(raw) is not type(first) for raw in raws):
+        raise ValueError(f"chunk raws mix types {[type(raw).__name__ for raw in raws]}")
+    if isinstance(first, np.ndarray):
+        return np.concatenate(raws, axis=-1)
+    if isinstance(first, int) and not isinstance(first, bool):
+        return sum(raws)
+    if isinstance(first, dict):
+        if any(raw.keys() != first.keys() for raw in raws):
+            raise ValueError(f"chunk raws disagree on keys {list(first)}")
+        return {key: merge_raw([raw[key] for raw in raws]) for key in first}
+    if isinstance(first, (list, tuple)):
+        if any(len(raw) != len(first) for raw in raws):
+            raise ValueError(f"chunk raws disagree on length {len(first)}")
+        return type(first)(merge_raw(parts) for parts in zip(*raws))
+    if any(raw != first for raw in raws):
+        raise ValueError(f"chunk raws disagree on {first!r}")
+    return first
+
+
 def _merge_chunk_group(group: List[ExperimentResult]) -> ExperimentResult:
-    """Fold a variant's chunk results into one merged result."""
+    """Fold a variant's chunk results into one summarised result."""
     first = group[0]
     output, error = None, "\n".join(filter(None, (r.error for r in group)))
     if all(r.status == "ok" for r in group):
-        merge = getattr(importlib.import_module(get_spec(first.experiment).module), "merge_chunks")
         try:
-            merged = merge([r.raw for r in group])
-            output, error = ExperimentOutput(merged.measured, merged.report), None
+            summarize = get_spec(first.experiment).summarize
+            output, error = summarize(merge_raw([r.raw for r in group])), None
         except Exception:
             error = traceback.format_exc(limit=8)
     job = (first.experiment, first.variant, first.params, None)
@@ -787,7 +826,9 @@ def _run_units(
     The caller has validated the request (:func:`check_request`) and
     the units (:func:`check_units`); each unit runs on its
     :func:`_unit_kwargs`.
-    A chunkable unit expands into ``trial_chunks`` chunk jobs.  Jobs run
+    A chunkable unit (one with :attr:`ExperimentSpec.summarize`) expands
+    into ``trial_chunks`` chunk jobs, whose raws :func:`merge_raw`
+    recombines before the one summary.  Jobs run
     in process when ``workers == 1``, else on the persistent pool, where
     a dead worker's job becomes an error result; ``workers < 1`` raises
     ``ValueError`` (:func:`check_workers`).
@@ -800,7 +841,7 @@ def _run_units(
     for name, variant, params in units:
         spec = get_spec(name)
         merged = _unit_kwargs(name, variant, params, backend, precision)
-        chunked = trial_chunks > 1 and spec.chunkable
+        chunked = trial_chunks > 1 and spec.summarize is not None
         chunks = [(i, trial_chunks) for i in range(trial_chunks)] if chunked else [None]
         jobs += [(name, variant, merged, chunk) for chunk in chunks]
     _UNIT_CALLS += len(units)

@@ -42,6 +42,9 @@ PAPER_MEDIAN_ERROR_M = {10: 0.48, 20: 0.80, 35: 0.86}
 #: Paper-reported 95th percentile improvement at 45 m using both mics.
 PAPER_DUAL_MIC_GAIN_45M = 4.52
 
+#: Device separations (m) of both Fig. 11 studies.
+DISTANCES_M = (10.0, 20.0, 35.0, 45.0)
+
 #: Taps treated as negative delays by the fine stage (see pairwise.py).
 _WRAP_MARGIN = 96
 
@@ -59,7 +62,7 @@ class RangingSweepResult:
 
 def run_ranging_sweep(
     rng: np.random.Generator,
-    distances_m: Sequence[float] = (10.0, 20.0, 35.0, 45.0),
+    distances_m: Sequence[float] = DISTANCES_M,
     num_exchanges: int = 60,
     depth_m: float = 2.5,
     backend: str = "batch",
@@ -67,6 +70,24 @@ def run_ranging_sweep(
     precision: str = "float64",
 ) -> List[RangingSweepResult]:
     """Fig. 11a: ranging error distribution per separation."""
+    return [
+        _sweep_result(distance, errors)
+        for distance, errors in _sweep_errors(
+            rng, distances_m, num_exchanges, depth_m, backend, pipeline, precision
+        )
+    ]
+
+
+def _sweep_result(distance: float, errors: np.ndarray) -> RangingSweepResult:
+    return RangingSweepResult(
+        distance_m=float(distance), summary=summarize_errors(errors), errors_m=errors
+    )
+
+
+def _sweep_errors(
+    rng, distances_m, num_exchanges, depth_m, backend, pipeline, precision
+) -> List[Tuple[float, np.ndarray]]:
+    """Raw per-distance ranging errors of the Fig. 11a sweep."""
     engine.check_backend(backend, "fig11", precision=precision)
     preamble = make_preamble()
     config = ExchangeConfig(environment=DOCK)
@@ -83,14 +104,7 @@ def run_ranging_sweep(
             tx = np.array([0.0, 0.0, depth_tx])
             rx = np.array([distance + rng.uniform(-0.1, 0.1), 0.0, depth_rx])
             sim.add(tx, rx, config, rng)
-        errors = np.asarray([m.error_m for m in sim.run()])
-        results.append(
-            RangingSweepResult(
-                distance_m=float(distance),
-                summary=summarize_errors(errors),
-                errors_m=errors,
-            )
-        )
+        results.append((float(distance), np.asarray([m.error_m for m in sim.run()])))
     return results
 
 
@@ -103,6 +117,16 @@ class MicAblationResult:
     p95_bottom_only_m: float
     p95_top_only_m: float
     errors: Optional[Dict[str, List[float]]] = None
+
+
+def _mic_result(distance: float, errs: Dict[str, List[float]]) -> MicAblationResult:
+    return MicAblationResult(
+        distance_m=float(distance),
+        p95_both_m=summarize_errors(errs["both"]).p95,
+        p95_bottom_only_m=summarize_errors(errs["bottom"]).p95,
+        p95_top_only_m=summarize_errors(errs["top"]).p95,
+        errors=errs,
+    )
 
 
 def _ablation_errors_batch(
@@ -176,7 +200,7 @@ def _ablation_errors_batch(
 
 def run_mic_ablation(
     rng: np.random.Generator,
-    distances_m: Sequence[float] = (10.0, 20.0, 35.0, 45.0),
+    distances_m: Sequence[float] = DISTANCES_M,
     num_exchanges: int = 40,
     depth_m: float = 2.5,
     backend: str = "batch",
@@ -187,33 +211,32 @@ def run_mic_ablation(
     Runs the same received streams through the joint estimator and the
     single-channel earliest-peak estimator, so the comparison is paired.
     """
+    return [
+        _mic_result(distance, errs)
+        for distance, errs in _ablation_errors(
+            rng, distances_m, num_exchanges, depth_m, backend, precision
+        )
+    ]
+
+
+def _ablation_errors(
+    rng, distances_m, num_exchanges, depth_m, backend, precision
+) -> List[Tuple[float, Dict[str, List[float]]]]:
+    """Raw per-distance, per-microphone errors of the Fig. 11b ablation."""
     engine.check_backend(backend, "fig11", precision=precision)
     preamble = make_preamble()
     config = ExchangeConfig(environment=DOCK)
     fs = preamble.config.ofdm.sample_rate
-    out = []
-    for distance in distances_m:
-        errs = _ablation_errors_batch(
-            rng,
-            preamble,
-            config,
-            distance,
-            num_exchanges,
-            depth_m,
-            fs,
-            fast=backend == "fast",
-            precision=precision,
+    return [
+        (
+            float(distance),
+            _ablation_errors_batch(
+                rng, preamble, config, distance, num_exchanges, depth_m, fs,
+                fast=backend == "fast", precision=precision,
+            ),
         )
-        out.append(
-            MicAblationResult(
-                distance_m=float(distance),
-                p95_both_m=summarize_errors(errs["both"]).p95,
-                p95_bottom_only_m=summarize_errors(errs["bottom"]).p95,
-                p95_top_only_m=summarize_errors(errs["top"]).p95,
-                errors=errs,
-            )
-        )
-    return out
+        for distance in distances_m
+    ]
 
 
 def format_ranging_sweep(results: List[RangingSweepResult]) -> str:
@@ -242,24 +265,8 @@ def format_mic_ablation(results: List[MicAblationResult]) -> str:
 
 def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
     """Build the campaign output from raw per-trial errors."""
-    sweep = [
-        RangingSweepResult(
-            distance_m=float(distance),
-            summary=summarize_errors(np.asarray(errors)),
-            errors_m=np.asarray(errors),
-        )
-        for distance, errors in raw["sweep"]
-    ]
-    ablation = [
-        MicAblationResult(
-            distance_m=float(distance),
-            p95_both_m=summarize_errors(errs["both"]).p95,
-            p95_bottom_only_m=summarize_errors(errs["bottom"]).p95,
-            p95_top_only_m=summarize_errors(errs["top"]).p95,
-            errors=errs,
-        )
-        for distance, errs in raw["ablation"]
-    ]
+    sweep = [_sweep_result(distance, errors) for distance, errors in raw["sweep"]]
+    ablation = [_mic_result(distance, errs) for distance, errs in raw["ablation"]]
     measured = {
         "median_by_distance": {int(r.distance_m): r.summary.median for r in sweep},
         "p95_by_distance": {int(r.distance_m): r.summary.p95 for r in sweep},
@@ -273,38 +280,7 @@ def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
         },
     }
     report = format_ranging_sweep(sweep) + "\n" + format_mic_ablation(ablation)
-    return engine.ExperimentOutput(measured=measured, report=report, raw=raw)
-
-
-def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
-    """Recombine chunked runs: concatenate per-distance trial errors."""
-    merged = {
-        "sweep": [
-            (
-                distance,
-                np.concatenate(
-                    [np.asarray(dict(raw["sweep"])[distance]) for raw in raws]
-                ),
-            )
-            for distance, _ in raws[0]["sweep"]
-        ],
-        "ablation": [
-            (
-                distance,
-                {
-                    key: np.concatenate(
-                        [
-                            np.asarray(dict(raw["ablation"])[distance][key])
-                            for raw in raws
-                        ]
-                    )
-                    for key in ("both", "bottom", "top")
-                },
-            )
-            for distance, _ in raws[0]["ablation"]
-        ],
-    }
-    return _summarize_raw(merged)
+    return engine.ExperimentOutput(measured=measured, report=report)
 
 
 @engine.register(
@@ -315,7 +291,7 @@ def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
            "dual_mic_gain_45m_p95": PAPER_DUAL_MIC_GAIN_45M},
     cost="heavy",
     sweepable=("num_exchanges", "backend"),
-    chunkable=True,
+    summarize=_summarize_raw,
     backends=engine.WAVEFORM_BACKENDS,
 )
 def campaign(
@@ -329,36 +305,17 @@ def campaign(
     pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
-    """Fig. 11a sweep plus the Fig. 11b microphone ablation.
-
-    Raw chunk payloads carry float64 arrays, not Python lists, so a
-    parallel campaign ships them between processes through shared
-    memory instead of pickling element by element.
-    """
+    """Raw errors of the Fig. 11a sweep and the Fig. 11b microphone ablation."""
     n_sweep = engine.chunk_share(engine.scaled(num_exchanges, scale), chunk)
     n_ablation = engine.chunk_share(engine.scaled(ablation_exchanges, scale), chunk)
-    sweep = run_ranging_sweep(
-        rng,
-        num_exchanges=n_sweep,
-        backend=backend,
-        pipeline=pipeline,
-        precision=precision,
-    )
-    ablation = run_mic_ablation(
-        rng, num_exchanges=n_ablation, backend=backend, precision=precision
-    )
-    raw = {
-        "sweep": [
-            (r.distance_m, np.asarray(r.errors_m, dtype=float)) for r in sweep
-        ],
+    return {
+        "sweep": _sweep_errors(
+            rng, DISTANCES_M, n_sweep, 2.5, backend, pipeline, precision
+        ),
         "ablation": [
-            (
-                r.distance_m,
-                {k: np.asarray(v, dtype=float) for k, v in r.errors.items()},
+            (distance, {k: np.asarray(v, dtype=float) for k, v in errs.items()})
+            for distance, errs in _ablation_errors(
+                rng, DISTANCES_M, n_ablation, 2.5, backend, precision
             )
-            for r in ablation
         ],
     }
-    if chunk is not None:
-        return engine.ExperimentOutput(measured={}, report="", raw=raw)
-    return _summarize_raw(raw)

@@ -512,42 +512,7 @@ def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
             int(r.distance_m)
         ] = r.summary.median
     report = format_detection(detection) + "\n" + format_baseline_ranging(ranging)
-    return engine.ExperimentOutput(measured=measured, report=report, raw=raw)
-
-
-def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
-    """Sum detection counts and concatenate ranging errors across chunks."""
-    first = raws[0]["detection"]
-    detection = {
-        "num_trials": sum(raw["detection"]["num_trials"] for raw in raws),
-        "thresholds_db": first["thresholds_db"],
-        "ours_fp": sum(raw["detection"]["ours_fp"] for raw in raws),
-        "ours_fn": sum(raw["detection"]["ours_fn"] for raw in raws),
-        "fmcw_fp": {
-            th: sum(raw["detection"]["fmcw_fp"][th] for raw in raws)
-            for th in first["thresholds_db"]
-        },
-        "fmcw_fn": {
-            th: sum(raw["detection"]["fmcw_fn"][th] for raw in raws)
-            for th in first["thresholds_db"]
-        },
-    }
-    ranging = {
-        name: [
-            (
-                distance,
-                np.concatenate(
-                    [
-                        np.asarray(dict(raw["ranging"][name])[distance])
-                        for raw in raws
-                    ]
-                ),
-            )
-            for distance, _ in raws[0]["ranging"][name]
-        ]
-        for name in raws[0]["ranging"]
-    }
-    return _summarize_raw({"detection": detection, "ranging": ranging})
+    return engine.ExperimentOutput(measured=measured, report=report)
 
 
 @engine.register(
@@ -557,7 +522,7 @@ def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
     paper={"mean_error_m": PAPER_FIG12B},
     cost="heavy",
     sweepable=("num_trials", "num_exchanges", "backend"),
-    chunkable=True,
+    summarize=_summarize_raw,
     backends=engine.WAVEFORM_BACKENDS,
 )
 def campaign(
@@ -571,7 +536,8 @@ def campaign(
     pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
-    """Fig. 12a detector comparison plus the Fig. 12b baseline ranging."""
+    """Raw counts of the Fig. 12a detector comparison and errors of the
+    Fig. 12b baseline ranging."""
     detection = _detection_counts(
         rng,
         (3.0, 6.0, 10.0, 15.0, 20.0),
@@ -589,7 +555,4 @@ def campaign(
         pipeline,
         precision=precision,
     )
-    raw = {"detection": detection, "ranging": ranging}
-    if chunk is not None:
-        return engine.ExperimentOutput(measured={}, report="", raw=raw)
-    return _summarize_raw(raw)
+    return {"detection": detection, "ranging": ranging}

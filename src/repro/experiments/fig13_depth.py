@@ -51,6 +51,24 @@ def run_depth_sweep(
     precision: str = "float64",
 ) -> List[DepthRangingResult]:
     """Fig. 13a: ranging error vs depth at 18 m separation."""
+    return [
+        _depth_result(depth, errors)
+        for depth, errors in _depth_errors(
+            rng, depths_m, num_exchanges, separation_m, backend, pipeline, precision
+        )
+    ]
+
+
+def _depth_result(depth: float, errors: np.ndarray) -> DepthRangingResult:
+    return DepthRangingResult(
+        depth_m=float(depth), summary=summarize_errors(errors), errors_m=errors
+    )
+
+
+def _depth_errors(
+    rng, depths_m, num_exchanges, separation_m, backend, pipeline, precision
+) -> List[Tuple[float, np.ndarray]]:
+    """Raw per-depth ranging errors of the Fig. 13a sweep."""
     engine.check_backend(backend, "fig13", precision=precision)
     preamble = make_preamble()
     config = ExchangeConfig(environment=DOCK)
@@ -68,14 +86,7 @@ def run_depth_sweep(
             tx[2] = np.clip(tx[2], 0.2, DOCK.water_depth_m - 0.2)
             rx[2] = np.clip(rx[2], 0.2, DOCK.water_depth_m - 0.2)
             sim.add(tx, rx, config, rng)
-        errors = np.asarray([m.error_m for m in sim.run()])
-        results.append(
-            DepthRangingResult(
-                depth_m=float(depth),
-                summary=summarize_errors(errors),
-                errors_m=errors,
-            )
-        )
+        results.append((float(depth), np.asarray([m.error_m for m in sim.run()])))
     return results
 
 
@@ -121,15 +132,26 @@ def run_depth_sensor_accuracy(
     readings_per_depth: int = 30,
 ) -> List[DepthSensorResult]:
     """Fig. 13b: smartwatch vs phone depth accuracy, 1 m increments."""
+    references, sensors = _sensor_readings(rng, max_depth_m, readings_per_depth)
+    return [_sensor_result(name, references, readings) for name, readings in sensors]
+
+
+def _sensor_readings(
+    rng: np.random.Generator, max_depth_m: float, readings_per_depth: int
+) -> Tuple[np.ndarray, List[Tuple[str, List[List[float]]]]]:
+    """Reference depths and each sensor's raw readings at every one."""
     references = np.arange(0.0, max_depth_m + 0.5, 1.0)
-    results = []
-    for sensor in (smartwatch_depth_gauge(), phone_pressure_sensor()):
-        readings = [
-            [float(v) for v in sensor.measure_many(float(ref), readings_per_depth, rng)]
-            for ref in references
-        ]
-        results.append(_sensor_result(sensor.name, references, readings))
-    return results
+    sensors = [
+        (
+            sensor.name,
+            [
+                [float(v) for v in sensor.measure_many(float(ref), readings_per_depth, rng)]
+                for ref in references
+            ],
+        )
+        for sensor in (smartwatch_depth_gauge(), phone_pressure_sensor())
+    ]
+    return references, sensors
 
 
 def format_depth_sweep(results: List[DepthRangingResult]) -> str:
@@ -159,14 +181,7 @@ def format_depth_sensors(results: List[DepthSensorResult]) -> str:
 
 
 def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
-    sweep = [
-        DepthRangingResult(
-            depth_m=float(depth),
-            summary=summarize_errors(np.asarray(errors)),
-            errors_m=np.asarray(errors),
-        )
-        for depth, errors in raw["ranging"]
-    ]
+    sweep = [_depth_result(depth, errors) for depth, errors in raw["ranging"]]
     references = np.asarray(raw["references"])
     sensors = [
         _sensor_result(name, references, readings)
@@ -183,34 +198,7 @@ def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
         },
     }
     report = format_depth_sweep(sweep) + "\n" + format_depth_sensors(sensors)
-    return engine.ExperimentOutput(measured=measured, report=report, raw=raw)
-
-
-def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
-    """Concatenate chunked trials per depth / per sensor reference."""
-    merged = {
-        "ranging": [
-            (
-                depth,
-                np.concatenate(
-                    [np.asarray(dict(raw["ranging"])[depth]) for raw in raws]
-                ),
-            )
-            for depth, _ in raws[0]["ranging"]
-        ],
-        "references": raws[0]["references"],
-        "sensors": [
-            (
-                name,
-                np.concatenate(
-                    [np.asarray(dict(raw["sensors"])[name]) for raw in raws],
-                    axis=1,
-                ),
-            )
-            for name, _ in raws[0]["sensors"]
-        ],
-    }
-    return _summarize_raw(merged)
+    return engine.ExperimentOutput(measured=measured, report=report)
 
 
 @engine.register(
@@ -220,7 +208,7 @@ def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
     paper={"best_depth": PAPER_BEST_DEPTH, "sensors": PAPER_DEPTH_SENSORS},
     cost="heavy",
     sweepable=("num_exchanges", "backend"),
-    chunkable=True,
+    summarize=_summarize_raw,
     backends=engine.WAVEFORM_BACKENDS,
 )
 def campaign(
@@ -234,29 +222,24 @@ def campaign(
     pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
-    """Fig. 13a depth sweep plus the Fig. 13b sensor comparison."""
-    sweep = run_depth_sweep(
+    """Raw errors of the Fig. 13a depth sweep and readings of the
+    Fig. 13b sensor comparison."""
+    ranging = _depth_errors(
         rng,
-        num_exchanges=engine.chunk_share(engine.scaled(num_exchanges, scale), chunk),
-        backend=backend,
-        pipeline=pipeline,
-        precision=precision,
+        (2.0, 5.0, 8.0),
+        engine.chunk_share(engine.scaled(num_exchanges, scale), chunk),
+        18.0,
+        backend,
+        pipeline,
+        precision,
     )
-    sensors = run_depth_sensor_accuracy(
-        rng,
-        readings_per_depth=engine.chunk_share(
-            engine.scaled(readings_per_depth, scale), chunk
-        ),
+    references, sensors = _sensor_readings(
+        rng, 9.0, engine.chunk_share(engine.scaled(readings_per_depth, scale), chunk)
     )
-    raw = {
-        "ranging": [
-            (r.depth_m, np.asarray(r.errors_m, dtype=float)) for r in sweep
-        ],
-        "references": [float(v) for v in sensors[0].reference_depths_m],
+    return {
+        "ranging": ranging,
+        "references": [float(v) for v in references],
         "sensors": [
-            (r.sensor, np.asarray(r.readings, dtype=float)) for r in sensors
+            (name, np.asarray(readings, dtype=float)) for name, readings in sensors
         ],
     }
-    if chunk is not None:
-        return engine.ExperimentOutput(measured={}, report="", raw=raw)
-    return _summarize_raw(raw)

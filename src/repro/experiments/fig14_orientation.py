@@ -203,24 +203,7 @@ def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
         "model_pair_median_m": {r.pair: r.summary.median for r in pairs},
     }
     report = format_orientation(orientation) + "\n" + format_model_pairs(pairs)
-    return engine.ExperimentOutput(measured=measured, report=report, raw=raw)
-
-
-def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
-    """Concatenate chunked trials per orientation case / model pair."""
-    merged = {
-        key: [
-            (
-                label,
-                np.concatenate(
-                    [np.asarray(dict(raw[key])[label]) for raw in raws]
-                ),
-            )
-            for label, _ in raws[0][key]
-        ]
-        for key in ("orientation", "pairs")
-    }
-    return _summarize_raw(merged)
+    return engine.ExperimentOutput(measured=measured, report=report)
 
 
 @engine.register(
@@ -230,7 +213,7 @@ def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
     paper={"orientation_median_range_m": PAPER_ORIENTATION_MEDIAN_RANGE},
     cost="heavy",
     sweepable=("num_exchanges", "backend"),
-    chunkable=True,
+    summarize=_summarize_raw,
     backends=engine.WAVEFORM_BACKENDS,
 )
 def campaign(
@@ -243,9 +226,10 @@ def campaign(
     pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
-    """Fig. 14a orientation sweep plus the Fig. 14b model-pair study."""
+    """Raw errors of the Fig. 14a orientation sweep and the Fig. 14b
+    model-pair study."""
     n = engine.chunk_share(engine.scaled(num_exchanges, scale), chunk)
-    raw = {
+    return {
         "orientation": _orientation_errors(
             rng, ORIENTATION_CASES, n, 20.0, 2.5, backend, pipeline,
             precision=precision,
@@ -254,6 +238,3 @@ def campaign(
             rng, n, 20.0, 2.5, backend, pipeline, precision=precision
         ),
     }
-    if chunk is not None:
-        return engine.ExperimentOutput(measured={}, report="", raw=raw)
-    return _summarize_raw(raw)

@@ -54,6 +54,30 @@ def run_motion_tracking(
     ``time_slice=(offset, count)`` restricts each trajectory to a
     contiguous run of time steps (used by campaign trial chunking).
     """
+    tracks = _motion_tracks(
+        rng, speeds_mps, duration_s, interval_s, base_distance_m, amplitude_m,
+        depth_m, backend, pipeline, time_slice, precision,
+    )
+    return [_motion_result(*track) for track in tracks]
+
+
+def _motion_result(
+    speed: float, times: np.ndarray, true_d: np.ndarray, est_d: np.ndarray
+) -> MotionRangingResult:
+    return MotionRangingResult(
+        speed_mps=float(speed),
+        times_s=times,
+        true_distances_m=true_d,
+        estimated_distances_m=est_d,
+        summary=summarize_errors(est_d - true_d),
+    )
+
+
+def _motion_tracks(
+    rng, speeds_mps, duration_s, interval_s, base_distance_m, amplitude_m,
+    depth_m, backend, pipeline, time_slice, precision,
+) -> List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
+    """Raw (speed, times, true distances, estimates) per trajectory."""
     engine.check_backend(backend, "fig15", precision=precision)
     preamble = make_preamble()
     config = ExchangeConfig(environment=DOCK)
@@ -79,15 +103,7 @@ def run_motion_tracking(
         measurements = sim.run()
         true_arr = np.asarray([m.true_distance_m for m in measurements])
         est_arr = np.asarray([m.estimated_distance_m for m in measurements])
-        results.append(
-            MotionRangingResult(
-                speed_mps=float(speed),
-                times_s=times,
-                true_distances_m=true_arr,
-                estimated_distances_m=est_arr,
-                summary=summarize_errors(est_arr - true_arr),
-            )
-        )
+        results.append((float(speed), times, true_arr, est_arr))
     return results
 
 
@@ -109,16 +125,7 @@ def format_motion(results: List[MotionRangingResult]) -> str:
 
 
 def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
-    results = [
-        MotionRangingResult(
-            speed_mps=float(speed),
-            times_s=np.asarray(times),
-            true_distances_m=np.asarray(true_d),
-            estimated_distances_m=np.asarray(est_d),
-            summary=summarize_errors(np.asarray(est_d) - np.asarray(true_d)),
-        )
-        for speed, times, true_d, est_d in raw["tracks"]
-    ]
+    results = [_motion_result(*track) for track in raw["tracks"]]
     combined = summarize_errors(
         np.concatenate(
             [r.estimated_distances_m - r.true_distances_m for r in results]
@@ -131,20 +138,7 @@ def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
         },
         "combined": {"median": combined.median, "p95": combined.p95},
     }
-    return engine.ExperimentOutput(
-        measured=measured, report=format_motion(results), raw=raw
-    )
-
-
-def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
-    """Stitch contiguous time slices back into whole trajectories."""
-    merged = {"tracks": []}
-    for idx, (speed, _t, _d, _e) in enumerate(raws[0]["tracks"]):
-        times = np.concatenate([np.asarray(raw["tracks"][idx][1]) for raw in raws])
-        true_d = np.concatenate([np.asarray(raw["tracks"][idx][2]) for raw in raws])
-        est_d = np.concatenate([np.asarray(raw["tracks"][idx][3]) for raw in raws])
-        merged["tracks"].append((speed, times, true_d, est_d))
-    return _summarize_raw(merged)
+    return engine.ExperimentOutput(measured=measured, report=format_motion(results))
 
 
 @engine.register(
@@ -154,7 +148,7 @@ def merge_chunks(raws: List[Dict]) -> engine.ExperimentOutput:
     paper={"combined": PAPER_MOTION},
     cost="heavy",
     sweepable=("duration_s", "backend"),
-    chunkable=True,
+    summarize=_summarize_raw,
     backends=engine.WAVEFORM_BACKENDS,
 )
 def campaign(
@@ -167,7 +161,8 @@ def campaign(
     pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
-    """Both trajectory speeds, once per second for the scaled duration."""
+    """Raw tracks of both trajectory speeds, once per second for the
+    scaled duration."""
     duration = max(4.0, duration_s * scale)
     time_slice = None
     if chunk is not None:
@@ -176,25 +171,17 @@ def campaign(
             engine.chunk_offset(steps, chunk),
             engine.chunk_share(steps, chunk),
         )
-    results = run_motion_tracking(
+    tracks = _motion_tracks(
         rng,
+        speeds_mps=(0.32, 0.56),
         duration_s=duration,
+        interval_s=1.0,
+        base_distance_m=10.0,
+        amplitude_m=5.0,
+        depth_m=1.5,
         backend=backend,
         pipeline=pipeline,
         time_slice=time_slice,
         precision=precision,
     )
-    raw = {
-        "tracks": [
-            (
-                r.speed_mps,
-                np.asarray(r.times_s, dtype=float),
-                np.asarray(r.true_distances_m, dtype=float),
-                np.asarray(r.estimated_distances_m, dtype=float),
-            )
-            for r in results
-        ]
-    }
-    if chunk is not None:
-        return engine.ExperimentOutput(measured={}, report="", raw=raw)
-    return _summarize_raw(raw)
+    return {"tracks": tracks}

@@ -173,18 +173,12 @@ def one_way_payload() -> list:
     return payload
 
 
-def figure_payload(name: str) -> dict:
-    """One figure's measured outputs under the batch backend."""
-    from repro.experiments import engine
+def run_figure(name: str, trial_chunks: int = 1, backend: str = "batch"):
+    """One figure's unit at its :data:`BACKEND_EXPERIMENTS` params.
 
-    entry = engine.get_spec(name).resolve_entry()
-    rng = engine.experiment_rng(name)
-    output = entry(rng, backend="batch", **BACKEND_EXPERIMENTS[name])
-    return engine.jsonify(output.measured)
-
-
-def chunked_measured(name: str, trial_chunks: int, backend: str = "batch") -> dict:
-    """One figure's merged measured outputs over ``trial_chunks`` chunks."""
+    Runs in process on the figure's default-variant substream; raises
+    unless the unit ran ``ok``.
+    """
     from repro.experiments import engine
 
     params = dict(BACKEND_EXPERIMENTS[name])
@@ -193,14 +187,21 @@ def chunked_measured(name: str, trial_chunks: int, backend: str = "batch") -> di
         name, params=params, scale=scale, backend=backend, trial_chunks=trial_chunks
     )
     if result.status != "ok":
-        raise RuntimeError(f"{name} at {trial_chunks} chunks failed:\n{result.error}")
-    return engine.jsonify(result.measured)
+        raise RuntimeError(f"{name} at {trial_chunks} chunk(s) failed:\n{result.error}")
+    return result
+
+
+def figure_payload(name: str, trial_chunks: int = 1, backend: str = "batch") -> dict:
+    """One figure's (merged) measured outputs over ``trial_chunks`` chunks."""
+    from repro.experiments import engine
+
+    return engine.jsonify(run_figure(name, trial_chunks, backend).measured)
 
 
 def chunked_payload() -> dict:
     """Merged measured outputs per chunkable figure and chunk count."""
     return {
-        name: {str(k): chunked_measured(name, k) for k in CHUNK_COUNTS}
+        name: {str(k): figure_payload(name, k) for k in CHUNK_COUNTS}
         for name in CHUNKED_FIGURES
     }
 

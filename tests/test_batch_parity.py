@@ -42,7 +42,8 @@ from regen_parity_baselines import (
     CHUNKED_FIGURES,
     PARITY_EPOCH,
     baseline_path,
-    chunked_measured,
+    figure_payload,
+    run_figure,
     reception_scenarios,
     stream_digest,
 )
@@ -283,9 +284,7 @@ class TestExperimentBackendParity:
     def test_measured_outputs_bit_identical_and_pinned(
         self, name, epoch_baseline, monkeypatch
     ):
-        params = BACKEND_EXPERIMENTS[name]
-        entry = engine.get_spec(name).resolve_entry()
-        outputs = {"batch": entry(engine.experiment_rng(name), **params)}
+        outputs = {"batch": run_figure(name)}
 
         def batched(*args, **kwargs):
             raise AssertionError("the oracle run reached the batch engine")
@@ -295,7 +294,7 @@ class TestExperimentBackendParity:
             # or this comparison would pit batch against itself.
             monkeypatch.setattr(BatchExchangeRenderer, "render_plans", batched)
             monkeypatch.setattr(fig22_snr, "apply_channel_batch", batched)
-            outputs["legacy"] = entry(engine.experiment_rng(name), **params)
+            outputs["legacy"] = run_figure(name)
             monkeypatch.undo()
         legacy = engine.jsonify(outputs["legacy"].measured)
         batch = engine.jsonify(outputs["batch"].measured)
@@ -353,7 +352,7 @@ class TestChunkedCampaignDeterminism:
         if epoch_baseline is None:
             pytest.skip("absolute parity pins disabled on this platform")
         pinned = epoch_baseline["chunked"][name][str(trial_chunks)]
-        assert json.dumps(chunked_measured(name, trial_chunks), sort_keys=True) == (
+        assert json.dumps(figure_payload(name, trial_chunks), sort_keys=True) == (
             json.dumps(pinned, sort_keys=True)
         )
 

@@ -1,6 +1,7 @@
 """Tests for the campaign engine: registry, seeding, parallelism, artifacts."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,65 @@ class TestArtifacts:
         monkeypatch.setattr(engine, "peak_rss_mb", lambda: next(peaks))
         (result,) = run_campaign(["fig14"], scale=0.05, trial_chunks=2)
         assert result.peak_rss_mb == 3.0
+
+
+class TestTrialChunks:
+    CHUNKED = ["fig11", "fig12", "fig13", "fig14", "fig15"]
+
+    def test_chunks_without_trials_run_clean(self):
+        # At scale 0.02 every study has 1-4 trials, so most of the five
+        # chunks hold none; an empty chunk is never summarised alone.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = run_campaign(self.CHUNKED, scale=0.02, trial_chunks=5, backend="fast")
+        assert [(r.experiment, r.status, r.error) for r in results] == [
+            (name, "ok", None) for name in self.CHUNKED
+        ]
+
+    def test_merge_raw_rule(self):
+        raws = [
+            {"d": [(10.0, np.array([[1.0], [2.0]]))], "n": 2, "flag": True, "th": (3.0,)},
+            {"d": [(10.0, np.array([[3.0, 4.0], [5.0, 6.0]]))], "n": 5, "flag": True, "th": (3.0,)},
+        ]
+        merged = engine.merge_raw(raws)
+        assert merged["d"][0][0] == 10.0
+        np.testing.assert_array_equal(merged["d"][0][1], [[1.0, 3.0, 4.0], [2.0, 5.0, 6.0]])
+        assert merged["n"] == 7 and merged["flag"] is True and merged["th"] == (3.0,)
+        assert isinstance(merged["d"][0], tuple) and isinstance(merged["th"], tuple)
+
+    @pytest.mark.parametrize(
+        "first, second, match",
+        [
+            ({"a": 1}, {"a": 1, "b": 2}, "keys"),
+            ([1], [1, 2], "length"),
+            ((10.0,), (20.0,), "disagree on 10.0"),
+            ([False], [True], "disagree on False"),
+            ([1], [1.5], "mix types"),
+        ],
+    )
+    def test_merge_raw_rejects_misaligned_chunks(self, first, second, match):
+        with pytest.raises(ValueError, match=match):
+            engine.merge_raw([first, second])
+
+    def test_misaligned_chunks_become_an_error_unit(self, monkeypatch):
+        spec = engine.ExperimentSpec(
+            name="probe",
+            title="chunk label probe",
+            paper_ref="-",
+            module=__name__,
+            entry="_label_by_chunk",
+            summarize=lambda raw: engine.ExperimentOutput(measured=raw),
+        )
+        monkeypatch.setitem(engine._REGISTRY, "probe", spec)
+        (result,) = run_campaign(["probe"], trial_chunks=2)
+        assert result.status == "error" and "disagree on 'chunk 0'" in result.error
+        (whole,) = run_campaign(["probe"])
+        assert (whole.status, whole.measured) == ("ok", {"label": "whole"})
+
+
+def _label_by_chunk(rng, *, scale=1.0, chunk=None):
+    """A raw whose label differs per chunk, so chunks never merge."""
+    return {"label": "whole" if chunk is None else f"chunk {chunk[0]}"}
 
 
 class TestRunnerCli:

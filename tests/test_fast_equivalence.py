@@ -47,11 +47,11 @@ SEEDS = (101, 202, 303)
 
 
 def _measured(name: str, backend: str, seed: int, precision: str = "float64"):
-    entry = engine.get_spec(name).resolve_entry()
-    rng = engine.experiment_rng(name, base_seed=seed)
-    return entry(
-        rng, scale=SCALES[name], backend=backend, precision=precision
-    ).measured
+    result = engine.run_unit(
+        name, base_seed=seed, scale=SCALES[name], backend=backend, precision=precision
+    )
+    assert result.status == "ok", result.error
+    return result.measured
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.constants import DELTA0_S, DELTA1_S, MAX_RANGE_M, T_GUARD_S, TWO_TAU_MAX_S
+from repro.constants import (
+    DEFAULT_SOUND_SPEED,
+    DELTA0_S,
+    DELTA1_S,
+    MAX_RANGE_M,
+    T_GUARD_S,
+    TWO_TAU_MAX_S,
+)
 from repro.devices.clock import DeviceClock
 from repro.errors import ConfigurationError, ProtocolError
 from repro.geometry.topology import pairwise_distance_matrix
@@ -49,6 +56,15 @@ class TestSlots:
         # 1500 m/s to within 1 ms, and no shorter than the uplink's 2*tau.
         assert T_GUARD_S >= TWO_TAU_MAX_S
         assert T_GUARD_S == pytest.approx(2 * MAX_RANGE_M / 1_500.0, abs=1e-3)
+
+    def test_guard_spans_max_range_only_above_1524_mps(self):
+        # The paper's 42 ms and 32 m: the guard spans the two-way trip to
+        # MAX_RANGE_M from 2 * 32 / 0.042 = 1523.81 m/s up, and at the
+        # default sound speed only to 1480 * 0.042 / 2 = 31.08 m.
+        assert (T_GUARD_S, MAX_RANGE_M, DEFAULT_SOUND_SPEED) == (0.042, 32.0, 1_480.0)
+        assert 2 * MAX_RANGE_M / T_GUARD_S == pytest.approx(1_523.8095238, rel=1e-10)
+        assert DEFAULT_SOUND_SPEED * T_GUARD_S / 2 == pytest.approx(31.08, rel=1e-12)
+        assert 2 * MAX_RANGE_M / DEFAULT_SOUND_SPEED > T_GUARD_S
 
     def test_schedule_validation(self):
         with pytest.raises(ConfigurationError):

@@ -9,8 +9,8 @@ consumer names it.  A consumer is
 * anything in ``examples/``, ``benchmarks/`` or ``perfbench/``.
 
 Names and attribute names count, and so do string constants other than
-docstrings, split on non-identifier characters: that covers
-``getattr(obj, "merge_chunks")`` and the dotted trace targets perfbench
+docstrings, split on non-identifier characters: that covers a
+``getattr(module, "name")`` lookup and the dotted trace targets perfbench
 patches.  A definition registered
 by a decorator whose name starts with ``register`` (``engine.register``,
 ``register_rule``) is reached by the registry that holds it.
