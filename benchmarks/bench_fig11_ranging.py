@@ -1,57 +1,26 @@
 """Fig. 11: 1D ranging accuracy vs separation + dual-mic ablation."""
 
 import numpy as np
+import pytest
 
-from repro.experiments.fig11_ranging import (
-    format_mic_ablation,
-    format_ranging_sweep,
-    run_mic_ablation,
-    run_ranging_sweep,
-)
-from repro.simulate.waveform_sim import ExchangeConfig, one_way_range
-from repro.channel.environment import DOCK
-from repro.signals.preamble import make_preamble
+from repro.experiments.fig11_ranging import campaign
 
 
-#: Campaign-registry entry backing this bench (see conftest ``spec``).
-EXPERIMENT = "fig11"
+@pytest.fixture(scope="module")
+def output():
+    """The registered entry, run once for both studies."""
+    return campaign.spec.summarize(campaign(np.random.default_rng(2023)))
 
 
-def test_fig11a_ranging_cdf(benchmark, rng, report, spec):
-    results = run_ranging_sweep(rng, num_exchanges=40)
-    report(format_ranging_sweep(results))
-    medians = {int(r.distance_m): r.summary.median for r in results}
-    benchmark.extra_info["median_by_distance"] = medians
+def test_fig11a_ranging_cdf(output, report):
+    report(output.report)
+    medians = output.measured["median_by_distance"]
     # Shape: error grows with separation (paper: 0.48 -> 0.86 m).
     assert medians[45] > medians[10]
 
-    preamble = make_preamble()
-    config = ExchangeConfig(environment=DOCK)
-    benchmark.pedantic(
-        lambda: one_way_range(
-            preamble, [0, 0, 2.5], [20, 0, 2.5], config, np.random.default_rng(1)
-        ),
-        rounds=5,
-        iterations=1,
-    )
 
-
-def test_fig11b_mic_ablation(benchmark, rng, report, spec):
-    results = run_mic_ablation(rng, num_exchanges=25)
-    report(format_mic_ablation(results))
-    benchmark.extra_info["p95_rows"] = [
-        (r.distance_m, r.p95_both_m, r.p95_bottom_only_m, r.p95_top_only_m)
-        for r in results
-    ]
+def test_fig11b_mic_ablation(output):
     # The joint estimator never loses badly to single mics, and at the
     # longest range it wins clearly (paper: up to 4.52 m at 45 m).
-    last = results[-1]
-    assert last.p95_both_m <= max(last.p95_bottom_only_m, last.p95_top_only_m)
-
-    benchmark.pedantic(
-        lambda: run_mic_ablation(
-            np.random.default_rng(2), distances_m=(20.0,), num_exchanges=4
-        ),
-        rounds=3,
-        iterations=1,
-    )
+    last = output.measured["mic_p95"][45]
+    assert last["both"] <= max(last["bottom"], last["top"])

@@ -1,59 +1,38 @@
 """Fig. 12: detection robustness and ranging vs BeepBeep / CAT."""
 
 import numpy as np
+import pytest
 
-from repro.experiments.fig12_baselines import (
-    format_baseline_ranging,
-    format_detection,
-    run_baseline_ranging,
-    run_detection_comparison,
-)
+from repro.experiments.fig12_baselines import campaign
 
 
-#: Campaign-registry entry backing this bench (see conftest ``spec``).
-EXPERIMENT = "fig12"
+@pytest.fixture(scope="module")
+def output():
+    """The registered entry, run once for both studies."""
+    raw = campaign(np.random.default_rng(2023), num_trials=30, num_exchanges=20)
+    return campaign.spec.summarize(raw)
 
 
-def test_fig12a_detection(benchmark, rng, report, spec):
-    results = run_detection_comparison(rng, num_trials=30)
-    report(format_detection(results))
-    ours = [r for r in results if r.detector == "ours"]
-    fmcw = [r for r in results if r.detector == "fmcw"]
-    benchmark.extra_info["ours_fp"] = ours[0].false_positive
-    benchmark.extra_info["ours_fn"] = ours[0].false_negative
+def test_fig12a_detection(output, report):
+    report(output.report)
+    detection = output.measured["detection"]
+    ours = detection["ours@3dB"]
+    fmcw = [rates for key, rates in detection.items() if key.startswith("fmcw@")]
 
     # Our detector: low FP and FN simultaneously. The power-threshold
     # baseline cannot achieve both anywhere on its threshold sweep
     # (paper Fig. 12a).
-    assert ours[0].false_positive <= 0.1
-    assert ours[0].false_negative <= 0.2
-    assert all(r.false_positive > 0.2 or r.false_negative > 0.2 for r in fmcw)
-
-    benchmark.pedantic(
-        lambda: run_detection_comparison(
-            np.random.default_rng(3), thresholds_db=(6.0,), num_trials=4
-        ),
-        rounds=3,
-        iterations=1,
-    )
+    assert ours["false_positive"] <= 0.1
+    assert ours["false_negative"] <= 0.2
+    assert all(r["false_positive"] > 0.2 or r["false_negative"] > 0.2 for r in fmcw)
 
 
-def test_fig12b_baseline_ranging(benchmark, rng, report, spec):
-    results = run_baseline_ranging(rng, num_exchanges=20)
-    report(format_baseline_ranging(results))
-    by_algo = {}
-    for r in results:
-        by_algo.setdefault(r.algorithm, []).append(r.summary.mean)
-    benchmark.extra_info["mean_by_algo"] = by_algo
+def test_fig12b_baseline_ranging(output):
+    by_algo = {
+        algorithm: list(by_distance.values())
+        for algorithm, by_distance in output.measured["mean_error_m"].items()
+    }
 
     # Who wins: ours beats both baselines on average (paper Fig. 12b).
     assert np.nanmean(by_algo["ours"]) < np.nanmean(by_algo["beepbeep"])
     assert np.nanmean(by_algo["ours"]) < np.nanmean(by_algo["cat"])
-
-    benchmark.pedantic(
-        lambda: run_baseline_ranging(
-            np.random.default_rng(4), distances_m=(20.0,), num_exchanges=3
-        ),
-        rounds=3,
-        iterations=1,
-    )

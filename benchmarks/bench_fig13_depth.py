@@ -1,58 +1,36 @@
 """Fig. 13: device-depth effect on ranging + depth-sensor accuracy."""
 
 import numpy as np
+import pytest
 
-from repro.experiments.fig13_depth import (
-    format_depth_sensors,
-    format_depth_sweep,
-    run_depth_sensor_accuracy,
-    run_depth_sweep,
-)
+from repro.experiments.fig13_depth import campaign
 
 
-#: Campaign-registry entry backing this bench (see conftest ``spec``).
-EXPERIMENT = "fig13"
+@pytest.fixture(scope="module")
+def output():
+    """The registered entry, run once for both studies."""
+    return campaign.spec.summarize(
+        campaign(np.random.default_rng(2023), readings_per_depth=40)
+    )
 
 
-def test_fig13a_depth_sweep(benchmark, rng, report, spec):
-    results = run_depth_sweep(rng, num_exchanges=30)
-    report(format_depth_sweep(results))
-    by_depth = {r.depth_m: r.summary.median for r in results}
-    benchmark.extra_info["median_by_depth"] = by_depth
+def test_fig13a_depth_sweep(output, report):
+    report(output.report)
+    by_depth = {
+        depth: r["median"] for depth, r in output.measured["ranging_by_depth"].items()
+    }
 
     # Paper: mid-column (5 m in a 9 m dock) is the cleanest depth —
     # multipath is strongest near the surface and the bottom.
-    assert by_depth[5.0] <= min(by_depth[2.0], by_depth[8.0]) + 0.3
-
-    benchmark.pedantic(
-        lambda: run_depth_sweep(
-            np.random.default_rng(5), depths_m=(5.0,), num_exchanges=4
-        ),
-        rounds=3,
-        iterations=1,
-    )
+    assert by_depth[5] <= min(by_depth[2], by_depth[8]) + 0.3
 
 
-def test_fig13b_depth_sensors(benchmark, rng, report, spec):
-    results = run_depth_sensor_accuracy(rng, readings_per_depth=40)
-    report(format_depth_sensors(results))
-    by_name = {r.sensor: r for r in results}
-    benchmark.extra_info["watch_mean_err"] = by_name[
-        "smartwatch_depth_gauge"
-    ].mean_abs_error_m
-    benchmark.extra_info["phone_mean_err"] = by_name[
-        "phone_pressure_sensor"
-    ].mean_abs_error_m
+def test_fig13b_depth_sensors(output):
+    sensors = output.measured["sensors"]
 
     # Paper: 0.15 +/- 0.11 m (watch) vs 0.42 +/- 0.18 m (phone).
-    watch = by_name["smartwatch_depth_gauge"]
-    phone = by_name["phone_pressure_sensor"]
-    assert abs(watch.mean_abs_error_m - 0.15) < 0.1
-    assert abs(phone.mean_abs_error_m - 0.42) < 0.2
-    assert phone.mean_abs_error_m > watch.mean_abs_error_m
-
-    benchmark.pedantic(
-        lambda: run_depth_sensor_accuracy(np.random.default_rng(6), readings_per_depth=10),
-        rounds=5,
-        iterations=1,
-    )
+    watch = sensors["smartwatch_depth_gauge"]["mean_abs_m"]
+    phone = sensors["phone_pressure_sensor"]["mean_abs_m"]
+    assert abs(watch - 0.15) < 0.1
+    assert abs(phone - 0.42) < 0.2
+    assert phone > watch

@@ -1,24 +1,20 @@
 """Fig. 14: phone orientation and mixed phone models."""
 
 import numpy as np
+import pytest
 
-from repro.experiments.fig14_orientation import (
-    format_model_pairs,
-    format_orientation,
-    run_model_pairs,
-    run_orientation_sweep,
-)
+from repro.experiments.fig14_orientation import campaign
 
 
-#: Campaign-registry entry backing this bench (see conftest ``spec``).
-EXPERIMENT = "fig14"
+@pytest.fixture(scope="module")
+def output():
+    """The registered entry, run once for both studies."""
+    return campaign.spec.summarize(campaign(np.random.default_rng(2023)))
 
 
-def test_fig14a_orientation(benchmark, rng, report, spec):
-    results = run_orientation_sweep(rng, num_exchanges=25)
-    report(format_orientation(results))
-    by_label = {r.label: r.summary.median for r in results}
-    benchmark.extra_info["median_by_orientation"] = by_label
+def test_fig14a_orientation(output, report):
+    report(output.report)
+    by_label = output.measured["orientation_median_m"]
 
     # Paper: medians span 0.54-1.25 m with facing best, upward worst.
     # Our channel reproduces the modest spread and that facing the peer
@@ -29,29 +25,10 @@ def test_fig14a_orientation(benchmark, rng, report, spec):
     assert by_label["facing (az 0)"] <= by_label["az 180"]
     assert max(by_label.values()) < 3.0
 
-    benchmark.pedantic(
-        lambda: run_orientation_sweep(
-            np.random.default_rng(7),
-            cases=(("facing", 0.0, 90.0),),
-            num_exchanges=4,
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
-
-def test_fig14b_model_pairs(benchmark, rng, report, spec):
-    results = run_model_pairs(rng, num_exchanges=25)
-    report(format_model_pairs(results))
-    medians = {r.pair: r.summary.median for r in results}
-    benchmark.extra_info["median_by_pair"] = medians
+def test_fig14b_model_pairs(output):
+    medians = output.measured["model_pair_median_m"]
 
     # All pairs work; medians stay within the same regime (paper
     # Fig. 14b shows no catastrophic model dependence).
     assert max(medians.values()) < 3.0
-
-    benchmark.pedantic(
-        lambda: run_model_pairs(np.random.default_rng(8), num_exchanges=3),
-        rounds=3,
-        iterations=1,
-    )

@@ -2,46 +2,23 @@
 
 import numpy as np
 
-from repro.experiments.fig15_motion import (
-    format_motion,
-    run_motion_tracking,
-)
+from repro.experiments.fig15_motion import campaign
 
 
-#: Campaign-registry entry backing this bench (see conftest ``spec``).
-EXPERIMENT = "fig15"
-
-
-def test_fig15_motion_tracking(benchmark, rng, report, spec):
-    results = run_motion_tracking(rng, duration_s=40.0)
-    report(format_motion(results))
-    all_errors = np.concatenate(
-        [r.estimated_distances_m - r.true_distances_m for r in results]
-    )
-    finite = all_errors[np.isfinite(all_errors)]
-    median = float(np.median(np.abs(finite)))
-    p95 = float(np.percentile(np.abs(finite), 95))
-    benchmark.extra_info["median"] = median
-    benchmark.extra_info["p95"] = p95
+def test_fig15_motion_tracking(report):
+    raw = campaign(np.random.default_rng(2023), duration_s=40.0)
+    output = campaign.spec.summarize(raw)
+    report(output.report)
+    combined = output.measured["combined"]
 
     # Paper: 0.51 m median / 1.17 m p95 over both speeds — motion does
     # not break ranging. Allow generous slack; the shape claim is that
     # the error stays well under a metre at the median.
-    assert median < 1.0
-    assert p95 < 3.0
+    assert combined["median"] < 1.0
+    assert combined["p95"] < 3.0
 
     # Estimated track follows the true track.
-    for r in results:
-        mask = np.isfinite(r.estimated_distances_m)
-        corr = np.corrcoef(
-            r.true_distances_m[mask], r.estimated_distances_m[mask]
-        )[0, 1]
+    for _speed, _times, true_d, est_d in raw["tracks"]:
+        mask = np.isfinite(est_d)
+        corr = np.corrcoef(true_d[mask], est_d[mask])[0, 1]
         assert corr > 0.9
-
-    benchmark.pedantic(
-        lambda: run_motion_tracking(
-            np.random.default_rng(9), speeds_mps=(0.32,), duration_s=5.0
-        ),
-        rounds=3,
-        iterations=1,
-    )

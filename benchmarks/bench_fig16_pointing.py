@@ -1,7 +1,5 @@
 """Fig. 16: human leader-orientation accuracy."""
 
-import numpy as np
-
 from repro.experiments.fig16_pointing import (
     PAPER_MEAN_POINTING_DEG,
     format_pointing,
@@ -10,21 +8,10 @@ from repro.experiments.fig16_pointing import (
 )
 
 
-#: Campaign-registry entry backing this bench (see conftest ``spec``).
-EXPERIMENT = "fig16"
-
-
-def test_fig16_pointing(benchmark, rng, report, spec):
+def test_fig16_pointing(rng, report):
     results = run_pointing_study(rng, trials_per_point=30)
     report(format_pointing(results))
     mean = overall_mean_deg(results)
-    benchmark.extra_info["overall_mean_deg"] = mean
 
     # Paper: 5.0 degrees across users and distances.
     assert abs(mean - PAPER_MEAN_POINTING_DEG) < 2.0
-
-    benchmark.pedantic(
-        lambda: run_pointing_study(np.random.default_rng(10), trials_per_point=12),
-        rounds=5,
-        iterations=1,
-    )

@@ -1,7 +1,5 @@
 """Fig. 18: 2D localization accuracy at the dock and boathouse."""
 
-import numpy as np
-
 from repro.experiments.fig18_localization import (
     PAPER_FIG18,
     format_localization,
@@ -9,15 +7,9 @@ from repro.experiments.fig18_localization import (
 )
 
 
-#: Campaign-registry entry backing this bench (see conftest ``spec``).
-EXPERIMENT = "fig18"
-
-
-def test_fig18_dock(benchmark, rng, report, spec):
+def test_fig18_dock(rng, report):
     result = run_localization_study(rng, site="dock", num_layouts=8, rounds_per_layout=6)
     report(format_localization(result))
-    benchmark.extra_info["median"] = result.overall.median
-    benchmark.extra_info["p95"] = result.overall.p95
 
     # Paper: 0.9 m median / 3.2 m p95 at the dock.
     paper_median, paper_p95 = PAPER_FIG18["dock"]
@@ -29,34 +21,13 @@ def test_fig18_dock(benchmark, rng, report, spec):
     if len(buckets) >= 2:
         assert buckets[-1][1].median >= buckets[0][1].median - 0.3
 
-    benchmark.pedantic(
-        lambda: run_localization_study(
-            np.random.default_rng(11), site="dock", num_layouts=1, rounds_per_layout=2
-        ),
-        rounds=3,
-        iterations=1,
-    )
 
-
-def test_fig18_boathouse(benchmark, rng, report, spec):
+def test_fig18_boathouse(rng, report):
     result = run_localization_study(
         rng, site="boathouse", num_layouts=8, rounds_per_layout=6
     )
     report(format_localization(result))
-    benchmark.extra_info["median"] = result.overall.median
-    benchmark.extra_info["p95"] = result.overall.p95
 
     # Paper: 1.6 m median / 4.9 m p95 — clearly worse than the dock.
     paper_median, _paper_p95 = PAPER_FIG18["boathouse"]
     assert abs(result.overall.median - paper_median) < 1.0
-
-    benchmark.pedantic(
-        lambda: run_localization_study(
-            np.random.default_rng(12),
-            site="boathouse",
-            num_layouts=1,
-            rounds_per_layout=2,
-        ),
-        rounds=3,
-        iterations=1,
-    )

@@ -15,7 +15,7 @@ parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,39 +49,12 @@ DISTANCES_M = (10.0, 20.0, 35.0, 45.0)
 _WRAP_MARGIN = 96
 
 
-
-
 @dataclass(frozen=True)
 class RangingSweepResult:
     """Summary per separation distance."""
 
     distance_m: float
     summary: ErrorSummary
-    errors_m: np.ndarray
-
-
-def run_ranging_sweep(
-    rng: np.random.Generator,
-    distances_m: Sequence[float] = DISTANCES_M,
-    num_exchanges: int = 60,
-    depth_m: float = 2.5,
-    backend: str = "batch",
-    pipeline: Optional[int] = None,
-    precision: str = "float64",
-) -> List[RangingSweepResult]:
-    """Fig. 11a: ranging error distribution per separation."""
-    return [
-        _sweep_result(distance, errors)
-        for distance, errors in _sweep_errors(
-            rng, distances_m, num_exchanges, depth_m, backend, pipeline, precision
-        )
-    ]
-
-
-def _sweep_result(distance: float, errors: np.ndarray) -> RangingSweepResult:
-    return RangingSweepResult(
-        distance_m=float(distance), summary=summarize_errors(errors), errors_m=errors
-    )
 
 
 def _sweep_errors(
@@ -116,7 +89,6 @@ class MicAblationResult:
     p95_both_m: float
     p95_bottom_only_m: float
     p95_top_only_m: float
-    errors: Optional[Dict[str, List[float]]] = None
 
 
 def _mic_result(distance: float, errs: Dict[str, List[float]]) -> MicAblationResult:
@@ -125,7 +97,6 @@ def _mic_result(distance: float, errs: Dict[str, List[float]]) -> MicAblationRes
         p95_both_m=summarize_errors(errs["both"]).p95,
         p95_bottom_only_m=summarize_errors(errs["bottom"]).p95,
         p95_top_only_m=summarize_errors(errs["top"]).p95,
-        errors=errs,
     )
 
 
@@ -198,31 +169,14 @@ def _ablation_errors_batch(
     return errs
 
 
-def run_mic_ablation(
-    rng: np.random.Generator,
-    distances_m: Sequence[float] = DISTANCES_M,
-    num_exchanges: int = 40,
-    depth_m: float = 2.5,
-    backend: str = "batch",
-    precision: str = "float64",
-) -> List[MicAblationResult]:
-    """Fig. 11b: dual-mic estimator vs each single mic in isolation.
-
-    Runs the same received streams through the joint estimator and the
-    single-channel earliest-peak estimator, so the comparison is paired.
-    """
-    return [
-        _mic_result(distance, errs)
-        for distance, errs in _ablation_errors(
-            rng, distances_m, num_exchanges, depth_m, backend, precision
-        )
-    ]
-
-
 def _ablation_errors(
     rng, distances_m, num_exchanges, depth_m, backend, precision
 ) -> List[Tuple[float, Dict[str, List[float]]]]:
-    """Raw per-distance, per-microphone errors of the Fig. 11b ablation."""
+    """Raw per-distance, per-microphone errors of the Fig. 11b ablation.
+
+    The same received streams go through the joint estimator and the
+    single-channel earliest-peak estimator, so the comparison is paired.
+    """
     engine.check_backend(backend, "fig11", precision=precision)
     preamble = make_preamble()
     config = ExchangeConfig(environment=DOCK)
@@ -265,7 +219,10 @@ def format_mic_ablation(results: List[MicAblationResult]) -> str:
 
 def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
     """Build the campaign output from raw per-trial errors."""
-    sweep = [_sweep_result(distance, errors) for distance, errors in raw["sweep"]]
+    sweep = [
+        RangingSweepResult(distance_m=float(distance), summary=summarize_errors(errors))
+        for distance, errors in raw["sweep"]
+    ]
     ablation = [_mic_result(distance, errs) for distance, errs in raw["ablation"]]
     measured = {
         "median_by_distance": {int(r.distance_m): r.summary.median for r in sweep},

@@ -77,7 +77,12 @@ def _detection_counts(
     backend: str,
     precision: str = "float64",
 ) -> Dict[str, object]:
-    """Raw FP/FN counts for both detectors (chunk-mergeable)."""
+    """Fig. 12a: raw FP/FN counts, ours vs window-power threshold.
+
+    FN: preamble transmitted but not detected (or detected >50 ms off).
+    FP: detection fired on a noise-only stream.  Our detector has no dB
+    threshold; its row repeats (constant) across the sweep.
+    """
     engine.check_backend(backend, "fig12", precision=precision)
     fast = backend == "fast"
     preamble = make_preamble()
@@ -177,27 +182,6 @@ def _rates_from_counts(counts: Dict) -> List[DetectionRates]:
     return results
 
 
-def run_detection_comparison(
-    rng: np.random.Generator,
-    thresholds_db: Sequence[float] = (3.0, 6.0, 10.0, 15.0, 20.0),
-    num_trials: int = 40,
-    distance_m: float = 20.0,
-    backend: str = "batch",
-    precision: str = "float64",
-) -> List[DetectionRates]:
-    """Fig. 12a: detection FP/FN, ours vs window-power threshold.
-
-    FN: preamble transmitted but not detected (or detected >50 ms off).
-    FP: detection fired on a noise-only stream.  Our detector has no dB
-    threshold; its row repeats (constant) across the sweep.
-    """
-    return _rates_from_counts(
-        _detection_counts(
-            rng, thresholds_db, num_trials, distance_m, backend, precision
-        )
-    )
-
-
 @dataclass(frozen=True)
 class BaselineRangingResult:
     """Per-algorithm error summary at one distance."""
@@ -216,7 +200,12 @@ def _baseline_errors(
     pipeline: Optional[int] = None,
     precision: str = "float64",
 ) -> Dict[str, List[Tuple[float, np.ndarray]]]:
-    """Raw per-algorithm, per-distance errors (chunk-mergeable)."""
+    """Fig. 12b: raw per-algorithm, per-distance errors, ours vs BeepBeep
+    vs CAT.
+
+    All three signals share duration and bandwidth (the paper's "fair
+    comparison" control).
+    """
     engine.check_backend(backend, "fig12", precision=precision)
     preamble = make_preamble()
     fs = preamble.config.ofdm.sample_rate
@@ -426,35 +415,6 @@ def _fast_baseline_trials(
             anchor = max(coarse - margin, 0)
             cat.append((anchor - guard) / fs + delay)
     return beep, cat
-
-
-def run_baseline_ranging(
-    rng: np.random.Generator,
-    distances_m: Sequence[float] = (10.0, 20.0, 28.0),
-    num_exchanges: int = 30,
-    depth_m: float = 1.0,
-    backend: str = "batch",
-    precision: str = "float64",
-) -> List[BaselineRangingResult]:
-    """Fig. 12b: 1D ranging error, ours vs BeepBeep vs CAT.
-
-    All three signals share duration and bandwidth (the paper's "fair
-    comparison" control).
-    """
-    raw = _baseline_errors(
-        rng, distances_m, num_exchanges, depth_m, backend, precision=precision
-    )
-    out = []
-    for name, by_distance in raw.items():
-        for distance, errs in by_distance:
-            out.append(
-                BaselineRangingResult(
-                    algorithm=name,
-                    distance_m=float(distance),
-                    summary=summarize_errors(errs),
-                )
-            )
-    return out
 
 
 def format_detection(results: List[DetectionRates]) -> str:

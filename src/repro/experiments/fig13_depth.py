@@ -10,7 +10,7 @@ phone pressure sensor, 0-9 m in 1 m steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,31 +38,6 @@ class DepthRangingResult:
 
     depth_m: float
     summary: ErrorSummary
-    errors_m: np.ndarray
-
-
-def run_depth_sweep(
-    rng: np.random.Generator,
-    depths_m: Sequence[float] = (2.0, 5.0, 8.0),
-    num_exchanges: int = 30,
-    separation_m: float = 18.0,
-    backend: str = "batch",
-    pipeline: Optional[int] = None,
-    precision: str = "float64",
-) -> List[DepthRangingResult]:
-    """Fig. 13a: ranging error vs depth at 18 m separation."""
-    return [
-        _depth_result(depth, errors)
-        for depth, errors in _depth_errors(
-            rng, depths_m, num_exchanges, separation_m, backend, pipeline, precision
-        )
-    ]
-
-
-def _depth_result(depth: float, errors: np.ndarray) -> DepthRangingResult:
-    return DepthRangingResult(
-        depth_m=float(depth), summary=summarize_errors(errors), errors_m=errors
-    )
 
 
 def _depth_errors(
@@ -99,47 +74,29 @@ class DepthSensorResult:
     """
 
     sensor: str
-    reference_depths_m: np.ndarray
-    measured_depths_m: np.ndarray
     mean_abs_error_m: float
     std_abs_error_m: float
-    readings: Optional[List[List[float]]] = None
 
 
 def _sensor_result(
     name: str, references: np.ndarray, readings: List[List[float]]
 ) -> DepthSensorResult:
-    measured = []
     abs_errors: List[float] = []
     for ref, values in zip(references, readings):
-        values = np.asarray(values)
-        measured.append(float(np.mean(values)))
-        abs_errors.extend(np.abs(values - ref))
+        abs_errors.extend(np.abs(np.asarray(values) - ref))
     abs_arr = np.asarray(abs_errors)
     return DepthSensorResult(
         sensor=name,
-        reference_depths_m=references,
-        measured_depths_m=np.asarray(measured),
         mean_abs_error_m=float(np.mean(abs_arr)),
         std_abs_error_m=float(np.std(abs_arr)),
-        readings=readings,
     )
-
-
-def run_depth_sensor_accuracy(
-    rng: np.random.Generator,
-    max_depth_m: float = 9.0,
-    readings_per_depth: int = 30,
-) -> List[DepthSensorResult]:
-    """Fig. 13b: smartwatch vs phone depth accuracy, 1 m increments."""
-    references, sensors = _sensor_readings(rng, max_depth_m, readings_per_depth)
-    return [_sensor_result(name, references, readings) for name, readings in sensors]
 
 
 def _sensor_readings(
     rng: np.random.Generator, max_depth_m: float, readings_per_depth: int
 ) -> Tuple[np.ndarray, List[Tuple[str, List[List[float]]]]]:
-    """Reference depths and each sensor's raw readings at every one."""
+    """Fig. 13b: reference depths in 1 m steps and each sensor's raw
+    readings at every one, smartwatch gauge then phone pressure sensor."""
     references = np.arange(0.0, max_depth_m + 0.5, 1.0)
     sensors = [
         (
@@ -181,7 +138,10 @@ def format_depth_sensors(results: List[DepthSensorResult]) -> str:
 
 
 def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
-    sweep = [_depth_result(depth, errors) for depth, errors in raw["ranging"]]
+    sweep = [
+        DepthRangingResult(depth_m=float(depth), summary=summarize_errors(errors))
+        for depth, errors in raw["ranging"]
+    ]
     references = np.asarray(raw["references"])
     sensors = [
         _sensor_result(name, references, readings)

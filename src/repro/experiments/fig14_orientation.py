@@ -40,36 +40,7 @@ class OrientationResult:
     """Error summary for one sender orientation."""
 
     label: str
-    azimuth_deg: float
-    polar_deg: float
     summary: ErrorSummary
-
-
-def run_orientation_sweep(
-    rng: np.random.Generator,
-    cases: Sequence[Tuple[str, float, float]] = ORIENTATION_CASES,
-    num_exchanges: int = 25,
-    distance_m: float = 20.0,
-    depth_m: float = 2.5,
-    backend: str = "batch",
-    precision: str = "float64",
-) -> List[OrientationResult]:
-    """Fig. 14a: error vs sender orientation at 20 m."""
-    results = []
-    for label, errors in _orientation_errors(
-        rng, cases, num_exchanges, distance_m, depth_m, backend,
-        precision=precision,
-    ):
-        case = next(c for c in cases if c[0] == label)
-        results.append(
-            OrientationResult(
-                label=label,
-                azimuth_deg=case[1],
-                polar_deg=case[2],
-                summary=summarize_errors(errors),
-            )
-        )
-    return results
 
 
 def _orientation_errors(
@@ -82,6 +53,7 @@ def _orientation_errors(
     pipeline: Optional[int] = None,
     precision: str = "float64",
 ) -> List[Tuple[str, np.ndarray]]:
+    """Fig. 14a: raw errors per sender orientation at ``distance_m``."""
     engine.check_backend(backend, "fig14", precision=precision)
     preamble = make_preamble()
     out = []
@@ -121,24 +93,6 @@ MODEL_PAIRS = (
 )
 
 
-def run_model_pairs(
-    rng: np.random.Generator,
-    num_exchanges: int = 25,
-    distance_m: float = 20.0,
-    depth_m: float = 2.5,
-    backend: str = "batch",
-    precision: str = "float64",
-) -> List[ModelPairResult]:
-    """Fig. 14b: error across smartphone model pairs."""
-    return [
-        ModelPairResult(pair=name, summary=summarize_errors(errors))
-        for name, errors in _model_pair_errors(
-            rng, num_exchanges, distance_m, depth_m, backend,
-            precision=precision,
-        )
-    ]
-
-
 def _model_pair_errors(
     rng: np.random.Generator,
     num_exchanges: int,
@@ -148,6 +102,7 @@ def _model_pair_errors(
     pipeline: Optional[int] = None,
     precision: str = "float64",
 ) -> List[Tuple[str, np.ndarray]]:
+    """Fig. 14b: raw errors per smartphone model pair."""
     engine.check_backend(backend, "fig14", precision=precision)
     preamble = make_preamble()
     out = []
@@ -183,17 +138,10 @@ def format_model_pairs(results: List[ModelPairResult]) -> str:
 
 
 def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
-    orientation = []
-    for label, errors in raw["orientation"]:
-        case = next(c for c in ORIENTATION_CASES if c[0] == label)
-        orientation.append(
-            OrientationResult(
-                label=label,
-                azimuth_deg=case[1],
-                polar_deg=case[2],
-                summary=summarize_errors(errors),
-            )
-        )
+    orientation = [
+        OrientationResult(label=label, summary=summarize_errors(errors))
+        for label, errors in raw["orientation"]
+    ]
     pairs = [
         ModelPairResult(pair=name, summary=summarize_errors(errors))
         for name, errors in raw["pairs"]

@@ -9,7 +9,7 @@ over both trajectories.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,54 +30,19 @@ class MotionRangingResult:
     """Tracking-error summary for one trajectory speed."""
 
     speed_mps: float
-    times_s: np.ndarray
-    true_distances_m: np.ndarray
-    estimated_distances_m: np.ndarray
     summary: ErrorSummary
-
-
-def run_motion_tracking(
-    rng: np.random.Generator,
-    speeds_mps: Sequence[float] = (0.32, 0.56),
-    duration_s: float = 60.0,
-    interval_s: float = 1.0,
-    base_distance_m: float = 10.0,
-    amplitude_m: float = 5.0,
-    depth_m: float = 1.5,
-    backend: str = "batch",
-    pipeline: Optional[int] = None,
-    time_slice: Optional[Tuple[int, int]] = None,
-    precision: str = "float64",
-) -> List[MotionRangingResult]:
-    """Range once per second while the device sweeps back and forth.
-
-    ``time_slice=(offset, count)`` restricts each trajectory to a
-    contiguous run of time steps (used by campaign trial chunking).
-    """
-    tracks = _motion_tracks(
-        rng, speeds_mps, duration_s, interval_s, base_distance_m, amplitude_m,
-        depth_m, backend, pipeline, time_slice, precision,
-    )
-    return [_motion_result(*track) for track in tracks]
-
-
-def _motion_result(
-    speed: float, times: np.ndarray, true_d: np.ndarray, est_d: np.ndarray
-) -> MotionRangingResult:
-    return MotionRangingResult(
-        speed_mps=float(speed),
-        times_s=times,
-        true_distances_m=true_d,
-        estimated_distances_m=est_d,
-        summary=summarize_errors(est_d - true_d),
-    )
 
 
 def _motion_tracks(
     rng, speeds_mps, duration_s, interval_s, base_distance_m, amplitude_m,
     depth_m, backend, pipeline, time_slice, precision,
 ) -> List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
-    """Raw (speed, times, true distances, estimates) per trajectory."""
+    """Raw (speed, times, true distances, estimates) per trajectory,
+    ranging once per ``interval_s`` while the device sweeps back and forth.
+
+    ``time_slice=(offset, count)`` restricts each trajectory to a
+    contiguous run of time steps (used by campaign trial chunking).
+    """
     engine.check_backend(backend, "fig15", precision=precision)
     preamble = make_preamble()
     config = ExchangeConfig(environment=DOCK)
@@ -107,16 +72,13 @@ def _motion_tracks(
     return results
 
 
-def format_motion(results: List[MotionRangingResult]) -> str:
+def format_motion(results: List[MotionRangingResult], combined: ErrorSummary) -> str:
     lines = ["Fig. 15: speed -> median / p95 1D error (m)"]
-    all_errors = []
     for r in results:
         lines.append(
             f"  {r.speed_mps * 100:>4.0f} cm/s -> {r.summary.median:.2f} / "
             f"{r.summary.p95:.2f}"
         )
-        all_errors.extend(r.estimated_distances_m - r.true_distances_m)
-    combined = summarize_errors(all_errors)
     lines.append(
         f"  combined -> {combined.median:.2f} / {combined.p95:.2f}  "
         f"[paper {PAPER_MOTION['median']:.2f} / {PAPER_MOTION['p95']:.2f}]"
@@ -125,12 +87,12 @@ def format_motion(results: List[MotionRangingResult]) -> str:
 
 
 def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
-    results = [_motion_result(*track) for track in raw["tracks"]]
-    combined = summarize_errors(
-        np.concatenate(
-            [r.estimated_distances_m - r.true_distances_m for r in results]
-        )
-    )
+    errors = [est_d - true_d for _speed, _times, true_d, est_d in raw["tracks"]]
+    results = [
+        MotionRangingResult(speed_mps=float(speed), summary=summarize_errors(e))
+        for (speed, *_), e in zip(raw["tracks"], errors)
+    ]
+    combined = summarize_errors(np.concatenate(errors))
     measured = {
         "by_speed": {
             f"{r.speed_mps:g}": {"median": r.summary.median, "p95": r.summary.p95}
@@ -138,7 +100,8 @@ def _summarize_raw(raw: Dict) -> engine.ExperimentOutput:
         },
         "combined": {"median": combined.median, "p95": combined.p95},
     }
-    return engine.ExperimentOutput(measured=measured, report=format_motion(results))
+    report = format_motion(results, combined)
+    return engine.ExperimentOutput(measured=measured, report=report)
 
 
 @engine.register(

@@ -14,8 +14,8 @@ numbers depend only on ``--seed`` — not on worker count, selection, or
 execution order.  ``--json`` writes a machine-readable artifact with
 paper-vs-measured values for every selected experiment; it is
 byte-identical for serial and parallel runs unless ``--timing`` is
-given.  Benchmarks under ``benchmarks/`` wrap the same registry entries
-for pytest-benchmark.
+given.  The shape checks under ``benchmarks/`` assert the paper's claims
+on the numbers the same registry entries measure.
 """
 
 from __future__ import annotations

@@ -318,10 +318,10 @@ class TestExperimentBackendParity:
                 pass
 
     def test_unknown_backend_rejected(self):
-        from repro.experiments.fig11_ranging import run_ranging_sweep
+        from repro.experiments.fig11_ranging import campaign
 
         with pytest.raises(ValueError, match="backend"):
-            run_ranging_sweep(np.random.default_rng(0), backend="turbo")
+            campaign(np.random.default_rng(0), backend="turbo")
 
 
 class TestChunkedCampaignDeterminism:

@@ -72,27 +72,30 @@ class TestFig6:
 
 
 class TestFig13Sensors:
-    def test_watch_beats_phone(self):
-        from repro.experiments.fig13_depth import run_depth_sensor_accuracy
+    @staticmethod
+    def _sensors(seed, readings_per_depth):
+        from repro.experiments.fig13_depth import campaign
 
-        rng = np.random.default_rng(3)
-        results = run_depth_sensor_accuracy(rng, readings_per_depth=20)
-        by_name = {r.sensor: r for r in results}
+        raw = campaign(
+            np.random.default_rng(seed),
+            num_exchanges=1,
+            readings_per_depth=readings_per_depth,
+        )
+        return campaign.spec.summarize(raw).measured["sensors"]
+
+    def test_watch_beats_phone(self):
+        sensors = self._sensors(3, readings_per_depth=20)
         assert (
-            by_name["smartwatch_depth_gauge"].mean_abs_error_m
-            < by_name["phone_pressure_sensor"].mean_abs_error_m
+            sensors["smartwatch_depth_gauge"]["mean_abs_m"]
+            < sensors["phone_pressure_sensor"]["mean_abs_m"]
         )
 
     def test_accuracy_near_paper(self):
-        from repro.experiments.fig13_depth import run_depth_sensor_accuracy
-
-        rng = np.random.default_rng(4)
-        results = run_depth_sensor_accuracy(rng, readings_per_depth=40)
-        by_name = {r.sensor: r for r in results}
-        assert by_name["smartwatch_depth_gauge"].mean_abs_error_m == pytest.approx(
+        sensors = self._sensors(4, readings_per_depth=40)
+        assert sensors["smartwatch_depth_gauge"]["mean_abs_m"] == pytest.approx(
             0.15, abs=0.1
         )
-        assert by_name["phone_pressure_sensor"].mean_abs_error_m == pytest.approx(
+        assert sensors["phone_pressure_sensor"]["mean_abs_m"] == pytest.approx(
             0.42, abs=0.2
         )
 

@@ -5,56 +5,59 @@ import numpy as np
 
 class TestFig11Smoke:
     def test_sweep_returns_all_distances(self):
-        from repro.experiments.fig11_ranging import run_ranging_sweep
+        from repro.experiments.fig11_ranging import DISTANCES_M, campaign
 
         rng = np.random.default_rng(0)
-        results = run_ranging_sweep(rng, distances_m=(10.0, 20.0), num_exchanges=3)
-        assert [r.distance_m for r in results] == [10.0, 20.0]
-        for r in results:
-            assert r.errors_m.shape == (3,)
+        raw = campaign(rng, num_exchanges=3, ablation_exchanges=1)
+        assert [d for d, _ in raw["sweep"]] == list(DISTANCES_M)
+        for _, errors in raw["sweep"]:
+            assert errors.shape == (3,)
 
     def test_mic_ablation_rows(self):
-        from repro.experiments.fig11_ranging import (
-            format_mic_ablation,
-            run_mic_ablation,
-        )
+        from repro.experiments.fig11_ranging import campaign
 
         rng = np.random.default_rng(1)
-        results = run_mic_ablation(rng, distances_m=(15.0,), num_exchanges=3)
-        text = format_mic_ablation(results)
-        assert "15 m" in text
+        raw = campaign(rng, num_exchanges=1, ablation_exchanges=3)
+        for _, errs in raw["ablation"]:
+            assert {k: v.shape for k, v in errs.items()} == {
+                "both": (3,),
+                "bottom": (3,),
+                "top": (3,),
+            }
+        text = campaign.spec.summarize(raw).report
+        assert "45 m -> " in text.split("Fig. 11b")[1]
 
 
 class TestFig12Smoke:
     def test_detection_rates_bounded(self):
-        from repro.experiments.fig12_baselines import run_detection_comparison
+        from repro.experiments.fig12_baselines import campaign
 
         rng = np.random.default_rng(2)
-        results = run_detection_comparison(
-            rng, thresholds_db=(6.0,), num_trials=4, distance_m=15.0
-        )
-        assert {r.detector for r in results} == {"ours", "fmcw"}
-        for r in results:
-            assert 0.0 <= r.false_positive <= 1.0
-            assert 0.0 <= r.false_negative <= 1.0
+        raw = campaign(rng, num_trials=4, num_exchanges=1)
+        detection = campaign.spec.summarize(raw).measured["detection"]
+        assert {key.split("@")[0] for key in detection} == {"ours", "fmcw"}
+        for rates in detection.values():
+            assert 0.0 <= rates["false_positive"] <= 1.0
+            assert 0.0 <= rates["false_negative"] <= 1.0
 
     def test_baseline_ranging_all_algorithms(self):
-        from repro.experiments.fig12_baselines import run_baseline_ranging
+        from repro.experiments.fig12_baselines import campaign
 
         rng = np.random.default_rng(3)
-        results = run_baseline_ranging(rng, distances_m=(12.0,), num_exchanges=2)
-        assert {r.algorithm for r in results} == {"ours", "beepbeep", "cat"}
+        raw = campaign(rng, num_trials=1, num_exchanges=2)
+        measured = campaign.spec.summarize(raw).measured
+        assert set(measured["mean_error_m"]) == {"ours", "beepbeep", "cat"}
 
 
 class TestFig15Smoke:
     def test_track_follows_truth(self):
-        from repro.experiments.fig15_motion import run_motion_tracking
+        from repro.experiments.fig15_motion import campaign
 
         rng = np.random.default_rng(4)
-        results = run_motion_tracking(rng, speeds_mps=(0.32,), duration_s=8.0)
-        r = results[0]
-        assert r.times_s.shape == r.true_distances_m.shape
-        assert np.all(r.true_distances_m > 0)
+        raw = campaign(rng, duration_s=8.0)
+        for _speed, times, true_d, _est_d in raw["tracks"]:
+            assert times.shape == true_d.shape == (8,)
+            assert np.all(true_d > 0)
 
 
 class TestFig18Smoke:
