@@ -51,7 +51,6 @@ from typing import (
 import numpy as np
 
 from repro.signals.xp import (
-    PRECISIONS,  # noqa: F401  (an engine name its callers use)
     WAVEFORM_BACKENDS,
     check_waveform_backend,
     get_context,
@@ -515,7 +514,7 @@ def _expand_units(
 
 
 #: Entry keywords the engine supplies itself; no unit parameter sets them.
-_ENGINE_KWARGS = frozenset({"rng", "scale", "chunk", "pipeline"})
+_ENGINE_KWARGS = frozenset({"rng", "scale", "chunk"})
 
 
 def _unit_kwargs(
@@ -650,23 +649,17 @@ def peak_rss_mb() -> float:
     return peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0
 
 
-def _execute(payload: Tuple[_Job, int, float, Optional[int]]) -> ExperimentResult:
-    """Run one ``(job, base_seed, scale, pipeline)`` payload in this process.
+def _execute(payload: Tuple[_Job, int, float]) -> ExperimentResult:
+    """Run one ``(job, base_seed, scale)`` payload in this process.
 
     Module-level so pool workers can run it on the payload as sent.
-    ``pipeline`` overrides the flush-pipeline depth for waveform
-    experiments (those declaring ``backends``).  It is an execution
-    knob, not a parameter: results are bit-identical at every depth, so
-    it is deliberately kept out of the recorded ``params``.
     """
-    job, base_seed, scale, pipeline = payload
+    job, base_seed, scale = payload
     name, _, params, chunk = job
     spec = get_spec(name)
     kwargs = dict(params)
     if chunk is not None:
         kwargs["chunk"] = chunk
-    if pipeline is not None and spec.backends:
-        kwargs["pipeline"] = pipeline
     seed_seq = _job_seed_sequence(job, base_seed)
     rng = np.random.default_rng(seed_seq)
     start = time.perf_counter()
@@ -819,7 +812,6 @@ def _run_units(
     precision: Optional[str],
     trial_chunks: int,
     workers: int,
-    pipeline: Optional[int],
 ) -> Iterator[ExperimentResult]:
     """The one executor: run (experiment, variant, params) units in order.
 
@@ -845,7 +837,7 @@ def _run_units(
         chunks = [(i, trial_chunks) for i in range(trial_chunks)] if chunked else [None]
         jobs += [(name, variant, merged, chunk) for chunk in chunks]
     _UNIT_CALLS += len(units)
-    payloads = [(job, base_seed, scale, pipeline) for job in jobs]
+    payloads = [(job, base_seed, scale) for job in jobs]
     if workers == 1:
         raw: Iterable[ExperimentResult] = map(_execute, payloads)
     else:
@@ -872,16 +864,15 @@ def run_unit(
     precision: Optional[str] = None,
     trial_chunks: int = 1,
     workers: int = 1,
-    pipeline: Optional[int] = None,
 ) -> ExperimentResult:
     """Run one (experiment, variant) unit — the cacheable entrypoint.
 
     A unit is the quantum the serving tier memoizes: its result is a
     pure function of ``(name, variant, params, base_seed, scale,
     backend, precision, trial_chunks)`` — exactly the fields
-    :func:`repro.service.cachekey.cache_key` hashes.  ``workers`` and
-    ``pipeline`` are execution knobs (chunk parallelism / flush depth)
-    that never change the bytes; ``workers < 1`` raises ``ValueError``.
+    :func:`repro.service.cachekey.cache_key` hashes.  ``workers`` is an
+    execution knob (chunk parallelism) that never changes the bytes;
+    ``workers < 1`` raises ``ValueError``.
     Explicit ``params`` override the declared variant's and must be
     parameters of the entry (:func:`check_units`, ``ValueError``); an
     ad-hoc variant name draws the CRC32-extended substream of
@@ -897,7 +888,7 @@ def run_unit(
     check_request([name], **request)
     units = [(name, variant, params or {})]
     check_units(units, backend=backend, precision=precision)
-    return next(_run_units(units, workers=workers, pipeline=pipeline, **request))
+    return next(_run_units(units, workers=workers, **request))
 
 
 def run_campaign(
@@ -910,7 +901,6 @@ def run_campaign(
     trial_chunks: int = 1,
     backend: Optional[str] = None,
     precision: Optional[str] = None,
-    pipeline: Optional[int] = None,
     progress: Optional[Callable[[ExperimentResult], None]] = None,
 ) -> List[ExperimentResult]:
     """Run the selected experiments (all by default), serial or parallel.
@@ -936,10 +926,7 @@ def run_campaign(
     must declare it in its capability flags, and every expanded unit
     passes :func:`check_units` before the first one runs.
     ``precision`` selects the working precision (validated against the
-    backend: only ``fast`` supports ``"float32"``).  ``pipeline`` sets the Phase-A/Phase-B
-    flush-pipeline depth for waveform experiments (``None`` = the
-    ``REPRO_PIPELINE_DEPTH`` default); artifacts are bit-identical at
-    every depth.
+    backend: only ``fast`` supports ``"float32"``).
     """
     selected = list(names or CANONICAL_ORDER)
     request = dict(
@@ -953,7 +940,7 @@ def run_campaign(
     units = _expand_units(selected, sweep)
     check_units(units, backend=backend, precision=precision)
     results: List[ExperimentResult] = []
-    for result in _run_units(units, workers=workers, pipeline=pipeline, **request):
+    for result in _run_units(units, workers=workers, **request):
         if progress:
             progress(result)
         results.append(result)

@@ -58,7 +58,7 @@ class RangingSweepResult:
 
 
 def _sweep_errors(
-    rng, distances_m, num_exchanges, depth_m, backend, pipeline, precision
+    rng, distances_m, num_exchanges, depth_m, backend, precision
 ) -> List[Tuple[float, np.ndarray]]:
     """Raw per-distance ranging errors of the Fig. 11a sweep."""
     engine.check_backend(backend, "fig11", precision=precision)
@@ -66,9 +66,7 @@ def _sweep_errors(
     config = ExchangeConfig(environment=DOCK)
     results = []
     for distance in distances_m:
-        sim = BatchOneWay(
-            preamble, backend=backend, pipeline=pipeline, precision=precision
-        )
+        sim = BatchOneWay(preamble, backend=backend, precision=precision)
         for _ in range(num_exchanges):
             # Sessions vary slightly in geometry (the paper re-submerged
             # the phones every ~20 measurements).
@@ -259,16 +257,13 @@ def campaign(
     ablation_exchanges: int = 25,
     backend: str = "batch",
     precision: str = "float64",
-    pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
     """Raw errors of the Fig. 11a sweep and the Fig. 11b microphone ablation."""
     n_sweep = engine.chunk_share(engine.scaled(num_exchanges, scale), chunk)
     n_ablation = engine.chunk_share(engine.scaled(ablation_exchanges, scale), chunk)
     return {
-        "sweep": _sweep_errors(
-            rng, DISTANCES_M, n_sweep, 2.5, backend, pipeline, precision
-        ),
+        "sweep": _sweep_errors(rng, DISTANCES_M, n_sweep, 2.5, backend, precision),
         "ablation": [
             (distance, {k: np.asarray(v, dtype=float) for k, v in errs.items()})
             for distance, errs in _ablation_errors(

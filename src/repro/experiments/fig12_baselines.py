@@ -197,7 +197,6 @@ def _baseline_errors(
     num_exchanges: int,
     depth_m: float,
     backend: str,
-    pipeline: Optional[int] = None,
     precision: str = "float64",
 ) -> Dict[str, List[Tuple[float, np.ndarray]]]:
     """Fig. 12b: raw per-algorithm, per-distance errors, ours vs BeepBeep
@@ -232,9 +231,7 @@ def _baseline_errors(
     chirp_template = CachedTemplate(chirp, dtype=real_dtype) if fast else None
 
     for distance in distances_m:
-        sim = BatchOneWay(
-            preamble, backend=backend, pipeline=pipeline, precision=precision
-        )
+        sim = BatchOneWay(preamble, backend=backend, precision=precision)
         noise_rng = spawn_substream(rng) if fast else None
         trial_taps = []
         trial_true = []
@@ -493,7 +490,6 @@ def campaign(
     num_exchanges: int = 25,
     backend: str = "batch",
     precision: str = "float64",
-    pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
     """Raw counts of the Fig. 12a detector comparison and errors of the
@@ -512,7 +508,6 @@ def campaign(
         engine.chunk_share(engine.scaled(num_exchanges, scale), chunk),
         1.0,
         backend,
-        pipeline,
         precision=precision,
     )
     return {"detection": detection, "ranging": ranging}

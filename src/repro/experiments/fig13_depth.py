@@ -41,7 +41,7 @@ class DepthRangingResult:
 
 
 def _depth_errors(
-    rng, depths_m, num_exchanges, separation_m, backend, pipeline, precision
+    rng, depths_m, num_exchanges, separation_m, backend, precision
 ) -> List[Tuple[float, np.ndarray]]:
     """Raw per-depth ranging errors of the Fig. 13a sweep."""
     engine.check_backend(backend, "fig13", precision=precision)
@@ -49,9 +49,7 @@ def _depth_errors(
     config = ExchangeConfig(environment=DOCK)
     results = []
     for depth in depths_m:
-        sim = BatchOneWay(
-            preamble, backend=backend, pipeline=pipeline, precision=precision
-        )
+        sim = BatchOneWay(preamble, backend=backend, precision=precision)
         for _ in range(num_exchanges):
             # The rope lets the phone sway slightly (paper setup).
             tx = np.array([0.0, 0.0, depth + rng.uniform(-0.15, 0.15)])
@@ -179,7 +177,6 @@ def campaign(
     readings_per_depth: int = 30,
     backend: str = "batch",
     precision: str = "float64",
-    pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
     """Raw errors of the Fig. 13a depth sweep and readings of the
@@ -190,7 +187,6 @@ def campaign(
         engine.chunk_share(engine.scaled(num_exchanges, scale), chunk),
         18.0,
         backend,
-        pipeline,
         precision,
     )
     references, sensors = _sensor_readings(

@@ -50,7 +50,6 @@ def _orientation_errors(
     distance_m: float,
     depth_m: float,
     backend: str,
-    pipeline: Optional[int] = None,
     precision: str = "float64",
 ) -> List[Tuple[str, np.ndarray]]:
     """Fig. 14a: raw errors per sender orientation at ``distance_m``."""
@@ -66,9 +65,7 @@ def _orientation_errors(
             tx_azimuth_rad=np.deg2rad(az_deg),
             tx_polar_rad=np.deg2rad(pol_deg),
         )
-        sim = BatchOneWay(
-            preamble, backend=backend, pipeline=pipeline, precision=precision
-        )
+        sim = BatchOneWay(preamble, backend=backend, precision=precision)
         for _ in range(num_exchanges):
             tx = np.array([0.0, 0.0, case_depth + rng.uniform(-0.1, 0.1)])
             rx = np.array([distance_m, 0.0, depth_m + rng.uniform(-0.1, 0.1)])
@@ -99,7 +96,6 @@ def _model_pair_errors(
     distance_m: float,
     depth_m: float,
     backend: str,
-    pipeline: Optional[int] = None,
     precision: str = "float64",
 ) -> List[Tuple[str, np.ndarray]]:
     """Fig. 14b: raw errors per smartphone model pair."""
@@ -110,9 +106,7 @@ def _model_pair_errors(
         config = ExchangeConfig(
             environment=DOCK, tx_model=tx_model, rx_model=rx_model
         )
-        sim = BatchOneWay(
-            preamble, backend=backend, pipeline=pipeline, precision=precision
-        )
+        sim = BatchOneWay(preamble, backend=backend, precision=precision)
         for _ in range(num_exchanges):
             tx = np.array([0.0, 0.0, depth_m + rng.uniform(-0.1, 0.1)])
             rx = np.array([distance_m, 0.0, depth_m + rng.uniform(-0.1, 0.1)])
@@ -171,7 +165,6 @@ def campaign(
     num_exchanges: int = 25,
     backend: str = "batch",
     precision: str = "float64",
-    pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
     """Raw errors of the Fig. 14a orientation sweep and the Fig. 14b
@@ -179,10 +172,7 @@ def campaign(
     n = engine.chunk_share(engine.scaled(num_exchanges, scale), chunk)
     return {
         "orientation": _orientation_errors(
-            rng, ORIENTATION_CASES, n, 20.0, 2.5, backend, pipeline,
-            precision=precision,
+            rng, ORIENTATION_CASES, n, 20.0, 2.5, backend, precision=precision
         ),
-        "pairs": _model_pair_errors(
-            rng, n, 20.0, 2.5, backend, pipeline, precision=precision
-        ),
+        "pairs": _model_pair_errors(rng, n, 20.0, 2.5, backend, precision=precision),
     }

@@ -35,7 +35,7 @@ class MotionRangingResult:
 
 def _motion_tracks(
     rng, speeds_mps, duration_s, interval_s, base_distance_m, amplitude_m,
-    depth_m, backend, pipeline, time_slice, precision,
+    depth_m, backend, time_slice, precision,
 ) -> List[Tuple[float, np.ndarray, np.ndarray, np.ndarray]]:
     """Raw (speed, times, true distances, estimates) per trajectory,
     ranging once per ``interval_s`` while the device sweeps back and forth.
@@ -59,9 +59,7 @@ def _motion_tracks(
         if time_slice is not None:
             offset, count = time_slice
             times = times[offset : offset + count]
-        sim = BatchOneWay(
-            preamble, backend=backend, pipeline=pipeline, precision=precision
-        )
+        sim = BatchOneWay(preamble, backend=backend, precision=precision)
         for t in times:
             pos = trajectory.position(float(t))
             sim.add(static, pos, config, rng)
@@ -121,7 +119,6 @@ def campaign(
     duration_s: float = 60.0,
     backend: str = "batch",
     precision: str = "float64",
-    pipeline: Optional[int] = None,
     chunk: Optional[Tuple[int, int]] = None,
 ):
     """Raw tracks of both trajectory speeds, once per second for the
@@ -143,7 +140,6 @@ def campaign(
         amplitude_m=5.0,
         depth_m=1.5,
         backend=backend,
-        pipeline=pipeline,
         time_slice=time_slice,
         precision=precision,
     )

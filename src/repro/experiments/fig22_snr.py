@@ -10,7 +10,7 @@ variance across symbols is noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -160,16 +160,8 @@ def campaign(
     num_symbols: int = 8,
     backend: str = "batch",
     precision: str = "float64",
-    pipeline: Optional[int] = None,
 ):
-    """SNR profiles at 10/20/28 m (scale bounds the symbol count).
-
-    ``pipeline`` is accepted for engine uniformity (every waveform
-    experiment takes it) but has nothing to overlap: the whole sweep is
-    one Phase-A pass and a single Phase-B render, so the knob is a
-    documented no-op here.
-    """
-    del pipeline
+    """SNR profiles at 10/20/28 m (scale bounds the symbol count)."""
     profiles = run_snr_measurement(
         rng,
         num_symbols=engine.scaled(num_symbols, scale, minimum=2),

@@ -168,17 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--pipeline",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "Phase-A/Phase-B flush-pipeline depth for waveform experiments "
-            "(0 = synchronous flushes; default from REPRO_PIPELINE_DEPTH). "
-            "Artifacts are bit-identical at every depth"
-        ),
-    )
-    parser.add_argument(
         "--cache-dir",
         metavar="PATH",
         help=(
@@ -187,16 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
             "units are returned without recomputing; misses are computed "
             "and stored. Units run sequentially; --workers still "
             "parallelises chunks inside a unit"
-        ),
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help=(
-            "wrap the campaign in cProfile and write profile.pstats next "
-            "to the --json artifact (or into the working directory); "
-            "implies serial in-process execution so the profile actually "
-            "sees the compute"
         ),
     )
     parser.add_argument(
@@ -237,9 +216,7 @@ def _run_cached(args, selected, sweep, show) -> List[ExperimentResult]:
             precision=args.precision,
             trial_chunks=args.trial_chunks,
         )
-        _, body, hit = cached_unit(
-            store, request, workers=args.workers, pipeline=args.pipeline
-        )
+        _, body, hit = cached_unit(store, request, workers=args.workers)
         result = engine.result_from_dict(_json.loads(body)["result"])
         show(result, cached=hit)
         results.append(result)
@@ -300,52 +277,28 @@ def main(argv=None) -> int:
             print(result.error)
             print(f"----- {result.label} FAILED after {result.wall_time_s:.1f} s")
 
-    profiler = None
-    if args.profile:
-        import cProfile
+    if args.cache_dir:
+        from repro.service.store import CacheStoreError
 
-        if args.workers != 1:
-            # Worker processes would run the compute outside the
-            # profiler; a profiled campaign is serial by construction.
-            print("--profile forces --workers 1 (in-process execution)")
-            args.workers = 1
-        profiler = cProfile.Profile()
-        profiler.enable()
-
-    try:
-        if args.cache_dir:
-            from repro.service.store import CacheStoreError
-
-            try:
-                results = _run_cached(args, selected, sweep, show)
-            except CacheStoreError as exc:
-                # A bad --cache-dir must fail before any compute starts,
-                # with an actionable message — not crash mid-campaign.
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-        else:
-            results = run_campaign(
-                selected,
-                base_seed=args.seed,
-                workers=args.workers,
-                scale=args.scale,
-                sweep=sweep,
-                trial_chunks=args.trial_chunks,
-                backend=args.backend,
-                precision=args.precision,
-                pipeline=args.pipeline,
-                progress=show,
-            )
-    finally:
-        if profiler is not None:
-            import os.path
-
-            profiler.disable()
-            stats_path = os.path.join(
-                os.path.dirname(args.json) or ".", "profile.pstats"
-            ) if args.json else "profile.pstats"
-            profiler.dump_stats(stats_path)
-            print(f"wrote profile to {stats_path}")
+        try:
+            results = _run_cached(args, selected, sweep, show)
+        except CacheStoreError as exc:
+            # A bad --cache-dir must fail before any compute starts,
+            # with an actionable message — not crash mid-campaign.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+    else:
+        results = run_campaign(
+            selected,
+            base_seed=args.seed,
+            workers=args.workers,
+            scale=args.scale,
+            sweep=sweep,
+            trial_chunks=args.trial_chunks,
+            backend=args.backend,
+            precision=args.precision,
+            progress=show,
+        )
 
     if args.json:
         write_campaign_json(

@@ -27,8 +27,8 @@ JSON encoding of that tuple:
   result bits (BLAS/FFT kernels, RNG internals) without touching the
   package sources.
 
-Execution knobs (``workers``, ``pipeline``) are deliberately *not*
-part of the key: results are bit-identical across them (DESIGN.md §8).
+The execution knob ``workers`` is deliberately *not* part of the
+key: results are bit-identical for every worker count (DESIGN.md §8).
 """
 
 from __future__ import annotations

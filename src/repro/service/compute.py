@@ -13,7 +13,7 @@ traceback into the cache.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from repro.experiments import engine
 from repro.service.cachekey import UnitRequest, cache_key
@@ -43,13 +43,11 @@ def compute_unit(
     request: UnitRequest,
     *,
     workers: int = 1,
-    pipeline: Optional[int] = None,
 ) -> Tuple[bytes, bool]:
     """Run the unit; returns ``(canonical body bytes, ok)``.
 
-    ``workers``/``pipeline`` are execution knobs — they parallelise
-    chunked units and set the flush-pipeline depth without changing a
-    byte of the body (DESIGN.md §8).
+    ``workers`` is an execution knob — it parallelises chunked units
+    without changing a byte of the body (DESIGN.md §8).
     """
     result = engine.run_unit(
         request.experiment,
@@ -61,7 +59,6 @@ def compute_unit(
         precision=request.precision,
         trial_chunks=request.trial_chunks,
         workers=workers,
-        pipeline=pipeline,
     )
     unit = engine.unit_to_dict(
         result,
@@ -78,14 +75,13 @@ def cached_unit(
     request: UnitRequest,
     *,
     workers: int = 1,
-    pipeline: Optional[int] = None,
 ) -> Tuple[str, bytes, bool]:
     """Serve the unit through the store: ``(key, body, hit)``."""
     key = cache_key(request)
     body = store.get(key)
     if body is not None:
         return key, body, True
-    body, ok = compute_unit(request, workers=workers, pipeline=pipeline)
+    body, ok = compute_unit(request, workers=workers)
     if ok:
         store.put(key, body)
     return key, body, False

@@ -7,15 +7,16 @@ Three contracts under test:
   synchronous flushing, for both the parity ``batch`` backend and the
   substream-driven ``fast`` backend.
 * **Campaign byte-identity** — the JSON artifact of a chunked campaign
-  is byte-identical across pipeline depths {off, 1, 2} and worker
-  counts {1, 4}; pool results cross the worker pipe pickled, arrays
-  intact.
+  is byte-identical across pipeline depths {off, 1, 2} (set only by
+  ``REPRO_PIPELINE_DEPTH``) and worker counts {1, 4}; pool results
+  cross the worker pipe pickled, arrays intact.
 * **Failure semantics** — a worker death (SIGKILL) or stray
   ``SystemExit`` yields ``status="error"`` for the affected job only;
   the campaign completes and surviving jobs succeed on replacement
   workers.
 """
 
+import inspect
 import os
 import signal
 import warnings
@@ -262,16 +263,45 @@ def _campaign_json(**kw):
 
 
 @pytest.mark.slow
-def test_campaign_byte_identical_across_executors():
-    """Serial == pipelined == parallel, bit for bit."""
+def test_campaign_byte_identical_across_executors(monkeypatch):
+    """Serial == pipelined == parallel, bit for bit.
+
+    Pool workers fork once and keep the environment they forked with,
+    so every pool-backed case starts a fresh pool after setting depth.
+    """
+
+    def at_depth(depth, workers):
+        if depth is None:
+            monkeypatch.delenv("REPRO_PIPELINE_DEPTH", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_PIPELINE_DEPTH", str(depth))
+        if workers > 1:
+            engine.shutdown_pool()
+        return _campaign_json(workers=workers)
+
     try:
-        baseline = _campaign_json(workers=1, pipeline=0)
-        assert _campaign_json(workers=1, pipeline=1) == baseline
-        assert _campaign_json(workers=1, pipeline=2) == baseline
-        assert _campaign_json(workers=4, pipeline=None) == baseline
-        assert _campaign_json(workers=4, pipeline=2) == baseline
+        baseline = at_depth(0, workers=1)
+        assert at_depth(1, workers=1) == baseline
+        assert at_depth(2, workers=1) == baseline
+        assert at_depth(None, workers=4) == baseline
+        assert at_depth(2, workers=4) == baseline
     finally:
         engine.shutdown_pool()
+
+
+def test_no_entry_point_takes_a_pipeline_depth():
+    """Flush depth is decided inside ``batch_exchange`` alone: no
+    registered entry, engine entrypoint or service call can set it."""
+    from repro.service.compute import cached_unit, compute_unit
+
+    calls = [engine.run_unit, engine.run_campaign, compute_unit, cached_unit]
+    calls += [spec.resolve_entry() for spec in engine.registry().values()]
+    takers = [
+        f"{f.__module__}.{f.__qualname__}"
+        for f in calls
+        if "pipeline" in inspect.signature(f).parameters
+    ]
+    assert not takers
 
 
 def _crash_entry(rng, scale=1.0, mode="ok", **kwargs):

@@ -25,6 +25,7 @@ from repro.service.cachekey import (
     code_version,
     normalize_request,
 )
+from repro.signals.xp import PRECISIONS
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +235,7 @@ _field_values = {
     "variant": st.sampled_from(["default", "", "dock"]) | _json_values,
     "params": st.dictionaries(st.text(max_size=6), _json_values, max_size=3) | _json_values,
     "backend": st.sampled_from(sorted(engine.WAVEFORM_BACKENDS)) | _json_values,
-    "precision": st.sampled_from(sorted(engine.PRECISIONS)) | _json_values,
+    "precision": st.sampled_from(sorted(PRECISIONS)) | _json_values,
     "base_seed": st.integers() | st.floats() | st.sampled_from(["7", "1e400", "nan"]),
     "scale": st.floats() | st.integers() | st.sampled_from(["0.1", "inf", "-1"]),
     "trial_chunks": st.integers() | st.floats() | st.sampled_from(["2", "x"]),
